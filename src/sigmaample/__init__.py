@@ -53,7 +53,7 @@ from .intmat import (
     quasi_unipotence,
     spectral_radius,
 )
-from .intpoly import IntPolynomial, RationalInterval
+from .intpoly import RationalInterval
 from .lattice import (
     AutomorphismAction,
     ComponentDescriptor,
@@ -69,10 +69,8 @@ from .numpoly import (
     NumericalPolynomial,
     binomial_basis,
     binomial_coefficients,
-    degree_leading,
     exists_common_positive,
     is_integer_valued,
-    positivity_threshold,
 )
 from .catalog import catalog_entry, catalog_names
 from .schemefile import SchemeFile, parse_scheme_file, serialize_scheme_file

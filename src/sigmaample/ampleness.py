@@ -26,6 +26,7 @@ from .lattice import (
     ComponentDescriptor,
     DivisorClass,
     ValidationReport,
+    _basis_vector,
     apply,
     intersect,
 )
@@ -108,15 +109,11 @@ def is_nef(oracle: AmplenessOracle, divisor: DivisorClass) -> bool:
     return all(v >= 0 for v in _values(oracle, divisor))
 
 
-def _basis_coords(rank: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if j == i else 0) for j in range(rank))
-
-
 def _pair_form(component: ComponentDescriptor, fixed: DivisorClass) -> list[Fraction]:
     """Linear functional D -> (D.fixed) as coefficients on basis classes."""
     rank = component.top_form.rank
     return [
-        component.top_form.evaluate([_basis_coords(rank, i), fixed.coords])
+        component.top_form.evaluate([_basis_vector(rank, i), fixed.coords])
         for i in range(rank)
     ]
 

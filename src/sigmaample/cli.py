@@ -8,18 +8,17 @@ diagnostics go to stderr. Exit codes: 0 success, 2 parse or validation
 error, 3 unknown name, 4 precondition failure.
 
 --auto and --divisor may be repeated; the cartesian batch of queries is
-evaluated (in parallel with --jobs N, the engine being pure) and reported in
-input order.
+evaluated serially and reported in input order. --jobs N is accepted for
+compatibility and has no effect.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import engine
 from .ampleness import action_stability_report, oracle_report
@@ -85,11 +84,6 @@ def _interval_json(iv) -> dict:
     return {"lo": format_rational(iv.lo), "hi": format_rational(iv.hi)}
 
 
-def _interval_text(iv) -> str:
-    mid = float(iv.lo + (iv.hi - iv.lo) / 2)
-    return f"[{iv.lo}, {iv.hi}] (~{mid:.5f})"
-
-
 def _poly_json(poly) -> dict:
     return {
         "monomial_coefficients": [format_rational(c) for c in poly.coeffs],
@@ -99,13 +93,6 @@ def _poly_json(poly) -> dict:
 
 def _report_json(check) -> dict:
     return {"name": check.name, "passed": check.passed, "detail": check.detail}
-
-
-def _run_batch(jobs: int, func: Callable, items: Sequence) -> list:
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(func, items))
-    return [func(item) for item in items]
 
 
 def cmd_validate(args) -> tuple[dict, int]:
@@ -182,7 +169,6 @@ def _text_validate(doc) -> str:
 
 def cmd_classify(args) -> tuple[dict, int]:
     sf = load_input(args.input)
-    eps = Fraction(args.eps)
 
     def one(name: str) -> dict:
         action = sf.action(name)
@@ -194,7 +180,7 @@ def cmd_classify(args) -> tuple[dict, int]:
                 "text": poly.format(),
             },
         }
-        cls = engine.classify(action, eps)
+        cls = engine.classify(action, args.eps)
         result["quasi_unipotent"] = cls.quasi_unipotent
         if cls.quasi_unipotent:
             result["unipotent_power"] = cls.unipotent_power
@@ -204,7 +190,7 @@ def cmd_classify(args) -> tuple[dict, int]:
             result["spectral_radius"] = _interval_json(cls.radius)
         return result
 
-    results = _run_batch(args.jobs, one, args.auto)
+    results = [one(name) for name in args.auto]
     return {"command": "classify", "input": args.input, "results": results}, EXIT_OK
 
 
@@ -274,7 +260,7 @@ def cmd_sigma_ample(args) -> tuple[dict, int]:
                 result["reduction"] = _reduction_trace(action, divisor, q)
         return result
 
-    results = _run_batch(args.jobs, one, _pairs(args))
+    results = [one(pair) for pair in _pairs(args)]
     doc = {
         "command": "sigma-ample",
         "input": args.input,
@@ -324,7 +310,7 @@ def cmd_gkdim(args) -> tuple[dict, int]:
             ],
         }
 
-    results = _run_batch(args.jobs, one, _pairs(args))
+    results = [one(pair) for pair in _pairs(args)]
     doc = {
         "command": "gkdim",
         "input": args.input,
@@ -349,12 +335,11 @@ def _text_gkdim(doc) -> str:
 def cmd_growth(args) -> tuple[dict, int]:
     sf = load_input(args.input)
     oracle_name, oracle = _resolve_oracle(sf, args.oracle)
-    eps = Fraction(args.eps)
 
     def one(pair) -> dict:
         aname, dname = pair
         report = engine.growth_report(
-            sf.scheme, sf.action(aname), oracle, sf.divisor(dname), args.mmax, eps
+            sf.scheme, sf.action(aname), oracle, sf.divisor(dname), args.mmax, args.eps
         )
         result: dict = {"action": aname, "divisor": dname, "mmax": args.mmax}
         if isinstance(report, engine.PolynomialGrowth):
@@ -368,7 +353,7 @@ def cmd_growth(args) -> tuple[dict, int]:
             result["threshold_exceeded"] = report.threshold_exceeded
         return result
 
-    results = _run_batch(args.jobs, one, _pairs(args))
+    results = [one(pair) for pair in _pairs(args)]
     doc = {
         "command": "growth",
         "input": args.input,
@@ -411,7 +396,7 @@ def cmd_chi(args) -> tuple[dict, int]:
             "values": [format_rational(v) for v in series],
         }
 
-    results = _run_batch(args.jobs, one, _pairs(args))
+    results = [one(pair) for pair in _pairs(args)]
     return {"command": "chi", "input": args.input, "results": results}, EXIT_OK
 
 
@@ -461,7 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "structured"), default="text",
         help="output format (structured = canonical JSON)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel batch queries")
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted but has no effect; batches run serially",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, auto=True, divisor=True, oracle=True, mmax=False, eps=True):
@@ -477,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         if mmax:
             p.add_argument("--mmax", type=int, default=12, help="series length")
         if eps:
-            p.add_argument("--eps", default="1/1000",
+            p.add_argument("--eps", type=Fraction, default=Fraction(1, 1000),
                            help="spectral radius enclosure width (P/Q)")
 
     p = sub.add_parser("validate", help="validate a scheme document")

@@ -317,10 +317,6 @@ def gk_dimension(
     return gk_profile(scheme, action, oracle, divisor).gk_dimension
 
 
-def apply_matrix(matrix: IntegerMatrix, divisor: DivisorClass) -> DivisorClass:
-    return DivisorClass(matrix.column_action(divisor.coords))
-
-
 def euler_char_series(
     scheme: SchemeDescriptor,
     action: AutomorphismAction,
@@ -346,7 +342,7 @@ def euler_char_series(
     current = divisor
     for _ in range(m_max):
         total = total + current
-        current = apply_matrix(action.matrix, current)
+        current = apply(action, current)
         chi = Fraction(0)
         for comp in scheme.components:
             for j, form in enumerate(comp.todd):

@@ -16,12 +16,8 @@ from math import lcm
 from typing import Sequence
 
 from .errors import NotInvertibleOverIntegers, NotUnipotent
-from .intpoly import (
-    IntPolynomial,
-    RationalInterval,
-    largest_real_root_interval,
-    sqrt_enclosure,
-)
+from .intpoly import RationalInterval, largest_real_root_interval, sqrt_enclosure
+from .numpoly import NumericalPolynomial
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,7 @@ def kronecker(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(tuple(rows))
 
 
-def char_poly(matrix: IntegerMatrix) -> IntPolynomial:
+def char_poly(matrix: IntegerMatrix) -> NumericalPolynomial:
     """Characteristic polynomial det(xI - M) by the Berkowitz recursion.
 
     Division-free: every intermediate value is an integer.
@@ -204,7 +200,7 @@ def char_poly(matrix: IntegerMatrix) -> IntPolynomial:
                 acc += q[i - j] * coeffs[j]
             new[i] = acc
         coeffs = new
-    return IntPolynomial(tuple(reversed(coeffs)))
+    return NumericalPolynomial(tuple(reversed(coeffs)))
 
 
 def _totient(n: int) -> int:

@@ -1,16 +1,19 @@
-"""Exact univariate polynomials over the integers, with real-root isolation.
+"""Exact real-root isolation for univariate polynomials.
 
 Coefficient lists are dense and stored lowest degree first. Everything in
-here is exact: integer polynomials carry plain ``int`` coefficients, and the
-Sturm-chain machinery works on ``Fraction`` lists so no floating point enters
-any decision.
+here is exact: the Sturm-chain machinery works on ``Fraction`` lists so no
+floating point enters any decision. The polynomial type itself is
+``numpoly.NumericalPolynomial``, which builds on the list helpers below.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from .numpoly import NumericalPolynomial
 
 
 @dataclass(frozen=True)
@@ -30,102 +33,16 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, value) -> bool:
         return self.lo <= value <= self.hi
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial; trailing zero coefficients are stripped."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        cs = list(self.coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def of(cls, *coeffs: int) -> "IntPolynomial":
-        return cls(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(tuple(out))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def format(self, var: str = "x") -> str:
-        """Canonical text like ``x^2-14x+1`` (descending powers, no spaces)."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for power in range(self.degree, -1, -1):
-            c = self.coeffs[power]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            a = abs(c)
-            if power == 0:
-                body = str(a)
-            else:
-                body = ("" if a == 1 else str(a)) + var + ("" if power == 1 else f"^{power}")
-            parts.append(sign + body)
-        return "".join(parts)
-
-
 # ---------------------------------------------------------------------------
-# Fraction-list helpers for Sturm chains.  Lists are lowest degree first and
-# kept stripped of trailing zeros.
+# Coefficient-list helpers.  Lists are lowest degree first and kept stripped
+# of trailing zeros.
 
 
-def _strip(cs: list[Fraction]) -> list[Fraction]:
+def _strip(cs: list) -> list:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
@@ -135,8 +52,10 @@ def _derivative(cs: Sequence[Fraction]) -> list[Fraction]:
     return [Fraction(i) * cs[i] for i in range(1, len(cs))]
 
 
-def _eval(cs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _horner(cs: Sequence, x):
+    """Value of the coefficient list at x, in the arithmetic of its inputs:
+    plain ``int`` for integer lists at integer points, else ``Fraction``."""
+    acc = 0
     for c in reversed(cs):
         acc = acc * x + c
     return acc
@@ -171,11 +90,13 @@ def _gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return _monic(a) if a else a
 
 
-def square_free_part(p: IntPolynomial) -> IntPolynomial:
+def square_free_part(p: NumericalPolynomial) -> NumericalPolynomial:
     """p divided by gcd(p, p'), returned with integer primitive coefficients."""
+    from .numpoly import NumericalPolynomial  # numpoly imports this module
+
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free part")
-    cs = [Fraction(c) for c in p.coeffs]
+    cs = p.coeffs
     g = _gcd(cs, _derivative(cs))
     q, r = _divmod(cs, g)
     assert not r
@@ -188,14 +109,12 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
         ints = [c // content for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
-    return IntPolynomial(tuple(ints))
+    return NumericalPolynomial(tuple(ints))
 
 
 def cauchy_root_bound(coeffs: Sequence) -> Fraction:
     """1 + max|a_i| / |a_lead|; every root modulus is at most this."""
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
+    cs = _strip([Fraction(c) for c in coeffs])
     if not cs:
         raise ValueError("zero polynomial has unbounded roots")
     if len(cs) == 1:
@@ -204,10 +123,9 @@ def cauchy_root_bound(coeffs: Sequence) -> Fraction:
     return 1 + max(abs(c) for c in cs[:-1]) / lead
 
 
-def sturm_chain(p: IntPolynomial) -> list[list[Fraction]]:
+def sturm_chain(p: NumericalPolynomial) -> list[list[Fraction]]:
     """Sturm chain of the square-free part of p."""
-    sqf = square_free_part(p)
-    chain = [[Fraction(c) for c in sqf.coeffs]]
+    chain = [list(square_free_part(p).coeffs)]
     d = _derivative(chain[0])
     if d:
         chain.append(d)
@@ -222,7 +140,7 @@ def sturm_chain(p: IntPolynomial) -> list[list[Fraction]]:
 def sign_variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
     signs = []
     for cs in chain:
-        v = _eval(cs, x)
+        v = _horner(cs, x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -233,7 +151,7 @@ def count_real_roots(chain, lo: Fraction, hi: Fraction) -> int:
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
-def largest_real_root_interval(p: IntPolynomial, width: Fraction) -> RationalInterval:
+def largest_real_root_interval(p: NumericalPolynomial, width: Fraction) -> RationalInterval:
     """Interval of width <= ``width`` around the largest real root of p.
 
     Raises ValueError if p has no real root.

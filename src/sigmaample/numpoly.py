@@ -1,12 +1,14 @@
 """Numerical polynomials: rational-coefficient polynomials in one variable m
 that take integer values at integers.
 
-The internal representation is the monomial basis with exact ``Fraction``
-coefficients; the binomial basis C(m, i) is available as a constructor and a
-converter, since polynomials built from lattice data are naturally integer
-combinations of binomials. Sign analysis over the positive integers is exact:
-beyond the Cauchy root bound the sign of a polynomial equals the sign of its
-leading coefficient, so scans terminate with certainty.
+This is the package's one polynomial type: it also carries the integer
+characteristic polynomials whose roots ``intpoly`` isolates. The internal
+representation is the monomial basis with exact ``Fraction`` coefficients;
+the binomial basis C(m, i) is available as a constructor and a converter,
+since polynomials built from lattice data are naturally integer combinations
+of binomials. Sign analysis over the positive integers is exact: beyond the
+Cauchy root bound the sign of a polynomial equals the sign of its leading
+coefficient, so scans terminate with certainty.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, lcm
 from typing import Iterable, Sequence
+
+from .intpoly import _horner, _strip, cauchy_root_bound
 
 
 @dataclass(frozen=True)
@@ -28,9 +32,7 @@ class NumericalPolynomial:
             if isinstance(c, float):
                 raise TypeError("exact coefficients required, not float")
         cs = [c if type(c) is Fraction else Fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_strip(cs)))
 
     @classmethod
     def of(cls, *coeffs) -> "NumericalPolynomial":
@@ -54,10 +56,7 @@ class NumericalPolynomial:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def evaluate(self, m) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * m + c
-        return acc
+        return _horner(self.coeffs, m)
 
     def __add__(self, other: "NumericalPolynomial") -> "NumericalPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -90,6 +89,24 @@ class NumericalPolynomial:
 
     __rmul__ = __mul__
 
+    def format(self, var: str = "x") -> str:
+        """Canonical text like ``x^2-14x+1`` (descending powers, no spaces)."""
+        if self.is_zero:
+            return "0"
+        parts = []
+        for power in range(self.degree, -1, -1):
+            c = self.coeffs[power]
+            if c == 0:
+                continue
+            sign = "-" if c < 0 else ("+" if parts else "")
+            a = abs(c)
+            if power == 0:
+                body = str(a)
+            else:
+                body = ("" if a == 1 else str(a)) + var + ("" if power == 1 else f"^{power}")
+            parts.append(sign + body)
+        return "".join(parts)
+
 
 ZERO = NumericalPolynomial(())
 ONE = NumericalPolynomial.of(1)
@@ -104,13 +121,6 @@ def binomial_basis(i: int) -> NumericalPolynomial:
     for j in range(i):
         poly = poly * NumericalPolynomial.of(Fraction(-j, j + 1), Fraction(1, j + 1))
     return poly
-
-
-def degree_leading(p: NumericalPolynomial):
-    """(degree, leading coefficient); (None, None) for the zero polynomial."""
-    if p.is_zero:
-        return None, None
-    return p.degree, p.leading
 
 
 def binomial_coefficients(p: NumericalPolynomial) -> tuple[Fraction, ...]:
@@ -153,11 +163,10 @@ def is_integer_valued(p: NumericalPolynomial) -> bool:
 
 def cauchy_bound(p: NumericalPolynomial) -> int:
     """Integer B >= 1 such that every real root of p is at most B."""
-    if p.is_zero or p.degree == 0:
+    if p.is_zero:
         return 1
-    lead = abs(p.leading)
-    top = max(abs(c) for c in p.coeffs[:-1])
-    return max(1, ceil(1 + top / lead))
+    return max(1, ceil(cauchy_root_bound(p.coeffs)))
+
 
 def _int_scaled(p: NumericalPolynomial) -> list[int]:
     """Integer coefficient list with the same signs as p at every point."""
@@ -165,29 +174,6 @@ def _int_scaled(p: NumericalPolynomial) -> list[int]:
         return []
     scale = lcm(*(c.denominator for c in p.coeffs))
     return [int(c * scale) for c in p.coeffs]
-
-
-def _eval_int(cs: Sequence[int], m: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * m + c
-    return acc
-
-
-def positivity_threshold(p: NumericalPolynomial) -> int | None:
-    """Least m0 >= 1 with p(m) > 0 for all m >= m0, or None if there is none.
-
-    A threshold exists exactly when the leading coefficient is positive.
-    """
-    if p.is_zero or p.leading <= 0:
-        return None
-    bound = cauchy_bound(p)
-    scaled = _int_scaled(p)
-    threshold = 1
-    for m in range(1, bound + 1):
-        if _eval_int(scaled, m) <= 0:
-            threshold = m + 1
-    return threshold
 
 
 def exists_common_positive(ps: Sequence[NumericalPolynomial]) -> int | None:
@@ -201,10 +187,10 @@ def exists_common_positive(ps: Sequence[NumericalPolynomial]) -> int | None:
     bound = max(cauchy_bound(p) for p in ps)
     scaled = [_int_scaled(p) for p in ps]
     for m in range(1, bound + 1):
-        if all(cs and _eval_int(cs, m) > 0 for cs in scaled):
+        if all(cs and _horner(cs, m) > 0 for cs in scaled):
             return m
     if all(p.leading > 0 for p in ps):
         witness = bound + 1
-        assert all(_eval_int(cs, witness) > 0 for cs in scaled)
+        assert all(_horner(cs, witness) > 0 for cs in scaled)
         return witness
     return None

@@ -223,6 +223,11 @@ def parse_scheme_document(obj: Any) -> SchemeFile:
     components = tuple(
         _parse_component(c, rank, f"components[{i}]") for i, c in enumerate(comp_list)
     )
+    names: set[str] = set()
+    for i, comp in enumerate(components):
+        if comp.name in names:
+            raise _fail(f"components[{i}].name", f"duplicate component name {comp.name!r}")
+        names.add(comp.name)
     euler = obj.get("euler_char")
     euler_char = None if euler is None else parse_rational(euler, "euler_char")
     try:

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from sigmaample.cli import main
 from sigmaample.schemefile import serialize_scheme_file
 from sigmaample.catalog import catalog_entry
@@ -49,6 +51,43 @@ def test_eps_flag_tightens_radius(capsys):
     (result,) = doc["results"]
     lo, hi = (Fraction(result["spectral_radius"][k]) for k in ("lo", "hi"))
     assert hi - lo <= Fraction(1, 100000)
+
+
+@pytest.mark.parametrize(
+    "eps_args, lo, hi",
+    [
+        ((), "111439/8001", "15920/1143"),
+        (
+            ("--eps", "1/1000000000000"),
+            "111425625842218/8000000000001",
+            "111425625842219/8000000000001",
+        ),
+    ],
+)
+def test_radius_enclosure_endpoints_are_pinned(capsys, eps_args, lo, hi):
+    _, doc, _ = run_json(capsys, "classify", "wehler_k3", "--auto", "s1s2", *eps_args)
+    (result,) = doc["results"]
+    assert result["spectral_radius"] == {"lo": lo, "hi": hi}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "wehler_k3", "--auto", "s1s2"],
+        ["growth", "wehler_k3", "--auto", "s1s2", "--divisor", "H1"],
+    ],
+)
+def test_malformed_eps_is_parse_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--eps", "abc"])
+    assert exc.value.code == 2
+    assert "--eps" in capsys.readouterr().err
+
+
+def test_non_positive_eps_is_precondition_failure(capsys):
+    code, _, err = run(capsys, "classify", "wehler_k3", "--auto", "s1s2", "--eps", "0")
+    assert code == 4
+    assert "eps" in err
 
 
 def test_sigma_ample_yes(capsys):

@@ -15,7 +15,7 @@ from sigmaample.intmat import (
     quasi_unipotence,
     spectral_radius,
 )
-from sigmaample.intpoly import IntPolynomial
+from sigmaample.numpoly import NumericalPolynomial
 
 S1 = IntegerMatrix.from_rows([[1, 4], [0, -1]])
 S2 = IntegerMatrix.from_rows([[-1, 0], [4, 1]])
@@ -52,18 +52,18 @@ def unimodular_matrices(size: int, ops: int = 6, magnitude: int = 3):
 
 
 def test_char_poly_identity():
-    assert char_poly(IntegerMatrix.identity(2)) == IntPolynomial.of(1, -2, 1)
+    assert char_poly(IntegerMatrix.identity(2)) == NumericalPolynomial.of(1, -2, 1)
 
 
 def test_char_poly_rotation():
     m = IntegerMatrix.from_rows([[0, 1], [-1, 0]])
-    assert char_poly(m) == IntPolynomial.of(1, 0, 1)
+    assert char_poly(m) == NumericalPolynomial.of(1, 0, 1)
 
 
 def test_char_poly_wehler_composite():
     # trace 14 and determinant 1 by direct 2x2 multiplication
     assert S1S2.rows == ((15, 4), (-4, -1))
-    assert char_poly(S1S2) == IntPolynomial.of(1, -14, 1)
+    assert char_poly(S1S2) == NumericalPolynomial.of(1, -14, 1)
 
 
 @settings(max_examples=60)
@@ -135,7 +135,7 @@ def _cyclotomics_up_to_degree(max_degree):
     return polys
 
 
-def _is_product_of_cyclotomics(poly: IntPolynomial) -> bool:
+def _is_product_of_cyclotomics(poly: NumericalPolynomial) -> bool:
     """Trial division by every cyclotomic polynomial of allowed degree."""
     current = [Fraction(c) for c in poly.coeffs]
     cyclos = _cyclotomics_up_to_degree(poly.degree)

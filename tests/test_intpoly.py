@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sigmaample.intpoly import (
-    IntPolynomial,
     RationalInterval,
     cauchy_root_bound,
     count_real_roots,
@@ -13,24 +12,25 @@ from sigmaample.intpoly import (
     square_free_part,
     sturm_chain,
 )
+from sigmaample.numpoly import NumericalPolynomial
 
 
 def test_normalization_strips_trailing_zeros():
-    assert IntPolynomial.of(1, 2, 0, 0).coeffs == (1, 2)
-    assert IntPolynomial.of(0, 0).coeffs == ()
-    assert IntPolynomial.of().is_zero
+    assert NumericalPolynomial.of(1, 2, 0, 0).coeffs == (1, 2)
+    assert NumericalPolynomial.of(0, 0).coeffs == ()
+    assert NumericalPolynomial.of().is_zero
 
 
 def test_degree_and_leading():
-    assert IntPolynomial.of().degree == -1
-    assert IntPolynomial.of(5).degree == 0
-    assert IntPolynomial.of(1, -14, 1).degree == 2
-    assert IntPolynomial.of(1, -14, 1).leading == 1
+    assert NumericalPolynomial.of().degree is None
+    assert NumericalPolynomial.of(5).degree == 0
+    assert NumericalPolynomial.of(1, -14, 1).degree == 2
+    assert NumericalPolynomial.of(1, -14, 1).leading == 1
 
 
 def test_arithmetic():
-    p = IntPolynomial.of(1, 1)  # 1 + x
-    q = IntPolynomial.of(-1, 1)  # -1 + x
+    p = NumericalPolynomial.of(1, 1)  # 1 + x
+    q = NumericalPolynomial.of(-1, 1)  # -1 + x
     assert (p * q).coeffs == (-1, 0, 1)
     assert (p + q).coeffs == (0, 2)
     assert (p - p).is_zero
@@ -39,12 +39,12 @@ def test_arithmetic():
 
 
 def test_format():
-    assert IntPolynomial.of(1, -2, 1).format() == "x^2-2x+1"
-    assert IntPolynomial.of(1, 0, 1).format() == "x^2+1"
-    assert IntPolynomial.of(1, -14, 1).format() == "x^2-14x+1"
-    assert IntPolynomial.of(0, 1).format() == "x"
-    assert IntPolynomial.of(-3).format() == "-3"
-    assert IntPolynomial.of().format() == "0"
+    assert NumericalPolynomial.of(1, -2, 1).format() == "x^2-2x+1"
+    assert NumericalPolynomial.of(1, 0, 1).format() == "x^2+1"
+    assert NumericalPolynomial.of(1, -14, 1).format() == "x^2-14x+1"
+    assert NumericalPolynomial.of(0, 1).format() == "x"
+    assert NumericalPolynomial.of(-3).format() == "-3"
+    assert NumericalPolynomial.of().format() == "0"
 
 
 def test_interval_invariants():
@@ -57,14 +57,15 @@ def test_interval_invariants():
 
 def test_square_free_part():
     # (x - 1)^2 (x + 2) -> (x - 1)(x + 2) up to sign normalization
-    p = IntPolynomial.of(-1, 1) * IntPolynomial.of(-1, 1) * IntPolynomial.of(2, 1)
+    x_minus_1 = NumericalPolynomial.of(-1, 1)
+    p = x_minus_1 * x_minus_1 * NumericalPolynomial.of(2, 1)
     sqf = square_free_part(p)
     assert sqf.coeffs == (-2, 1, 1)
 
 
 def test_sturm_counts_roots_of_quadratic():
     # x^2 - 3x + 1 has roots (3 +- sqrt(5))/2, about 0.382 and 2.618
-    p = IntPolynomial.of(1, -3, 1)
+    p = NumericalPolynomial.of(1, -3, 1)
     chain = sturm_chain(p)
     assert count_real_roots(chain, Fraction(0), Fraction(3)) == 2
     assert count_real_roots(chain, Fraction(1), Fraction(3)) == 1
@@ -73,7 +74,7 @@ def test_sturm_counts_roots_of_quadratic():
 
 def test_largest_real_root_golden_ratio_like():
     # largest root of x^2 - 3x + 1 is (3 + sqrt(5))/2
-    p = IntPolynomial.of(1, -3, 1)
+    p = NumericalPolynomial.of(1, -3, 1)
     iv = largest_real_root_interval(p, Fraction(1, 10**6))
     assert iv.width <= Fraction(1, 10**6)
     # exact containment: r satisfies 2r - 3 = sqrt(5), so (2x-3)^2 <= 5 at lo
@@ -83,7 +84,7 @@ def test_largest_real_root_golden_ratio_like():
 
 def test_largest_real_root_with_repeated_roots():
     # y^4: only root 0, with multiplicity
-    p = IntPolynomial.of(0, 0, 0, 0, 1)
+    p = NumericalPolynomial.of(0, 0, 0, 0, 1)
     iv = largest_real_root_interval(p, Fraction(1, 100))
     assert iv.contains(Fraction(0))
     assert iv.width <= Fraction(1, 100)
@@ -91,11 +92,11 @@ def test_largest_real_root_with_repeated_roots():
 
 def test_no_real_roots_raises():
     with pytest.raises(ValueError):
-        largest_real_root_interval(IntPolynomial.of(1, 0, 1), Fraction(1, 10))
+        largest_real_root_interval(NumericalPolynomial.of(1, 0, 1), Fraction(1, 10))
 
 
 def test_cauchy_bound_dominates_roots():
-    p = IntPolynomial.of(-6, 11, -6, 1)  # roots 1, 2, 3
+    p = NumericalPolynomial.of(-6, 11, -6, 1)  # roots 1, 2, 3
     assert cauchy_root_bound(p.coeffs) >= 3
 
 
@@ -108,7 +109,7 @@ def test_sqrt_enclosure():
 
 @given(st.lists(st.integers(-30, 30), min_size=1, max_size=6))
 def test_square_free_divides_original(coeffs):
-    p = IntPolynomial(tuple(coeffs))
+    p = NumericalPolynomial(tuple(coeffs))
     if p.is_zero:
         return
     sqf = square_free_part(p)

@@ -8,11 +8,9 @@ from sigmaample.numpoly import (
     binomial_basis,
     binomial_coefficients,
     cauchy_bound,
-    degree_leading,
     exists_common_positive,
     from_binomial_coefficients,
     is_integer_valued,
-    positivity_threshold,
 )
 
 
@@ -41,26 +39,12 @@ def test_arithmetic():
     assert (2 * m).evaluate(5) == 10
 
 
-def test_degree_leading():
-    assert degree_leading(NumericalPolynomial(())) == (None, None)
-    assert degree_leading(binomial_basis(3)) == (3, Fraction(1, 6))
-    p = NumericalPolynomial.of(1, 0, 0, 0, Fraction(2, 3))
-    assert degree_leading(p) == (4, Fraction(2, 3))
-
-
-def test_positivity_threshold_examples():
-    assert positivity_threshold(NumericalPolynomial.of(-3, 1)) == 4
-    assert positivity_threshold(NumericalPolynomial.of(-1)) is None
-    assert positivity_threshold(binomial_basis(2) - NumericalPolynomial.of(5)) == 4
-    assert positivity_threshold(NumericalPolynomial.of(7)) == 1
-    assert positivity_threshold(NumericalPolynomial(())) is None
-
-
-def test_positivity_threshold_is_sharp():
-    p = binomial_basis(2) - NumericalPolynomial.of(5)
-    m0 = positivity_threshold(p)
-    assert p.evaluate(m0 - 1) <= 0
-    assert all(p.evaluate(m) > 0 for m in range(m0, m0 + 51))
+def test_cauchy_bound_examples():
+    assert cauchy_bound(NumericalPolynomial(())) == 1
+    assert cauchy_bound(NumericalPolynomial.of(-7)) == 1
+    assert cauchy_bound(NumericalPolynomial.of(1, -14, 1)) == 15
+    assert cauchy_bound(NumericalPolynomial.of(-1, 0, 4)) == 2
+    assert cauchy_bound(binomial_basis(3)) == 4
 
 
 def test_exists_common_positive_examples():

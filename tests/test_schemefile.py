@@ -93,6 +93,15 @@ def test_duplicate_names_rejected():
     assert "duplicate" in str(err.value)
 
 
+def test_duplicate_component_names_rejected():
+    doc = _doc()
+    doc["components"] = doc["components"] * 2
+    with pytest.raises(SchemeParseError) as err:
+        parse_scheme_file(json.dumps(doc))
+    assert "components[1].name" in str(err.value)
+    assert "duplicate component name" in str(err.value)
+
+
 def test_unknown_oracle_kind_rejected():
     doc = _doc(oracles=[{"name": "o", "kind": "mystery", "data": {}}])
     with pytest.raises(SchemeParseError):
