@@ -16,7 +16,6 @@ classes and reduce existence of an ample member to exact sign analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import RankMismatch
@@ -26,11 +25,10 @@ from .lattice import (
     ComponentDescriptor,
     DivisorClass,
     ValidationReport,
-    _basis_vector,
     apply,
     intersect,
 )
-from .numpoly import NumericalPolynomial, exists_common_positive
+from .numpoly import ZERO, NumericalPolynomial, exists_common_positive
 
 
 @dataclass(frozen=True)
@@ -50,6 +48,10 @@ class PolyhedralCone:
             if all(c == 0 for c in f):
                 raise ValueError("zero functional is not a facet")
         object.__setattr__(self, "facets", facets)
+
+    def conditions(self, coords: Sequence) -> list:
+        """The facet functionals applied to the coordinates."""
+        return [sum(f * c for f, c in zip(facet, coords)) for facet in self.facets]
 
 
 @dataclass(frozen=True)
@@ -79,71 +81,37 @@ class SurfacePositiveCone:
     def rank(self) -> int:
         return self.component.top_form.rank
 
+    def conditions(self, coords: Sequence) -> list:
+        """(D.D), (D.A) and each (D.C), for D with the given coordinates."""
+        form = self.component.top_form
+        return [form.evaluate([coords, coords])] + [
+            form.evaluate([coords, c.coords])
+            for c in (self.reference_ample, *self.obstructions)
+        ]
+
 
 AmplenessOracle = Union[PolyhedralCone, SurfacePositiveCone]
 
 
-def _check_rank(oracle: AmplenessOracle, rank: int) -> None:
-    if oracle.rank != rank:
-        raise RankMismatch(f"oracle rank {oracle.rank} vs divisor rank {rank}")
-
-
-def _values(oracle: AmplenessOracle, divisor: DivisorClass) -> list[Fraction]:
-    _check_rank(oracle, divisor.rank)
-    if isinstance(oracle, PolyhedralCone):
-        return [
-            sum((Fraction(f) * c for f, c in zip(facet, divisor.coords)), Fraction(0))
-            for facet in oracle.facets
-        ]
-    values = [intersect(oracle.component, [divisor, divisor])]
-    values.append(intersect(oracle.component, [divisor, oracle.reference_ample]))
-    values.extend(intersect(oracle.component, [divisor, c]) for c in oracle.obstructions)
-    return values
+def _conditions(oracle: AmplenessOracle, coords: Sequence) -> list:
+    if oracle.rank != len(coords):
+        raise RankMismatch(f"oracle rank {oracle.rank} vs divisor rank {len(coords)}")
+    return oracle.conditions(coords)
 
 
 def is_ample(oracle: AmplenessOracle, divisor: DivisorClass) -> bool:
-    return all(v > 0 for v in _values(oracle, divisor))
+    return all(v > 0 for v in _conditions(oracle, divisor.coords))
 
 
 def is_nef(oracle: AmplenessOracle, divisor: DivisorClass) -> bool:
-    return all(v >= 0 for v in _values(oracle, divisor))
-
-
-def _pair_form(component: ComponentDescriptor, fixed: DivisorClass) -> list[Fraction]:
-    """Linear functional D -> (D.fixed) as coefficients on basis classes."""
-    rank = component.top_form.rank
-    return [
-        component.top_form.evaluate([_basis_vector(rank, i), fixed.coords])
-        for i in range(rank)
-    ]
+    return all(v >= 0 for v in _conditions(oracle, divisor.coords))
 
 
 def symbolic_constraints(
     oracle: AmplenessOracle, family: Sequence[NumericalPolynomial]
 ) -> list[NumericalPolynomial]:
     """One polynomial in m per oracle inequality, for a polynomial family."""
-    _check_rank(oracle, len(family))
-    if isinstance(oracle, PolyhedralCone):
-        return [
-            sum((Fraction(f) * p for f, p in zip(facet, family)), NumericalPolynomial(()))
-            for facet in oracle.facets
-        ]
-    form = oracle.component.top_form
-    rank = oracle.rank
-    quadratic = NumericalPolynomial(())
-    for i in range(rank):
-        for j in range(rank):
-            coeff = form.value_at((i, j))
-            if coeff:
-                quadratic = quadratic + coeff * (family[i] * family[j])
-    constraints = [quadratic]
-    for fixed in (oracle.reference_ample, *oracle.obstructions):
-        coeffs = _pair_form(oracle.component, fixed)
-        linear = NumericalPolynomial(())
-        for c, p in zip(coeffs, family):
-            linear = linear + c * p
-        constraints.append(linear)
-    return constraints
+    return [ZERO + v for v in _conditions(oracle, family)]
 
 
 def is_ample_symbolic(

@@ -71,12 +71,7 @@ def load_input(name_or_path: str, enforce_valid: bool = True) -> SchemeFile:
         sf = catalog_entry(name_or_path)
     if enforce_valid:
         for action in sf.automorphisms.values():
-            report = validate_action(sf.scheme, action)
-            if not report.valid:
-                first = report.failures[0]
-                raise InvalidSchemeData(
-                    f"action {action.name!r}: {first.name} ({first.detail})"
-                )
+            engine.require_valid(sf.scheme, action)
     return sf
 
 
@@ -229,19 +224,9 @@ def _reduction_trace(action, divisor, power: int) -> dict:
     }
 
 
-def _resolve_oracle(sf: SchemeFile, name: str | None):
-    if name is None:
-        if len(sf.oracles) == 1:
-            return next(iter(sf.oracles.items()))
-        raise UnknownName(
-            f"an oracle name is required; available: {', '.join(sorted(sf.oracles))}"
-        )
-    return name, sf.oracle(name)
-
-
 def cmd_sigma_ample(args) -> tuple[dict, int]:
     sf = load_input(args.input)
-    oracle_name, oracle = _resolve_oracle(sf, args.oracle)
+    oracle = sf.oracle(args.oracle)
 
     def one(pair) -> dict:
         aname, dname = pair
@@ -264,7 +249,7 @@ def cmd_sigma_ample(args) -> tuple[dict, int]:
     doc = {
         "command": "sigma-ample",
         "input": args.input,
-        "oracle": oracle_name,
+        "oracle": args.oracle or next(iter(sf.oracles)),
         "results": results,
     }
     return doc, EXIT_OK
@@ -286,7 +271,7 @@ def _text_sigma_ample(doc) -> str:
 
 def cmd_gkdim(args) -> tuple[dict, int]:
     sf = load_input(args.input)
-    oracle_name, oracle = _resolve_oracle(sf, args.oracle)
+    oracle = sf.oracle(args.oracle)
 
     def one(pair) -> dict:
         aname, dname = pair
@@ -314,7 +299,7 @@ def cmd_gkdim(args) -> tuple[dict, int]:
     doc = {
         "command": "gkdim",
         "input": args.input,
-        "oracle": oracle_name,
+        "oracle": args.oracle or next(iter(sf.oracles)),
         "results": results,
     }
     return doc, EXIT_OK
@@ -334,7 +319,7 @@ def _text_gkdim(doc) -> str:
 
 def cmd_growth(args) -> tuple[dict, int]:
     sf = load_input(args.input)
-    oracle_name, oracle = _resolve_oracle(sf, args.oracle)
+    oracle = sf.oracle(args.oracle)
 
     def one(pair) -> dict:
         aname, dname = pair
@@ -357,7 +342,7 @@ def cmd_growth(args) -> tuple[dict, int]:
     doc = {
         "command": "growth",
         "input": args.input,
-        "oracle": oracle_name,
+        "oracle": args.oracle or next(iter(sf.oracles)),
         "results": results,
     }
     return doc, EXIT_OK

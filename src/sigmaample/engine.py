@@ -23,7 +23,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Sequence, Union
 
 from .ampleness import AmplenessOracle, is_ample, is_ample_symbolic
@@ -48,7 +47,7 @@ from .lattice import (
     apply,
     validate,
 )
-from .numpoly import NumericalPolynomial, binomial_basis
+from .numpoly import ZERO, NumericalPolynomial, binomial_basis
 
 DEFAULT_EPS = Fraction(1, 1000)
 
@@ -145,7 +144,11 @@ def _first_validation_failure(scheme: SchemeDescriptor, action: AutomorphismActi
     return None if report.valid else report.failures[0]
 
 
-def _require_valid(scheme: SchemeDescriptor, action: AutomorphismAction) -> None:
+def require_valid(scheme: SchemeDescriptor, action: AutomorphismAction) -> None:
+    """Raise InvalidSchemeData naming the action's first failed check.
+
+    Validation runs once per (scheme, action) pair in a process.
+    """
     first = _first_validation_failure(scheme, action)
     if first is not None:
         raise InvalidSchemeData(
@@ -240,7 +243,7 @@ def is_sigma_ample(
     reduced family samples the original partial sums at multiples of q, so
     the existence verdict transfers exactly.
     """
-    _require_valid(scheme, action)
+    require_valid(scheme, action)
     q = quasi_unipotence(action.matrix)
     if q is None:
         return SigmaAmpleNo(NoReason.NOT_QUASI_UNIPOTENT)
@@ -267,12 +270,11 @@ def gk_profile(
 
     A non-ample input is first replaced by an ample partial sum when one
     exists (taking a Veronese step changes neither the growth degree nor the
-    dimension); otherwise NotAmple. Per component, the self-intersection of
-    the reduced partial-sum family expands multilinearly into binomial
-    products against the nilpotent images of the divisor, and the dimension
-    is one more than the largest degree over components.
+    dimension); otherwise NotAmple. Per component, the top form evaluated on
+    the reduced partial-sum family is the self-intersection polynomial, and
+    the dimension is one more than the largest degree over components.
     """
-    _require_valid(scheme, action)
+    require_valid(scheme, action)
     q = quasi_unipotence(action.matrix)
     if q is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
@@ -286,20 +288,11 @@ def gk_profile(
         reduced_power = q * verdict.witness
     reduced_matrix = mat_pow(action.matrix, reduced_power)
     reduced_divisor = partial_sum(action.matrix, divisor, reduced_power)
-    steps = nilpotent_steps(reduced_matrix, reduced_divisor)
-    k = len(steps) - 1
+    family = delta_symbolic(reduced_matrix, reduced_divisor)
     expansions = []
     best: int | None = None
     for comp in scheme.components:
-        poly = NumericalPolynomial(())
-        for combo in product(range(k + 1), repeat=comp.dim):
-            value = comp.top_form.evaluate([steps[i].coords for i in combo])
-            if not value:
-                continue
-            term = NumericalPolynomial.of(value)
-            for i in combo:
-                term = term * binomial_basis(i + 1)
-            poly = poly + term
+        poly = ZERO + comp.top_form.evaluate([family] * comp.dim)
         expansions.append(ComponentExpansion(comp.name, poly))
         if poly.degree is not None:
             best = poly.degree if best is None else max(best, poly.degree)
@@ -328,7 +321,7 @@ def euler_char_series(
     Computed from the Todd functionals: chi = sum over components and j of
     T_j(Delta_m, ..., Delta_m) / j!. Every component must carry Todd data.
     """
-    _require_valid(scheme, action)
+    require_valid(scheme, action)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     missing = [c.name for c in scheme.components if c.todd is None]
@@ -373,7 +366,7 @@ def growth_report(
     exceeds 1 + 1/1000. The limit statement itself is asymptotic; only the
     finite statistic and the exact radius are claimed.
     """
-    _require_valid(scheme, action)
+    require_valid(scheme, action)
     if not is_ample(oracle, divisor):
         raise NotAmple("growth reports are defined for ample divisor classes")
     classification = classify(action, eps)

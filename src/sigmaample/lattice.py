@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations
 from typing import Mapping, Sequence
 
 from .errors import RankMismatch
@@ -125,8 +125,14 @@ class SymmetricForm:
     def value_at(self, index: Sequence[int]) -> Fraction:
         return self._table.get(tuple(sorted(index)), Fraction(0))
 
-    def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
-        """Multilinear evaluation on ``arity`` coordinate vectors."""
+    def evaluate(self, vectors: Sequence[Sequence]):
+        """Multilinear evaluation on ``arity`` coordinate vectors.
+
+        Walks the stored entries only, each over its distinct orderings.
+        Coordinates may be rationals or ``NumericalPolynomial``s; the result
+        has the type of their products (``Fraction(0)`` when nothing
+        survives).
+        """
         if len(vectors) != self.arity:
             raise RankMismatch(
                 f"form of arity {self.arity} applied to {len(vectors)} vectors"
@@ -134,20 +140,16 @@ class SymmetricForm:
         for v in vectors:
             if len(v) != self.rank:
                 raise RankMismatch(f"vector length {len(v)} vs rank {self.rank}")
-        if self.arity == 0:
-            return self._table.get((), Fraction(0))
-        table = self._table
         total = Fraction(0)
-        for combo in product(range(self.rank), repeat=self.arity):
-            val = table.get(tuple(sorted(combo)))
-            if not val:
-                continue
-            factor = val
-            for v, i in zip(vectors, combo):
-                factor = factor * v[i]
-                if not factor:
-                    break
-            total += factor
+        for index, value in self.values:
+            for order in set(permutations(index)):
+                term = value
+                for v, i in zip(vectors, order):
+                    term = term * v[i]
+                    if not term:
+                        break
+                else:
+                    total = total + term
         return total
 
 

@@ -36,11 +36,7 @@ class NumericalPolynomial:
 
     @classmethod
     def of(cls, *coeffs) -> "NumericalPolynomial":
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    @classmethod
-    def constant(cls, value) -> "NumericalPolynomial":
-        return cls((Fraction(value),))
+        return cls(tuple(coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -58,7 +54,10 @@ class NumericalPolynomial:
     def evaluate(self, m) -> Fraction:
         return _horner(self.coeffs, m)
 
-    def __add__(self, other: "NumericalPolynomial") -> "NumericalPolynomial":
+    def __add__(self, other) -> "NumericalPolynomial":
+        """Sum with a polynomial or an exact scalar (taken as a constant)."""
+        if not isinstance(other, NumericalPolynomial):
+            other = NumericalPolynomial((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -66,6 +65,8 @@ class NumericalPolynomial:
         for i, c in enumerate(b):
             out[i] += c
         return NumericalPolynomial(tuple(out))
+
+    __radd__ = __add__
 
     def __neg__(self) -> "NumericalPolynomial":
         return NumericalPolynomial(tuple(-c for c in self.coeffs))

@@ -11,6 +11,7 @@ from sigmaample.ampleness import (
     is_nef,
     symbolic_constraints,
 )
+from sigmaample.engine import delta_symbolic, partial_sum
 from sigmaample.errors import RankMismatch
 from sigmaample.lattice import DivisorClass, apply
 from sigmaample.numpoly import NumericalPolynomial, binomial_basis
@@ -78,6 +79,22 @@ def test_symbolic_witness_is_minimal_and_concrete(wehler):
         assert not is_ample(oracle, at(m))
 
 
+def test_symbolic_constraints_sample_the_concrete_conditions(abelian):
+    shear = abelian.action("shear").matrix
+    comp = abelian.scheme.components[0]
+    oracles = [
+        abelian.oracle(),
+        SurfacePositiveCone(comp, abelian.divisor("D111"), (abelian.divisor("fiber1"),)),
+        PolyhedralCone(3, ((1, 0, 0), (0, 1, -1), (2, -1, 3))),
+    ]
+    for oracle in oracles:
+        for d in random_divisors(3, 4, seed=31):
+            constraints = symbolic_constraints(oracle, delta_symbolic(shear, d))
+            for m in range(9):
+                concrete = partial_sum(shear, d, m).coords
+                assert [p.evaluate(m) for p in constraints] == oracle.conditions(concrete)
+
+
 def test_polyhedral_oracle_basics():
     cone = PolyhedralCone(2, ((1, 0), (0, 1)))
     assert is_ample(cone, DivisorClass.of(1, 1))
@@ -107,6 +124,8 @@ def test_obstruction_oracle_cuts_classes(abelian):
     # (D.fiber1) = d2 + d3 must now be positive as well
     assert is_ample(oracle, DivisorClass.of(1, 1, 1))
     assert not is_ample(oracle, DivisorClass.of(5, -1, 1))  # pairs to 0 with fiber1
+    # (D.D), (D.A), (D.fiber1): fiber1 is nef, so only the list shows its test
+    assert oracle.conditions(DivisorClass.of(5, -1, 1).coords) == [-2, 10, 0]
 
 
 def test_ample_cone_is_convex(entry):

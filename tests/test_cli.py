@@ -381,9 +381,16 @@ def test_oracle_flag_required_with_multiple_oracles(tmp_path, capsys):
 
 
 def test_cross_process_byte_determinism():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import sigmaample
+
+    # the child imports the same package as this process, PYTHONPATH or not
+    src = str(Path(sigmaample.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [
         sys.executable,
         "-m",
@@ -395,6 +402,6 @@ def test_cross_process_byte_determinism():
         "--auto",
         "s1s2",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True).stdout
-    second = subprocess.run(cmd, capture_output=True, check=True).stdout
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     assert first == second

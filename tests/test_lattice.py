@@ -1,7 +1,8 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmaample.errors import RankMismatch
 from sigmaample.intmat import IntegerMatrix
@@ -15,6 +16,7 @@ from sigmaample.lattice import (
     intersect,
     validate,
 )
+from sigmaample.numpoly import ZERO, NumericalPolynomial
 
 from conftest import random_divisors
 
@@ -94,6 +96,52 @@ def test_symmetric_form_evaluation_is_symmetric(abelian):
         assert intersect(comp, [a, b]) == intersect(comp, [b, a])
 
 
+def _reference_evaluate(form, vectors):
+    """The product loop ``evaluate`` used to run: every index tuple, each
+    looked up sorted in the value table."""
+    total = Fraction(0)
+    for combo in product(range(form.rank), repeat=form.arity):
+        term = form.value_at(combo)
+        for v, i in zip(vectors, combo):
+            term = term * v[i]
+        total = total + term
+    return total
+
+
+small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+small_poly = st.lists(small_fraction, max_size=3).map(lambda cs: NumericalPolynomial(tuple(cs)))
+
+
+@st.composite
+def forms_and_vectors(draw, coordinate):
+    rank = draw(st.integers(1, 6))
+    arity = draw(st.integers(0, 3))
+    table = {
+        index: draw(small_fraction)
+        for index in combinations_with_replacement(range(rank), arity)
+        if draw(st.booleans())
+    }
+    vectors = [draw(st.lists(coordinate, min_size=rank, max_size=rank)) for _ in range(arity)]
+    return SymmetricForm.from_dict(rank, arity, table), vectors
+
+
+@settings(max_examples=80, deadline=None)
+@given(forms_and_vectors(small_fraction))
+def test_evaluate_matches_product_loop(case):
+    form, vectors = case
+    assert form.evaluate(vectors) == _reference_evaluate(form, vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms_and_vectors(small_poly))
+def test_evaluate_on_polynomials_samples_rational_evaluation(case):
+    form, vectors = case
+    poly = ZERO + form.evaluate(vectors)
+    for m in range(4):
+        at_m = [[p.evaluate(m) for p in v] for v in vectors]
+        assert poly.evaluate(m) == _reference_evaluate(form, at_m)
+
+
 def test_form_invariance_under_validated_actions(entry):
     for action in entry.automorphisms.values():
         assert validate(entry.scheme, action).valid
@@ -144,3 +192,5 @@ def test_floats_are_rejected_everywhere():
         SymmetricForm.from_dict(1, 1, {(0,): 1.0})
     with pytest.raises(TypeError):
         IntegerMatrix.from_rows([[1.0]])
+    with pytest.raises(TypeError):
+        NumericalPolynomial.of(0.1)

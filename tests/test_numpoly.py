@@ -39,6 +39,17 @@ def test_arithmetic():
     assert (2 * m).evaluate(5) == 10
 
 
+def test_scalar_addition_on_either_side():
+    m = binomial_basis(1)
+    assert m + 3 == 3 + m == NumericalPolynomial.of(3, 1)
+    assert Fraction(1, 2) + m == NumericalPolynomial.of(Fraction(1, 2), 1)
+    assert Fraction(-1) + NumericalPolynomial.of(1) == NumericalPolynomial(())
+    with pytest.raises(TypeError):
+        m + 0.5
+    with pytest.raises(TypeError):
+        0.5 + m
+
+
 def test_cauchy_bound_examples():
     assert cauchy_bound(NumericalPolynomial(())) == 1
     assert cauchy_bound(NumericalPolynomial.of(-7)) == 1
