@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence, Union
 
 from .ampleness import AmplenessOracle, is_ample, is_ample_symbolic
@@ -218,15 +219,20 @@ def _binomial_combination(
 
 
 def partial_sum(matrix: IntegerMatrix, divisor: DivisorClass, m: int) -> DivisorClass:
-    """D + PD + ... + P^(m-1)D, accumulated directly (any matrix, m >= 0)."""
+    """D + PD + ... + P^(m-1)D, accumulated directly (any matrix, m >= 0).
+
+    The matrix is integral, so every image keeps the denominator of D and
+    the sum runs over integer numerators.
+    """
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
-    total = DivisorClass.zero(divisor.rank)
-    current = divisor
+    denom = lcm(*(c.denominator for c in divisor.coords))
+    current = tuple(c.numerator * (denom // c.denominator) for c in divisor.coords)
+    total = (0,) * divisor.rank
     for _ in range(m):
-        total = total + current
-        current = DivisorClass(matrix.column_action(current.coords))
-    return total
+        total = tuple(a + b for a, b in zip(total, current))
+        current = matrix.column_action(current)
+    return DivisorClass(tuple(Fraction(t, denom) for t in total))
 
 
 def is_sigma_ample(

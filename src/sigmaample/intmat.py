@@ -3,9 +3,13 @@
 All decisions here are exact. Characteristic polynomials come from the
 division-free Berkowitz recursion, determinants from fraction-free Bareiss
 elimination, inverses from the adjugate (legitimate because callers only
-invert matrices of determinant +-1), and spectral radii from Sturm isolation
-on the characteristic polynomial of the Kronecker square, whose real roots
-include every squared eigenvalue modulus.
+invert matrices of determinant +-1). Quasi-unipotence is read off the
+characteristic polynomial by trial division with cyclotomic polynomials
+(Kronecker's theorem), so no matrix is raised to a large power. Spectral
+radii come from integer Sturm isolation on the characteristic polynomial of
+the Kronecker square M (x) M, whose real roots include every squared
+eigenvalue modulus; that polynomial is built from the power sums of M by
+Newton's identities, never from the n^2 x n^2 matrix itself.
 """
 from __future__ import annotations
 
@@ -16,7 +20,12 @@ from math import lcm
 from typing import Sequence
 
 from .errors import NotInvertibleOverIntegers, NotUnipotent
-from .intpoly import RationalInterval, largest_real_root_interval, sqrt_enclosure
+from .intpoly import (
+    RationalInterval,
+    _divide_exact,
+    largest_real_root_interval,
+    sqrt_enclosure,
+)
 from .numpoly import NumericalPolynomial
 
 
@@ -162,17 +171,6 @@ def mat_pow(matrix: IntegerMatrix, exponent: int) -> IntegerMatrix:
     return result
 
 
-def kronecker(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
-    na, nb = a.size, b.size
-    rows = []
-    for i in range(na):
-        for p in range(nb):
-            rows.append(
-                tuple(a.rows[i][j] * b.rows[p][q] for j in range(na) for q in range(nb))
-            )
-    return IntegerMatrix(tuple(rows))
-
-
 def char_poly(matrix: IntegerMatrix) -> NumericalPolynomial:
     """Characteristic polynomial det(xI - M) by the Berkowitz recursion.
 
@@ -219,21 +217,14 @@ def _totient(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _root_of_unity_order_lcm(rank: int) -> int:
-    """lcm of all orders m with totient(m) <= rank.
-
-    Any eigenvalue of an integer rank x rank matrix that is a root of unity
-    has order in that set, since its cyclotomic minimal polynomial divides
-    the characteristic polynomial. totient(m) >= sqrt(m/2) bounds the scan.
-    """
-    bound = 2 * rank * rank + 1
-    orders = [m for m in range(1, bound + 1) if _totient(m) <= rank]
-    return lcm(*orders)
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [d for d in range(1, n + 1) if n % d == 0]
-    return divs
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """The m-th cyclotomic polynomial, lowest degree first: x^m - 1 divided
+    by the cyclotomic polynomials of the proper divisors of m."""
+    cs = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            cs = _divide_exact(cs, _cyclotomic(d))
+    return tuple(cs)
 
 
 def _is_unipotent(matrix: IntegerMatrix) -> bool:
@@ -245,21 +236,35 @@ def _is_unipotent(matrix: IntegerMatrix) -> bool:
 def quasi_unipotence(matrix: IntegerMatrix) -> int | None:
     """Minimal q >= 1 with matrix^q unipotent, or None when no power is.
 
-    Exact test: with L the lcm of all root-of-unity orders available at this
-    rank, the matrix is quasi-unipotent iff matrix^L is unipotent, and the
-    minimal q is then the smallest divisor d of L with matrix^d unipotent.
-    Requires determinant +-1.
+    By Kronecker's theorem the matrix is quasi-unipotent iff its monic
+    integer characteristic polynomial is a product of cyclotomic
+    polynomials. Each Phi_m with totient(m) <= rank (so m <= 2 rank^2) is
+    divided out as often as it divides; the quotient reaches 1 iff every
+    eigenvalue is a root of unity, and q is then the lcm of the orders m
+    found, since M^d is unipotent iff lambda^d = 1 for every eigenvalue.
+    (M^q - I)^rank = 0 is checked before q is returned. Requires
+    determinant +-1.
     """
     d = matrix.determinant()
     if d not in (1, -1):
         raise NotInvertibleOverIntegers(f"determinant is {d}, not +-1")
-    order_lcm = _root_of_unity_order_lcm(matrix.size)
-    if not _is_unipotent(mat_pow(matrix, order_lcm)):
+    n = matrix.size
+    rest = [int(c) for c in char_poly(matrix).coeffs]
+    q = 1
+    for m in range(1, 2 * n * n + 2):
+        if len(rest) == 1:
+            break
+        if _totient(m) >= len(rest):
+            continue
+        quotient = _divide_exact(rest, _cyclotomic(m))
+        while quotient is not None:
+            rest, q = quotient, lcm(q, m)
+            quotient = _divide_exact(rest, _cyclotomic(m))
+    if len(rest) > 1:
         return None
-    for q in _divisors(order_lcm):
-        if _is_unipotent(mat_pow(matrix, q)):
-            return q
-    raise AssertionError("unreachable: the full power is unipotent")
+    if not _is_unipotent(mat_pow(matrix, q)):
+        raise AssertionError(f"cyclotomic characteristic polynomial but M^{q} is not unipotent")
+    return q
 
 
 def nilpotency_index(matrix: IntegerMatrix) -> int:
@@ -274,18 +279,47 @@ def nilpotency_index(matrix: IntegerMatrix) -> int:
     raise NotUnipotent("matrix is not unipotent")
 
 
+def _kronecker_square_char_poly(coeffs: list[int]) -> list[int]:
+    """det(xI - M (x) M) from det(xI - M), both lowest degree first.
+
+    Newton's identities turn the monic coefficients into the power sums
+    s_k = tr M^k for k <= n^2; the power sums of M (x) M are s_k^2, and
+    Newton's identities run backwards (every division by k exact) turn them
+    into the coefficients of the degree-n^2 polynomial.
+    """
+    n = len(coeffs) - 1
+    size = n * n
+    e = coeffs[::-1]  # e[k]: coefficient of x^(n-k)
+    s = [0] * (size + 1)
+    for k in range(1, size + 1):
+        acc = k * e[k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            acc += e[i] * s[k - i]
+        s[k] = -acc
+    squares = [v * v for v in s]
+    out = [1] + [0] * size
+    for k in range(1, size + 1):
+        acc = squares[k]
+        for i in range(1, k):
+            acc += out[i] * squares[k - i]
+        out[k] = -(acc // k)
+    return out[::-1]
+
+
 def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
     """Exact rational interval of width <= eps containing the spectral radius.
 
     The characteristic polynomial of the Kronecker square M (x) M has the
     pairwise eigenvalue products as roots, so its largest real root is the
-    squared spectral radius; Sturm isolation plus an integer-square-root
-    enclosure then brackets the radius itself.
+    squared spectral radius; it is computed from the power sums of M, not
+    from the n^2 x n^2 matrix. Integer Sturm isolation plus an
+    integer-square-root enclosure then brackets the radius itself.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    squared = char_poly(kronecker(matrix, matrix))
+    coeffs = [int(c) for c in char_poly(matrix).coeffs]
+    squared = NumericalPolynomial(tuple(_kronecker_square_char_poly(coeffs)))
     width = eps * eps / 4 if eps < 1 else Fraction(1, 4)
     slack = max(8, int(8 / eps) + 1)
     while True:

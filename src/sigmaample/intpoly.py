@@ -1,8 +1,12 @@
 """Exact real-root isolation for univariate polynomials.
 
 Coefficient lists are dense and stored lowest degree first. Everything in
-here is exact: the Sturm-chain machinery works on ``Fraction`` lists so no
-floating point enters any decision. The polynomial type itself is
+here is exact integer arithmetic: the square-free part comes from a
+primitive polynomial remainder sequence and an exact integer quotient, a
+Sturm chain is a list of primitive integer polynomials, each a positive
+multiple of the classical rational member, and a chain is evaluated at a
+rational a/b homogenised, b^d p(a/b), so neither floating point nor a
+``Fraction`` enters any sign count. The polynomial type itself is
 ``numpoly.NumericalPolynomial``, which builds on the list helpers below.
 """
 from __future__ import annotations
@@ -48,10 +52,6 @@ def _strip(cs: list) -> list:
     return cs
 
 
-def _derivative(cs: Sequence[Fraction]) -> list[Fraction]:
-    return [Fraction(i) * cs[i] for i in range(1, len(cs))]
-
-
 def _horner(cs: Sequence, x):
     """Value of the coefficient list at x, in the arithmetic of its inputs:
     plain ``int`` for integer lists at integer points, else ``Fraction``."""
@@ -61,55 +61,68 @@ def _horner(cs: Sequence, x):
     return acc
 
 
-def _divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
-    """Quotient and remainder over the rationals; den must be nonzero."""
-    num = list(num)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
+def _primitive(cs: Sequence[int]) -> list[int]:
+    """The integer list divided by its content (a positive gcd)."""
+    content = gcd(*cs)
+    return [c // content for c in cs] if content > 1 else list(cs)
+
+
+def _prem(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """Pseudo-remainder lc(den)^(delta+1) * num mod den, delta = deg num - deg den,
+    in integers; den must be nonzero."""
+    rem = list(num)
+    lead, top = den[-1], len(den) - 1
     for shift in range(len(num) - len(den), -1, -1):
-        factor = num[shift + len(den) - 1] / lead
+        factor = rem[shift + top]
+        rem = [lead * c for c in rem]
         if factor:
-            q[shift] = factor
             for i, d in enumerate(den):
-                num[shift + i] -= factor * d
-    return _strip(q), _strip(num[: len(den) - 1])
+                rem[shift + i] -= factor * d
+    return _strip(rem[:top])
 
 
-def _monic(cs: Sequence[Fraction]) -> list[Fraction]:
-    lead = cs[-1]
-    return [c / lead for c in cs]
+def _divide_exact(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
+    """num / den when den divides num with an integer quotient, else None.
+
+    When den is primitive, a quotient over the rationals is an integer one
+    (Gauss's lemma), so None then means den does not divide num at all.
+    """
+    rem = list(num)
+    lead, top = den[-1], len(den) - 1
+    quotient = [0] * max(0, len(num) - top)
+    for shift in range(len(num) - len(den), -1, -1):
+        factor, inexact = divmod(rem[shift + top], lead)
+        if inexact:
+            return None
+        if factor:
+            quotient[shift] = factor
+            for i, d in enumerate(den):
+                rem[shift + i] -= factor * d
+    return quotient if not any(rem[:top]) else None
 
 
-def _gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
+def _greatest_common_divisor(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A primitive gcd of two integer lists, by the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    return _monic(a) if a else a
+        a, b = b, _primitive(_prem(a, b))
+    return a
 
 
 def square_free_part(p: NumericalPolynomial) -> NumericalPolynomial:
-    """p divided by gcd(p, p'), returned with integer primitive coefficients."""
+    """p divided by gcd(p, p'), returned with integer primitive coefficients
+    and a positive leading coefficient."""
     from .numpoly import NumericalPolynomial  # numpoly imports this module
 
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free part")
-    cs = p.coeffs
-    g = _gcd(cs, _derivative(cs))
-    q, r = _divmod(cs, g)
-    assert not r
-    denom = lcm(*(c.denominator for c in q)) if q else 1
-    ints = [int(c * denom) for c in q]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    if content > 1:
-        ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return NumericalPolynomial(tuple(ints))
+    denom = lcm(*(c.denominator for c in p.coeffs))
+    cs = _primitive([c.numerator * (denom // c.denominator) for c in p.coeffs])
+    # cs and the gcd are primitive, so the quotient is too (Gauss's lemma)
+    q = _divide_exact(cs, _greatest_common_divisor(cs, [i * cs[i] for i in range(1, len(cs))]))
+    if q[-1] < 0:
+        q = [-c for c in q]
+    return NumericalPolynomial(tuple(q))
 
 
 def cauchy_root_bound(coeffs: Sequence) -> Fraction:
@@ -123,27 +136,50 @@ def cauchy_root_bound(coeffs: Sequence) -> Fraction:
     return 1 + max(abs(c) for c in cs[:-1]) / lead
 
 
-def sturm_chain(p: NumericalPolynomial) -> list[list[Fraction]]:
-    """Sturm chain of the square-free part of p."""
-    chain = [list(square_free_part(p).coeffs)]
-    d = _derivative(chain[0])
+def sturm_chain(p: NumericalPolynomial) -> list[list[int]]:
+    """Sturm chain of the square-free part of p, as primitive integer lists.
+
+    Each member after the derivative is the negated pseudo-remainder of the
+    two before it, with the sign of lc^(delta+1) taken out and divided by its
+    content: a positive multiple of the rational Sturm member, so every sign
+    count is the same.
+    """
+    first = [int(c) for c in square_free_part(p).coeffs]
+    chain = [first]
+    d = _primitive([i * first[i] for i in range(1, len(first))])
     if d:
         chain.append(d)
         while True:
-            _, r = _divmod(chain[-2], chain[-1])
+            num, den = chain[-2], chain[-1]
+            r = _prem(num, den)
             if not r:
                 break
-            chain.append([-c for c in r])
+            if den[-1] > 0 or (len(num) - len(den)) % 2:
+                r = [-c for c in r]
+            chain.append(_primitive(r))
     return chain
 
 
-def sign_variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
-    signs = []
+def sign_variations(chain: Sequence[Sequence[int]], x) -> int:
+    """Sign changes along the integer chain at the rational x = a/b (b > 0),
+    each member of degree d evaluated as b^d p(a/b) in integers."""
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    powers = [1]
+    for _ in range(max(len(cs) for cs in chain)):
+        powers.append(powers[-1] * b)
+    changes, last = 0, 0
     for cs in chain:
-        v = _horner(cs, x)
+        top = len(cs) - 1
+        v = 0
+        for i in range(top, -1, -1):
+            v = v * a + cs[i] * powers[top - i]
         if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            sign = 1 if v > 0 else -1
+            if sign == -last:
+                changes += 1
+            last = sign
+    return changes
 
 
 def count_real_roots(chain, lo: Fraction, hi: Fraction) -> int:
@@ -161,14 +197,16 @@ def largest_real_root_interval(p: NumericalPolynomial, width: Fraction) -> Ratio
     chain = sturm_chain(p)
     bound = cauchy_root_bound(p.coeffs)
     lo, hi = -bound - 1, bound + 1
-    if count_real_roots(chain, lo, hi) == 0:
+    at_hi = sign_variations(chain, hi)
+    if sign_variations(chain, lo) == at_hi:
         raise ValueError("polynomial has no real roots")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if count_real_roots(chain, mid, hi) >= 1:
+        at_mid = sign_variations(chain, mid)
+        if at_mid > at_hi:
             lo = mid
         else:
-            hi = mid
+            hi, at_hi = mid, at_mid
     return RationalInterval(lo, hi)
 
 

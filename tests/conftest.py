@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from sigmaample.catalog import catalog_entry, catalog_names
+from sigmaample.intmat import IntegerMatrix
 
 
 @pytest.fixture
@@ -31,3 +33,28 @@ def random_divisors(rank, count, seed=0, span=9):
         if any(coords):
             out.append(DivisorClass.of(*coords))
     return out
+
+
+def unimodular_matrices(size: int, ops: int = 6, magnitude: int = 3):
+    """Products of elementary integer operations, so det is +-1."""
+
+    def build(choices):
+        m = IntegerMatrix.identity(size)
+        for kind, i, j, c in choices:
+            rows = [list(r) for r in m.rows]
+            if kind == 0 and i != j:  # add c * row_i to row_j
+                rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+            elif kind == 1:  # swap
+                rows[i], rows[j] = rows[j], rows[i]
+            else:  # negate one row
+                rows[i] = [-a for a in rows[i]]
+            m = IntegerMatrix.from_rows(rows)
+        return m
+
+    op = st.tuples(
+        st.integers(0, 2),
+        st.integers(0, size - 1),
+        st.integers(0, size - 1),
+        st.integers(-magnitude, magnitude),
+    )
+    return st.lists(op, min_size=0, max_size=ops).map(build)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmaample import engine
 from sigmaample.errors import MissingToddData, NotAmple, NotQuasiUnipotent, NotUnipotent
@@ -12,6 +13,8 @@ from sigmaample.lattice import (
     SchemeDescriptor,
 )
 from sigmaample.numpoly import binomial_basis
+
+from conftest import unimodular_matrices
 
 
 # --- classification ---------------------------------------------------------
@@ -286,6 +289,24 @@ def test_partial_sum_accumulates(abelian):
     assert engine.partial_sum(shear, d, 0) == DivisorClass.zero(3)
     assert engine.partial_sum(shear, d, 1) == d
     assert engine.partial_sum(shear, d, 2) == DivisorClass.of(4, 4, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(
+        unimodular_matrices(n, ops=2 * n),
+        st.lists(st.fractions(-9, 9, max_denominator=12), min_size=n, max_size=n),
+    )),
+    st.integers(0, 12),
+)
+def test_partial_sum_matches_fraction_accumulation(matrix_and_coords, m):
+    matrix, coords = matrix_and_coords
+    divisor = DivisorClass(tuple(coords))
+    total, current = DivisorClass.zero(divisor.rank), divisor
+    for _ in range(m):
+        total = total + current
+        current = DivisorClass(matrix.column_action(current.coords))
+    assert engine.partial_sum(matrix, divisor, m) == total
 
 
 def test_invalid_action_rejected(wehler):

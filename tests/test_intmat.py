@@ -5,11 +5,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from sigmaample.engine import NonQuasiUnipotentClass, classify
 from sigmaample.errors import NotInvertibleOverIntegers, NotUnipotent
 from sigmaample.intmat import (
     IntegerMatrix,
+    _cyclotomic,
     char_poly,
-    kronecker,
     mat_pow,
     nilpotency_index,
     quasi_unipotence,
@@ -17,35 +18,13 @@ from sigmaample.intmat import (
 )
 from sigmaample.numpoly import NumericalPolynomial
 
+from conftest import unimodular_matrices
+from reference_spectral import _divmod
+
 S1 = IntegerMatrix.from_rows([[1, 4], [0, -1]])
 S2 = IntegerMatrix.from_rows([[-1, 0], [4, 1]])
 S1S2 = S1 * S2
 SHEAR = IntegerMatrix.from_rows([[2, 0, 1], [2, 1, 0], [-1, 0, 0]])
-
-
-def unimodular_matrices(size: int, ops: int = 6, magnitude: int = 3):
-    """Products of elementary integer operations, so det is +-1."""
-
-    def build(choices):
-        m = IntegerMatrix.identity(size)
-        for kind, i, j, c in choices:
-            rows = [list(r) for r in m.rows]
-            if kind == 0 and i != j:  # add c * row_i to row_j
-                rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
-            elif kind == 1:  # swap
-                rows[i], rows[j] = rows[j], rows[i]
-            else:  # negate one row
-                rows[i] = [-a for a in rows[i]]
-            m = IntegerMatrix.from_rows(rows)
-        return m
-
-    op = st.tuples(
-        st.integers(0, 2),
-        st.integers(0, size - 1),
-        st.integers(0, size - 1),
-        st.integers(-magnitude, magnitude),
-    )
-    return st.lists(op, min_size=0, max_size=ops).map(build)
 
 
 # --- characteristic polynomial -------------------------------------------
@@ -145,18 +124,12 @@ def _is_product_of_cyclotomics(poly: NumericalPolynomial) -> bool:
         for candidate in cyclos:
             if len(candidate) > len(current):
                 continue
-            quotient, remainder = _divmod_q(current, [Fraction(c) for c in candidate])
+            quotient, remainder = _divmod(current, [Fraction(c) for c in candidate])
             if not remainder:
                 current = quotient
                 progress = True
                 break
     return len(current) == 1 and current[0] == 1
-
-
-def _divmod_q(num, den):
-    from sigmaample.intpoly import _divmod
-
-    return _divmod(num, den)
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,6 +150,41 @@ def test_quasi_unipotence_invariant_under_inverse_and_conjugation(m):
 def test_quasi_unipotence_conjugation(m, t):
     conj = t * m * t.inverse_unimodular()
     assert quasi_unipotence(m) == quasi_unipotence(conj)
+
+
+def _permutation(cycles, size):
+    """Permutation matrix sending e_i to e_next along each cycle."""
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            rows[a][a], rows[b][a] = 0, 1
+    return IntegerMatrix.from_rows(rows)
+
+
+def test_quasi_unipotence_at_rank_16():
+    # lcm{m : totient(m) <= 16} is 24504480; these orders come from the
+    # cyclotomic factors alone, without powers or divisors of that lcm
+    assert quasi_unipotence(_permutation([list(range(5)), list(range(5, 16))], 16)) == 55
+    assert quasi_unipotence(_permutation([list(range(16))], 16)) == 16
+    # Eichler transvection E(e, g_1) on U + <-2>^14 (basis e, f, g_1, ...):
+    # x -> x + (x.e) g_1 - (x.g_1) e + (x.e) e, unipotent with Jordan index 2
+    gram = [[0] * 16 for _ in range(16)]
+    gram[0][1] = gram[1][0] = 1
+    for i in range(2, 16):
+        gram[i][i] = -2
+    rows = [[int(i == j) for j in range(16)] for i in range(16)]
+    rows[0][1], rows[0][2], rows[2][1] = 1, 2, 1
+    eichler, g = IntegerMatrix.from_rows(rows), IntegerMatrix.from_rows(gram)
+    assert eichler.transpose() * g * eichler == g
+    assert quasi_unipotence(eichler) == 1
+    assert nilpotency_index(eichler) == 2
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    x = sympy.symbols("x")
+    for m in range(1, 101):
+        theirs = sympy.Poly(sympy.cyclotomic_poly(m, x)).all_coeffs()
+        assert list(_cyclotomic(m)) == [int(c) for c in reversed(theirs)]
 
 
 # --- nilpotency index ------------------------------------------------------
@@ -288,12 +296,6 @@ def test_spectral_radius_complex_dominant_pair():
     assert iv.lo**2 <= 3 <= iv.hi**2
 
 
-def test_kronecker_sizes_and_values():
-    k = kronecker(S1, S2)
-    assert k.size == 4
-    assert k.rows[0][0] == S1.rows[0][0] * S2.rows[0][0]
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_spectral_radius_contains_float_estimate(rows):
@@ -303,3 +305,43 @@ def test_spectral_radius_contains_float_estimate(rows):
     assert float(iv.lo) - 1e-6 <= estimate <= float(iv.hi) + 1e-6
     bound = 1 + max(abs(c) for row in rows for c in row) * 3
     assert iv.hi <= bound + 1
+
+
+# Product of eight reflections in (-2)-vectors of U + <-2>^6: the first
+# rank-8 matrix of the benchmark's salem_ladder workload at seed 101.
+SALEM8 = IntegerMatrix.from_rows([
+    [17, 30, -18, 4, 0, 26, 32, 0],
+    [17, 29, -16, 4, 0, 26, 32, 0],
+    [3, 5, -3, 0, 0, 4, 6, 0],
+    [-12, -20, 12, -3, 0, -18, -22, 0],
+    [0, 0, 0, 0, 1, 0, 0, 0],
+    [-6, -11, 6, -2, 0, -9, -12, 0],
+    [-10, -18, 10, -2, 0, -16, -19, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+])
+
+
+def test_rank_8_enclosure_endpoints_are_pinned():
+    # endpoints of the Berkowitz-on-the-Kronecker-square, Fraction-Sturm
+    # implementation; the integer one must reproduce them exactly
+    iv = spectral_radius(SALEM8, Fraction(1, 10**12))
+    assert (iv.lo, iv.hi) == (
+        Fraction(4687958587394, 421052631579),
+        Fraction(29690404386829, 2666666666667),
+    )
+
+
+def _block_sum(m, identity_size):
+    n = m.size + identity_size
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, row in enumerate(m.rows):
+        rows[i][: m.size] = row
+    return IntegerMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("identity_size", [10, 14])
+def test_classify_wehler_plus_identity_at_ranks_12_and_16(identity_size):
+    # the power test raised this to the 720720-th power at rank 12
+    cls = classify(_block_sum(S1S2, identity_size))
+    assert isinstance(cls, NonQuasiUnipotentClass)
+    assert (cls.radius.lo, cls.radius.hi) == (Fraction(111439, 8001), Fraction(15920, 1143))

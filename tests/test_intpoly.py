@@ -72,6 +72,18 @@ def test_sturm_counts_roots_of_quadratic():
     assert count_real_roots(chain, Fraction(3), Fraction(10)) == 0
 
 
+def test_sturm_chain_with_degree_gap_under_negative_leading_coefficient():
+    # 3x^4 + x: the rational chain is p, p', -3x/4, then -rem(p', -3x/4) = -1;
+    # the last pseudo-remainder carries lc^(2+1) = (-1)^3, whose sign the
+    # integer chain must take out
+    p = NumericalPolynomial.of(0, 1, 0, 0, 3)
+    chain = sturm_chain(p)
+    assert chain == [[0, 1, 0, 0, 3], [1, 0, 0, 12], [0, -1], [-1]]
+    # roots 0 and -(1/3)^(1/3), about -0.693
+    assert count_real_roots(chain, Fraction(-1), Fraction(1)) == 2
+    assert count_real_roots(chain, Fraction(-1, 2), Fraction(1)) == 1
+
+
 def test_largest_real_root_golden_ratio_like():
     # largest root of x^2 - 3x + 1 is (3 + sqrt(5))/2
     p = NumericalPolynomial.of(1, -3, 1)
