@@ -16,6 +16,7 @@ classes and reduce existence of an ample member to exact sign analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence, Union
 
 from .errors import RankMismatch
@@ -141,11 +142,7 @@ def oracle_report(name: str, oracle: AmplenessOracle, rank: int) -> ValidationRe
 
 
 def _normalize_functional(f: Sequence[int]) -> tuple[int, ...]:
-    from math import gcd
-
-    g = 0
-    for c in f:
-        g = gcd(g, c)
+    g = gcd(*f)
     return tuple(c // g for c in f) if g else tuple(f)
 
 
@@ -160,15 +157,11 @@ def action_stability_report(
     """
     checks: list[CheckResult] = []
     if isinstance(oracle, PolyhedralCone):
-        matrix = action.matrix
+        transposed = action.matrix.transpose()
         original = {_normalize_functional(f) for f in oracle.facets}
-        transformed = set()
-        for f in oracle.facets:
-            composed = tuple(
-                sum(f[i] * matrix.rows[i][j] for i in range(matrix.size))
-                for j in range(matrix.size)
-            )
-            transformed.add(_normalize_functional(composed))
+        transformed = {
+            _normalize_functional(transposed.column_action(f)) for f in oracle.facets
+        }
         ok = transformed == original
         checks.append(
             CheckResult(

@@ -43,7 +43,6 @@ from .schemefile import (
     format_rational,
     parse_scheme_file,
     scheme_file_to_document,
-    serialize_scheme_file,
 )
 
 EXIT_OK = 0
@@ -92,16 +91,17 @@ def _report_json(check) -> dict:
 
 def cmd_validate(args) -> tuple[dict, int]:
     sf = load_input(args.input, enforce_valid=False)
-    actions = []
-    for name in sf.automorphisms:
-        report = validate_action(sf.scheme, sf.automorphisms[name])
-        actions.append(
-            {
-                "name": name,
-                "valid": report.valid,
-                "checks": [_report_json(c) for c in report.checks],
-            }
-        )
+    reports = {
+        name: validate_action(sf.scheme, action) for name, action in sf.automorphisms.items()
+    }
+    actions = [
+        {
+            "name": name,
+            "valid": report.valid,
+            "checks": [_report_json(c) for c in report.checks],
+        }
+        for name, report in reports.items()
+    ]
     oracles = []
     stability = []
     for name, oracle in sf.oracles.items():
@@ -114,7 +114,7 @@ def cmd_validate(args) -> tuple[dict, int]:
             }
         )
         for aname, action in sf.automorphisms.items():
-            if not validate_action(sf.scheme, action).valid:
+            if not reports[aname].valid:
                 continue
             sreport = action_stability_report(name, oracle, action)
             stability.append(
@@ -212,16 +212,10 @@ def _pairs(args) -> list[tuple[str, str]]:
     return [(a, d) for a in args.auto for d in args.divisor]
 
 
-def _reduction_trace(action, divisor, power: int) -> dict:
-    reduced_matrix = engine.mat_pow(action.matrix, power)
-    reduced = engine.partial_sum(action.matrix, divisor, power)
-    return {
-        "summed_divisor": [format_rational(c) for c in reduced.coords],
-        "partial_sums": [
-            [format_rational(c) for c in engine.partial_sum(reduced_matrix, reduced, m).coords]
-            for m in range(1, 4)
-        ],
-    }
+def _reduction_trace(family) -> dict:
+    """The reduced partial sums at m = 1 (the summed divisor), 2 and 3."""
+    sums = [[format_rational(p.evaluate(m)) for p in family] for m in range(1, 4)]
+    return {"summed_divisor": sums[0], "partial_sums": sums}
 
 
 def cmd_sigma_ample(args) -> tuple[dict, int]:
@@ -230,19 +224,15 @@ def cmd_sigma_ample(args) -> tuple[dict, int]:
 
     def one(pair) -> dict:
         aname, dname = pair
-        action, divisor = sf.action(aname), sf.divisor(dname)
-        verdict = engine.is_sigma_ample(sf.scheme, action, oracle, divisor)
+        verdict = engine.is_sigma_ample(sf.scheme, sf.action(aname), oracle, sf.divisor(dname))
         result: dict = {"action": aname, "divisor": dname, "sigma_ample": verdict.sigma_ample}
         if verdict.sigma_ample:
-            result["unipotent_power"] = verdict.unipotent_power
             result["witness"] = verdict.witness
-            result["reduction"] = _reduction_trace(action, divisor, verdict.unipotent_power)
         else:
             result["reason"] = verdict.reason.value
-            if verdict.reason is engine.NoReason.NO_AMPLE_PARTIAL_SUM:
-                q = engine.quasi_unipotence(action.matrix)
-                result["unipotent_power"] = q
-                result["reduction"] = _reduction_trace(action, divisor, q)
+        if verdict.unipotent_power is not None:
+            result["unipotent_power"] = verdict.unipotent_power
+            result["reduction"] = _reduction_trace(verdict.family)
         return result
 
     results = [one(pair) for pair in _pairs(args)]
@@ -407,7 +397,7 @@ def cmd_catalog(args) -> tuple[dict, int]:
 def _text_catalog(doc) -> str:
     if "entries" in doc:
         return "\n".join(doc["entries"])
-    return serialize_scheme_file(catalog_entry(doc["entry"])).rstrip("\n")
+    return json.dumps(doc["document"], indent=2, sort_keys=True)
 
 
 _TEXT_RENDERERS = {

@@ -88,6 +88,7 @@ class NoReason(enum.Enum):
 class SigmaAmpleYes:
     unipotent_power: int  # q used for the reduction
     witness: int  # minimal m with the reduced partial sum ample
+    family: tuple[NumericalPolynomial, ...]  # reduced partial sums, in m
 
     @property
     def sigma_ample(self) -> bool:
@@ -97,6 +98,9 @@ class SigmaAmpleYes:
 @dataclass(frozen=True)
 class SigmaAmpleNo:
     reason: NoReason
+    # set when the action is quasi-unipotent: q and the reduced partial sums
+    unipotent_power: int | None = None
+    family: tuple[NumericalPolynomial, ...] = ()
 
     @property
     def sigma_ample(self) -> bool:
@@ -258,11 +262,11 @@ def is_sigma_ample(
     family = delta_symbolic(reduced_matrix, reduced_divisor)
     witness = is_ample_symbolic(oracle, family)
     if witness is None:
-        return SigmaAmpleNo(NoReason.NO_AMPLE_PARTIAL_SUM)
+        return SigmaAmpleNo(NoReason.NO_AMPLE_PARTIAL_SUM, q, family)
     concrete = partial_sum(reduced_matrix, reduced_divisor, witness)
     if not is_ample(oracle, concrete):
         raise AssertionError("symbolic witness failed the concrete ampleness check")
-    return SigmaAmpleYes(q, witness)
+    return SigmaAmpleYes(q, witness, family)
 
 
 def gk_profile(
@@ -276,25 +280,31 @@ def gk_profile(
 
     A non-ample input is first replaced by an ample partial sum when one
     exists (taking a Veronese step changes neither the growth degree nor the
-    dimension); otherwise NotAmple. Per component, the top form evaluated on
-    the reduced partial-sum family is the self-intersection polynomial, and
-    the dimension is one more than the largest degree over components.
+    dimension); otherwise NotAmple. The family at the step q*w is the
+    verdict's reduced family with m replaced by w*m. Per component, the top
+    form evaluated on the reduced partial-sum family is the self-intersection
+    polynomial, and the dimension is one more than the largest degree over
+    components.
     """
     require_valid(scheme, action)
     q = quasi_unipotence(action.matrix)
     if q is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
-    reduced_power = q
-    if not is_ample(oracle, divisor):
+    if is_ample(oracle, divisor):
+        reduced_power = q
+        family = delta_symbolic(mat_pow(action.matrix, q), partial_sum(action.matrix, divisor, q))
+    else:
         verdict = is_sigma_ample(scheme, action, oracle, divisor)
         if not verdict.sigma_ample:
             raise NotAmple(
                 "divisor is neither ample nor sigma-ample; no growth data exists"
             )
-        reduced_power = q * verdict.witness
-    reduced_matrix = mat_pow(action.matrix, reduced_power)
-    reduced_divisor = partial_sum(action.matrix, divisor, reduced_power)
-    family = delta_symbolic(reduced_matrix, reduced_divisor)
+        w = verdict.witness
+        reduced_power = q * w
+        family = tuple(
+            NumericalPolynomial(tuple(c * w**i for i, c in enumerate(p.coeffs)))
+            for p in verdict.family
+        )
     expansions = []
     best: int | None = None
     for comp in scheme.components:

@@ -1,15 +1,15 @@
 """Exact integer matrix arithmetic and spectral analysis.
 
-All decisions here are exact. Characteristic polynomials come from the
-division-free Berkowitz recursion, determinants from fraction-free Bareiss
-elimination, inverses from the adjugate (legitimate because callers only
-invert matrices of determinant +-1). Quasi-unipotence is read off the
-characteristic polynomial by trial division with cyclotomic polynomials
-(Kronecker's theorem), so no matrix is raised to a large power. Spectral
-radii come from integer Sturm isolation on the characteristic polynomial of
-the Kronecker square M (x) M, whose real roots include every squared
-eigenvalue modulus; that polynomial is built from the power sums of M by
-Newton's identities, never from the n^2 x n^2 matrix itself.
+All decisions here are exact. Every matrix invariant comes from the
+characteristic polynomial, computed by the division-free Berkowitz
+recursion: the determinant is its constant term up to sign, inverses of
+determinant +-1 follow from Cayley-Hamilton, and quasi-unipotence is read
+off it by trial division with cyclotomic polynomials (Kronecker's theorem),
+so no matrix is raised to a large power. Spectral radii come from integer
+Sturm isolation on the characteristic polynomial of the Kronecker square
+M (x) M, whose real roots include every squared eigenvalue modulus; that
+polynomial is built from the power sums of M by Newton's identities, never
+from the n^2 x n^2 matrix itself.
 """
 from __future__ import annotations
 
@@ -105,56 +105,30 @@ class IntegerMatrix:
         return sum(self.rows[i][i] for i in range(self.size))
 
     def determinant(self) -> int:
-        """Fraction-free Bareiss elimination; all intermediates are integers."""
-        n = self.size
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def minor(self, i: int, j: int) -> int:
-        n = self.size
-        if n == 1:
-            return 1
-        sub = tuple(
-            tuple(self.rows[r][c] for c in range(n) if c != j) for r in range(n) if r != i
-        )
-        return IntegerMatrix(sub).determinant()
-
-    def adjugate(self) -> "IntegerMatrix":
-        n = self.size
-        return IntegerMatrix(
-            tuple(
-                tuple((-1) ** (i + j) * self.minor(j, i) for j in range(n))
-                for i in range(n)
-            )
-        )
+        """(-1)^n times the constant term of the characteristic polynomial."""
+        return (-1) ** self.size * int(char_poly(self).coeffs[0])
 
     def inverse_unimodular(self) -> "IntegerMatrix":
-        """Exact integer inverse; requires determinant +-1."""
-        d = self.determinant()
+        """Exact integer inverse by Cayley-Hamilton; requires determinant +-1.
+
+        With det(xI - M) = x^n + c_(n-1) x^(n-1) + ... + c_0 and c_0 = +-1,
+        M^-1 = -c_0 (M^(n-1) + c_(n-1) M^(n-2) + ... + c_1 I).
+        """
+        coeffs = [int(c) for c in char_poly(self).coeffs]
+        d = (-1) ** self.size * coeffs[0]
         if d not in (1, -1):
             raise NotInvertibleOverIntegers(f"determinant is {d}, not +-1")
-        adj = self.adjugate()
-        return adj if d == 1 else -adj
+        acc = IntegerMatrix.identity(self.size)
+        for c in reversed(coeffs[1:-1]):
+            rows = [list(row) for row in (acc * self).rows]
+            for i, row in enumerate(rows):
+                row[i] += c
+            acc = IntegerMatrix.from_rows(rows)
+        return acc if coeffs[0] == -1 else -acc
 
 
 def mat_pow(matrix: IntegerMatrix, exponent: int) -> IntegerMatrix:
-    """Exact matrix power by repeated squaring; negative powers via adjugate."""
+    """Exact matrix power by repeated squaring; negative powers via the inverse."""
     if exponent < 0:
         base = matrix.inverse_unimodular()
         exponent = -exponent
@@ -245,11 +219,11 @@ def quasi_unipotence(matrix: IntegerMatrix) -> int | None:
     (M^q - I)^rank = 0 is checked before q is returned. Requires
     determinant +-1.
     """
-    d = matrix.determinant()
-    if d not in (1, -1):
-        raise NotInvertibleOverIntegers(f"determinant is {d}, not +-1")
     n = matrix.size
     rest = [int(c) for c in char_poly(matrix).coeffs]
+    d = (-1) ** n * rest[0]
+    if d not in (1, -1):
+        raise NotInvertibleOverIntegers(f"determinant is {d}, not +-1")
     q = 1
     for m in range(1, 2 * n * n + 2):
         if len(rest) == 1:

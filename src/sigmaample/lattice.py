@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from typing import Mapping, Sequence
 
 from .errors import RankMismatch
@@ -269,19 +269,6 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _basis_tuples(rank: int, arity: int):
-    """Non-decreasing multi-indices; enough to compare symmetric forms."""
-    def rec(start: int, remaining: int):
-        if remaining == 0:
-            yield ()
-            return
-        for i in range(start, rank):
-            for rest in rec(i, remaining - 1):
-                yield (i,) + rest
-
-    yield from rec(0, arity)
-
-
 def _basis_vector(rank: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if j == i else 0) for j in range(rank))
 
@@ -336,7 +323,7 @@ def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> Validation
             forms += [(f"todd[{j}]", f) for j, f in enumerate(comp.todd[: comp.dim])]
         for label, form in forms:
             bad = []
-            for index in _basis_tuples(scheme.rank, form.arity):
+            for index in combinations_with_replacement(range(scheme.rank), form.arity):
                 expected = form.value_at(index)
                 got = form.evaluate([images[i] for i in index])
                 if got != expected:

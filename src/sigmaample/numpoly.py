@@ -125,25 +125,14 @@ def binomial_basis(i: int) -> NumericalPolynomial:
 
 
 def binomial_coefficients(p: NumericalPolynomial) -> tuple[Fraction, ...]:
-    """Coefficients b_i with p = sum b_i C(m, i), via finite differences at 0."""
+    """Coefficients b_i with p = sum b_i C(m, i): the forward differences of
+    p(0), ..., p(deg p) at 0."""
+    values = [p.evaluate(m) for m in range(len(p.coeffs))]
     out = []
-    current = p
-    for i in range(len(p.coeffs)):
-        out.append(current.evaluate(0))
-        # forward difference: q(m) = current(m + 1) - current(m)
-        shifted = _shift_by_one(current)
-        current = shifted - current
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
     return tuple(out)
-
-
-def _shift_by_one(p: NumericalPolynomial) -> NumericalPolynomial:
-    out = ZERO
-    basis = ONE
-    factor = NumericalPolynomial.of(1, 1)
-    for c in p.coeffs:
-        out = out + c * basis
-        basis = basis * factor
-    return out
 
 
 def from_binomial_coefficients(bs: Iterable) -> NumericalPolynomial:

@@ -4,17 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmaample import engine
+from sigmaample.ampleness import is_ample
+from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import MissingToddData, NotAmple, NotQuasiUnipotent, NotUnipotent
-from sigmaample.intmat import IntegerMatrix, mat_pow
+from sigmaample.intmat import IntegerMatrix, mat_pow, quasi_unipotence
 from sigmaample.lattice import (
     AutomorphismAction,
     ComponentDescriptor,
     DivisorClass,
     SchemeDescriptor,
 )
-from sigmaample.numpoly import binomial_basis
+from sigmaample.numpoly import ZERO, binomial_basis
 
-from conftest import unimodular_matrices
+from conftest import random_divisors, unimodular_matrices
 
 
 # --- classification ---------------------------------------------------------
@@ -125,6 +127,32 @@ def test_sigma_ample_zero_class(wehler):
     assert verdict.reason is engine.NoReason.NO_AMPLE_PARTIAL_SUM
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verdict_family_is_the_reduced_partial_sums(data):
+    sf = catalog_entry(data.draw(st.sampled_from(catalog_names())))
+    action = sf.action(data.draw(st.sampled_from(sorted(sf.automorphisms))))
+    coords = data.draw(
+        st.lists(
+            st.fractions(-6, 6, max_denominator=3),
+            min_size=sf.scheme.rank,
+            max_size=sf.scheme.rank,
+        )
+    )
+    divisor = DivisorClass.of(*coords)
+    verdict = engine.is_sigma_ample(sf.scheme, action, sf.oracle(), divisor)
+    q = quasi_unipotence(action.matrix)
+    if q is None:
+        assert (verdict.unipotent_power, verdict.family) == (None, ())
+        return
+    assert verdict.unipotent_power == q
+    reduced_matrix = mat_pow(action.matrix, q)
+    reduced_divisor = engine.partial_sum(action.matrix, divisor, q)
+    for m in range(6):
+        expected = engine.partial_sum(reduced_matrix, reduced_divisor, m)
+        assert DivisorClass.of(*(p.evaluate(m) for p in verdict.family)) == expected
+
+
 # --- GK dimension --------------------------------------------------------------
 
 
@@ -185,6 +213,38 @@ def test_gk_accepts_sigma_ample_but_not_ample_class(abelian):
         abelian.scheme, abelian.action("shear"), abelian.oracle(), abelian.divisor("fiber1")
     )
     assert gk == 5
+
+
+def _components_at_direct_power(sf, action, divisor, power):
+    """Self-intersection polynomials of the partial sums taken at the given
+    step, built from the matrix power and the summed divisor directly."""
+    family = engine.delta_symbolic(
+        mat_pow(action.matrix, power), engine.partial_sum(action.matrix, divisor, power)
+    )
+    return [ZERO + comp.top_form.evaluate([family] * comp.dim) for comp in sf.scheme.components]
+
+
+def test_gk_profile_of_sigma_ample_class_matches_direct_power():
+    checked = 0
+    for name in catalog_names():
+        sf = catalog_entry(name)
+        oracle = sf.oracle()
+        divisors = list(sf.divisors.values()) + random_divisors(sf.scheme.rank, 30)
+        for action in sf.automorphisms.values():
+            if quasi_unipotence(action.matrix) is None:
+                continue
+            for divisor in divisors:
+                verdict = engine.is_sigma_ample(sf.scheme, action, oracle, divisor)
+                if is_ample(oracle, divisor) or not verdict.sigma_ample:
+                    continue
+                profile = engine.gk_profile(sf.scheme, action, oracle, divisor)
+                power = verdict.unipotent_power * verdict.witness
+                assert profile.reduced_power == power
+                assert [c.polynomial for c in profile.components] == _components_at_direct_power(
+                    sf, action, divisor, power
+                )
+                checked += 1
+    assert checked >= 10
 
 
 # --- Euler characteristics ------------------------------------------------------

@@ -56,10 +56,29 @@ def test_char_poly_matches_sympy(rows):
     assert list(ours.coeffs) == [int(c) for c in reversed(theirs)]
 
 
-def test_determinant_from_char_poly_consistency():
-    for m in (S1, S2, S1S2, SHEAR):
-        n = m.size
-        assert m.determinant() == (-1) ** n * char_poly(m).evaluate(0)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_determinant_matches_sympy(rows):
+    assert IntegerMatrix.from_rows(rows).determinant() == sympy.Matrix(rows).det()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(unimodular_matrices))
+def test_inverse_unimodular_matches_sympy(m):
+    inv = m.inverse_unimodular()
+    expected = sympy.Matrix([list(row) for row in m.rows]).inv()
+    assert [list(row) for row in inv.rows] == expected.tolist()
+    assert m * inv == IntegerMatrix.identity(m.size)
+    assert inv * m == IntegerMatrix.identity(m.size)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[2]], [[1, 1], [-1, 1]], [[2, 0, 0], [0, 1, 0], [0, 0, -1]], [[1, 2], [2, 4]]]
+)
+def test_inverse_requires_determinant_plus_minus_one(rows):
+    with pytest.raises(NotInvertibleOverIntegers):
+        IntegerMatrix.from_rows(rows).inverse_unimodular()
 
 
 # --- quasi-unipotence ------------------------------------------------------
