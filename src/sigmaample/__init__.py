@@ -31,7 +31,6 @@ from .engine import (
     growth_report,
     is_sigma_ample,
     partial_sum,
-    power_symbolic,
 )
 from .errors import (
     InvalidSchemeData,
@@ -70,7 +69,6 @@ from .numpoly import (
     binomial_basis,
     binomial_coefficients,
     exists_common_positive,
-    is_integer_valued,
 )
 from .catalog import catalog_entry, catalog_names
 from .schemefile import SchemeFile, parse_scheme_file, serialize_scheme_file

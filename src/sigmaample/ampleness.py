@@ -15,7 +15,6 @@ classes and reduce existence of an ample member to exact sign analysis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence, Union
 
@@ -30,53 +29,77 @@ from .lattice import (
     intersect,
 )
 from .numpoly import ZERO, NumericalPolynomial, exists_common_positive
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PolyhedralCone:
+def _normalize_functional(f: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*f)
+    return tuple(c // g for c in f) if g else tuple(f)
+
+
+class PolyhedralCone(Record):
     """Ample cone cut out by finitely many integer facet functionals."""
 
-    rank: int
-    facets: tuple[tuple[int, ...], ...]
+    __slots__ = ("rank", "facets")
 
-    def __post_init__(self) -> None:
-        facets = tuple(tuple(int(c) for c in f) for f in self.facets)
+    def __init__(self, rank: int, facets: tuple[tuple[int, ...], ...]) -> None:
+        facets = tuple(tuple(int(c) for c in f) for f in facets)
         if not facets:
             raise ValueError("a polyhedral cone needs at least one facet")
         for f in facets:
-            if len(f) != self.rank:
-                raise ValueError(f"facet {f} does not match rank {self.rank}")
+            if len(f) != rank:
+                raise ValueError(f"facet {f} does not match rank {rank}")
             if all(c == 0 for c in f):
                 raise ValueError("zero functional is not a facet")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "facets", facets)
 
     def conditions(self, coords: Sequence) -> list:
         """The facet functionals applied to the coordinates."""
         return [sum(f * c for f, c in zip(facet, coords)) for facet in self.facets]
 
+    def invariant_checks(self) -> list[CheckResult]:
+        """The cone has at least one facet."""
+        return [CheckResult("facets", len(self.facets) >= 1, f"{len(self.facets)} facets")]
 
-@dataclass(frozen=True)
-class SurfacePositiveCone:
+    def stability_checks(self, action: AutomorphismAction) -> list[CheckResult]:
+        """The facet set is stable under composition with the action, up to
+        positive scaling."""
+        transposed = action.matrix.transpose()
+        original = {_normalize_functional(f) for f in self.facets}
+        transformed = {_normalize_functional(transposed.column_action(f)) for f in self.facets}
+        ok = transformed == original
+        detail = "facet set preserved" if ok else f"facets map to {sorted(transformed)}"
+        return [CheckResult("facet_set_stable", ok, detail)]
+
+
+class SurfacePositiveCone(Record):
     """Sign-condition oracle on a two-dimensional component.
 
     ample(D) iff (D.D) > 0, (D.A) > 0, and (D.C) > 0 for each obstruction C.
     The reference class must itself pass: (A.A) > 0 and (A.C) > 0.
     """
 
-    component: ComponentDescriptor
-    reference_ample: DivisorClass
-    obstructions: tuple[DivisorClass, ...] = ()
+    __slots__ = ("component", "reference_ample", "obstructions")
 
-    def __post_init__(self) -> None:
-        if self.component.dim != 2:
+    def __init__(
+        self,
+        component: ComponentDescriptor,
+        reference_ample: DivisorClass,
+        obstructions: tuple[DivisorClass, ...] = (),
+    ) -> None:
+        if component.dim != 2:
             raise ValueError("surface positive cone needs a dimension-2 component")
-        object.__setattr__(self, "obstructions", tuple(self.obstructions))
-        a = self.reference_ample
-        if intersect(self.component, [a, a]) <= 0:
+        obstructions = tuple(obstructions)
+        a = reference_ample
+        if intersect(component, [a, a]) <= 0:
             raise ValueError("reference class must have positive self-intersection")
-        for c in self.obstructions:
-            if intersect(self.component, [a, c]) <= 0:
+        for c in obstructions:
+            if intersect(component, [a, c]) <= 0:
                 raise ValueError("reference class must pair positively with obstructions")
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "reference_ample", reference_ample)
+        object.__setattr__(self, "obstructions", obstructions)
 
     @property
     def rank(self) -> int:
@@ -88,6 +111,32 @@ class SurfacePositiveCone:
         return [form.evaluate([coords, coords])] + [
             form.evaluate([coords, c.coords])
             for c in (self.reference_ample, *self.obstructions)
+        ]
+
+    def invariant_checks(self) -> list[CheckResult]:
+        """(A.A) > 0 and (A.C) > 0 for each obstruction C."""
+        a = self.reference_ample
+        self_int = intersect(self.component, [a, a])
+        checks = [CheckResult("reference_positive", self_int > 0, f"(A.A)={self_int}")]
+        for k, c in enumerate(self.obstructions):
+            v = intersect(self.component, [a, c])
+            checks.append(CheckResult(f"obstruction[{k}]", v > 0, f"(A.C)={v}"))
+        return checks
+
+    def stability_checks(self, action: AutomorphismAction) -> list[CheckResult]:
+        """The reference class stays ample and the obstruction set is permuted."""
+        image = apply(action, self.reference_ample)
+        ok = is_ample(self, image)
+        original = {c.coords for c in self.obstructions}
+        transformed = {apply(action, c).coords for c in self.obstructions}
+        permuted = transformed == original
+        return [
+            CheckResult("reference_stays_ample", ok, f"image {tuple(map(str, image.coords))}"),
+            CheckResult(
+                "obstructions_permuted",
+                permuted,
+                "obstruction set preserved" if permuted else "set changed",
+            ),
         ]
 
 
@@ -129,21 +178,7 @@ def oracle_report(name: str, oracle: AmplenessOracle, rank: int) -> ValidationRe
     re-state them for file-level validation output.
     """
     checks = [CheckResult("rank", oracle.rank == rank, f"oracle rank {oracle.rank}")]
-    if isinstance(oracle, PolyhedralCone):
-        checks.append(CheckResult("facets", len(oracle.facets) >= 1, f"{len(oracle.facets)} facets"))
-    else:
-        a = oracle.reference_ample
-        self_int = intersect(oracle.component, [a, a])
-        checks.append(CheckResult("reference_positive", self_int > 0, f"(A.A)={self_int}"))
-        for k, c in enumerate(oracle.obstructions):
-            v = intersect(oracle.component, [a, c])
-            checks.append(CheckResult(f"obstruction[{k}]", v > 0, f"(A.C)={v}"))
-    return ValidationReport(name, tuple(checks))
-
-
-def _normalize_functional(f: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*f)
-    return tuple(c // g for c in f) if g else tuple(f)
+    return ValidationReport(name, tuple(checks + oracle.invariant_checks()))
 
 
 def action_stability_report(
@@ -155,36 +190,4 @@ def action_stability_report(
     the action (up to positive scaling). For a surface positive cone the
     reference class must stay ample and the obstruction set must be permuted.
     """
-    checks: list[CheckResult] = []
-    if isinstance(oracle, PolyhedralCone):
-        transposed = action.matrix.transpose()
-        original = {_normalize_functional(f) for f in oracle.facets}
-        transformed = {
-            _normalize_functional(transposed.column_action(f)) for f in oracle.facets
-        }
-        ok = transformed == original
-        checks.append(
-            CheckResult(
-                "facet_set_stable",
-                ok,
-                "facet set preserved" if ok else f"facets map to {sorted(transformed)}",
-            )
-        )
-    else:
-        image = apply(action, oracle.reference_ample)
-        ok = is_ample(oracle, image)
-        checks.append(
-            CheckResult(
-                "reference_stays_ample", ok, f"image {tuple(map(str, image.coords))}"
-            )
-        )
-        original = {c.coords for c in oracle.obstructions}
-        transformed = {apply(action, c).coords for c in oracle.obstructions}
-        checks.append(
-            CheckResult(
-                "obstructions_permuted",
-                transformed == original,
-                "obstruction set preserved" if transformed == original else "set changed",
-            )
-        )
-    return ValidationReport(f"{name}/{action.name}", tuple(checks))
+    return ValidationReport(f"{name}/{action.name}", tuple(oracle.stability_checks(action)))

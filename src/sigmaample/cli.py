@@ -479,7 +479,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "catalog" and args.action == "show" and args.name is None:
-        print("catalog show requires an entry name", file=sys.stderr)
+        print("error: catalog show requires an entry name", file=sys.stderr)
         return EXIT_UNKNOWN_NAME
     try:
         doc, code = args.func(args)

@@ -20,11 +20,10 @@ characteristic sequence at the rate of the spectral radius.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence, Union
+from typing import Union
 
 from .ampleness import AmplenessOracle, is_ample, is_ample_symbolic
 from .errors import (
@@ -49,27 +48,35 @@ from .lattice import (
     validate,
 )
 from .numpoly import ZERO, NumericalPolynomial, binomial_basis
+from .record import Record
 
 DEFAULT_EPS = Fraction(1, 1000)
 
 
-@dataclass(frozen=True)
-class QuasiUnipotentClass:
-    """Classification of an action whose eigenvalues are all roots of unity."""
+class QuasiUnipotentClass(Record):
+    """Classification of an action whose eigenvalues are all roots of unity:
+    the minimal q with action^q unipotent, and the least k with
+    (action^q - I)^(k+1) = 0."""
 
-    unipotent_power: int  # minimal q with action^q unipotent
-    jordan_index: int  # least k with (action^q - I)^(k+1) = 0
+    __slots__ = ("unipotent_power", "jordan_index")
+
+    def __init__(self, unipotent_power: int, jordan_index: int) -> None:
+        object.__setattr__(self, "unipotent_power", unipotent_power)
+        object.__setattr__(self, "jordan_index", jordan_index)
 
     @property
     def quasi_unipotent(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class NonQuasiUnipotentClass:
-    """Classification of an action with an eigenvalue off the unit circle."""
+class NonQuasiUnipotentClass(Record):
+    """Classification of an action with an eigenvalue off the unit circle:
+    an enclosure of the spectral radius with lower end above 1."""
 
-    radius: RationalInterval  # encloses the spectral radius, lo > 1
+    __slots__ = ("radius",)
+
+    def __init__(self, radius: RationalInterval) -> None:
+        object.__setattr__(self, "radius", radius)
 
     @property
     def quasi_unipotent(self) -> bool:
@@ -84,23 +91,39 @@ class NoReason(enum.Enum):
     NO_AMPLE_PARTIAL_SUM = "no-ample-partial-sum"
 
 
-@dataclass(frozen=True)
-class SigmaAmpleYes:
-    unipotent_power: int  # q used for the reduction
-    witness: int  # minimal m with the reduced partial sum ample
-    family: tuple[NumericalPolynomial, ...]  # reduced partial sums, in m
+class SigmaAmpleYes(Record):
+    """The q used for the reduction, the minimal m with the reduced partial
+    sum ample, and the reduced partial sums as polynomials in m."""
+
+    __slots__ = ("unipotent_power", "witness", "family")
+
+    def __init__(
+        self, unipotent_power: int, witness: int, family: tuple[NumericalPolynomial, ...]
+    ) -> None:
+        object.__setattr__(self, "unipotent_power", unipotent_power)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "family", family)
 
     @property
     def sigma_ample(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class SigmaAmpleNo:
-    reason: NoReason
-    # set when the action is quasi-unipotent: q and the reduced partial sums
-    unipotent_power: int | None = None
-    family: tuple[NumericalPolynomial, ...] = ()
+class SigmaAmpleNo(Record):
+    """The reason, and, when the action is quasi-unipotent, q and the
+    reduced partial sums."""
+
+    __slots__ = ("reason", "unipotent_power", "family")
+
+    def __init__(
+        self,
+        reason: NoReason,
+        unipotent_power: int | None = None,
+        family: tuple[NumericalPolynomial, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "unipotent_power", unipotent_power)
+        object.__setattr__(self, "family", family)
 
     @property
     def sigma_ample(self) -> bool:
@@ -110,34 +133,54 @@ class SigmaAmpleNo:
 SigmaAmpleVerdict = Union[SigmaAmpleYes, SigmaAmpleNo]
 
 
-@dataclass(frozen=True)
-class ComponentExpansion:
-    name: str
-    polynomial: NumericalPolynomial  # self-intersection of the partial sums
+class ComponentExpansion(Record):
+    """A component's self-intersection of the partial sums, in m."""
+
+    __slots__ = ("name", "polynomial")
+
+    def __init__(self, name: str, polynomial: NumericalPolynomial) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "polynomial", polynomial)
 
 
-@dataclass(frozen=True)
-class GKProfile:
-    gk_dimension: int
-    reduced_power: int  # partial sums and action powers taken at this step
-    components: tuple[ComponentExpansion, ...]
+class GKProfile(Record):
+    """GK dimension, the step at which partial sums and action powers are
+    taken, and the per-component expansions."""
+
+    __slots__ = ("gk_dimension", "reduced_power", "components")
+
+    def __init__(
+        self, gk_dimension: int, reduced_power: int, components: tuple[ComponentExpansion, ...]
+    ) -> None:
+        object.__setattr__(self, "gk_dimension", gk_dimension)
+        object.__setattr__(self, "reduced_power", reduced_power)
+        object.__setattr__(self, "components", components)
 
     @property
     def hilbert_degree(self) -> int:
         return self.gk_dimension - 1
 
 
-@dataclass(frozen=True)
-class PolynomialGrowth:
-    gk_dimension: int
-    hilbert_degree: int
+class PolynomialGrowth(Record):
+    __slots__ = ("gk_dimension", "hilbert_degree")
+
+    def __init__(self, gk_dimension: int, hilbert_degree: int) -> None:
+        object.__setattr__(self, "gk_dimension", gk_dimension)
+        object.__setattr__(self, "hilbert_degree", hilbert_degree)
 
 
-@dataclass(frozen=True)
-class ExponentialGrowth:
-    radius: RationalInterval
-    ratio_samples: tuple[Fraction, ...]
-    threshold_exceeded: bool  # partial-sum root statistic above 1 + 1/1000
+class ExponentialGrowth(Record):
+    """Radius enclosure, consecutive Euler-characteristic ratios, and whether
+    the partial-sum root statistic is above 1 + 1/1000."""
+
+    __slots__ = ("radius", "ratio_samples", "threshold_exceeded")
+
+    def __init__(
+        self, radius: RationalInterval, ratio_samples: tuple[Fraction, ...], threshold_exceeded: bool
+    ) -> None:
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "ratio_samples", ratio_samples)
+        object.__setattr__(self, "threshold_exceeded", threshold_exceeded)
 
 
 GrowthReport = Union[PolynomialGrowth, ExponentialGrowth]
@@ -189,14 +232,6 @@ def nilpotent_steps(matrix: IntegerMatrix, divisor: DivisorClass) -> list[Diviso
     return steps
 
 
-def power_symbolic(
-    matrix: IntegerMatrix, divisor: DivisorClass
-) -> tuple[NumericalPolynomial, ...]:
-    """Coordinates of the m-th image as polynomials: sum C(m, i) N^i D."""
-    steps = nilpotent_steps(matrix, divisor)
-    return _binomial_combination(steps, offset=0)
-
-
 def delta_symbolic(
     matrix: IntegerMatrix, divisor: DivisorClass
 ) -> tuple[NumericalPolynomial, ...]:
@@ -205,20 +240,12 @@ def delta_symbolic(
     Requires a unipotent matrix; evaluating at any integer m >= 0 agrees with
     the directly accumulated sum D + PD + ... + P^(m-1)D.
     """
-    steps = nilpotent_steps(matrix, divisor)
-    return _binomial_combination(steps, offset=1)
-
-
-def _binomial_combination(
-    steps: Sequence[DivisorClass], offset: int
-) -> tuple[NumericalPolynomial, ...]:
-    rank = steps[0].rank
-    out = [NumericalPolynomial(()) for _ in range(rank)]
-    for i, step in enumerate(steps):
-        basis = binomial_basis(i + offset)
-        for coord in range(rank):
-            if step.coords[coord]:
-                out[coord] = out[coord] + step.coords[coord] * basis
+    out = [ZERO] * divisor.rank
+    for i, step in enumerate(nilpotent_steps(matrix, divisor)):
+        basis = binomial_basis(i + 1)
+        for coord, c in enumerate(step.coords):
+            if c:
+                out[coord] = out[coord] + c * basis
     return tuple(out)
 
 
@@ -385,10 +412,10 @@ def growth_report(
     require_valid(scheme, action)
     if not is_ample(oracle, divisor):
         raise NotAmple("growth reports are defined for ample divisor classes")
-    classification = classify(action, eps)
-    if classification.quasi_unipotent:
+    if quasi_unipotence(action.matrix) is not None:
         profile = gk_profile(scheme, action, oracle, divisor)
         return PolynomialGrowth(profile.gk_dimension, profile.hilbert_degree)
+    radius = classify(action, eps).radius
     series = euler_char_series(scheme, action, divisor, m_max + 1)
     ratios = []
     for m in range(1, m_max + 1):
@@ -397,4 +424,4 @@ def growth_report(
         ratios.append(series[m] / series[m - 1])
     partial = sum(series[:m_max], Fraction(0))
     exceeded = partial > EXPONENTIAL_THRESHOLD**m_max
-    return ExponentialGrowth(classification.radius, tuple(ratios), exceeded)
+    return ExponentialGrowth(radius, tuple(ratios), exceeded)

@@ -13,7 +13,6 @@ from the n^2 x n^2 matrix itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -27,20 +26,20 @@ from .intpoly import (
     sqrt_enclosure,
 )
 from .numpoly import NumericalPolynomial
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Record):
     """Square matrix of arbitrary-precision integers, immutable."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        for row in rows:
             for c in row:
                 if not isinstance(c, int):
                     raise TypeError(f"integer entry expected, got {type(c).__name__}")
-        rows = tuple(tuple(int(c) for c in row) for row in self.rows)
+        rows = tuple(tuple(int(c) for c in row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")

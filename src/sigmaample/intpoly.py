@@ -11,34 +11,31 @@ rational a/b homogenised, b^d p(a/b), so neither floating point nor a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import TYPE_CHECKING, Sequence
+
+from .record import Record
 
 if TYPE_CHECKING:
     from .numpoly import NumericalPolynomial
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(Record):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +177,6 @@ def sign_variations(chain: Sequence[Sequence[int]], x) -> int:
                 changes += 1
             last = sign
     return changes
-
-
-def count_real_roots(chain, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
 def largest_real_root_interval(p: NumericalPolynomial, width: Fraction) -> RationalInterval:

@@ -9,29 +9,28 @@ by non-decreasing basis multi-indices; symmetry makes that table complete.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from typing import Mapping, Sequence
 
 from .errors import RankMismatch
 from .intmat import IntegerMatrix
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """Coordinate vector of a divisor class in the fixed lattice basis."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        for c in self.coords:
+    def __init__(self, coords: tuple[Fraction, ...]) -> None:
+        for c in coords:
             if isinstance(c, float):
                 raise TypeError("exact coordinates required, not float")
         object.__setattr__(
             self,
             "coords",
-            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords),
+            tuple(c if type(c) is Fraction else Fraction(c) for c in coords),
         )
 
     @classmethod
@@ -45,10 +44,6 @@ class DivisorClass:
     @property
     def rank(self) -> int:
         return len(self.coords)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
 
     @property
     def is_zero(self) -> bool:
@@ -72,8 +67,7 @@ class DivisorClass:
         return DivisorClass(tuple(s * c for c in self.coords))
 
 
-@dataclass(frozen=True)
-class SymmetricForm:
+class SymmetricForm(Record):
     """Symmetric multilinear functional on the rank-``rank`` lattice.
 
     ``values`` maps non-decreasing basis multi-indices of length ``arity`` to
@@ -81,21 +75,19 @@ class SymmetricForm:
     by the empty tuple.
     """
 
-    rank: int
-    arity: int
-    values: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = ("rank", "arity", "values", "_table")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, rank: int, arity: int, values: tuple[tuple[tuple[int, ...], Fraction], ...]
+    ) -> None:
         normalized = []
         seen = set()
-        for index, value in (
-            self.values.items() if isinstance(self.values, Mapping) else self.values
-        ):
+        for index, value in values.items() if isinstance(values, Mapping) else values:
             index = tuple(int(i) for i in index)
-            if len(index) != self.arity:
-                raise ValueError(f"multi-index {index} must have length {self.arity}")
-            if any(i < 0 or i >= self.rank for i in index):
-                raise ValueError(f"multi-index {index} out of range for rank {self.rank}")
+            if len(index) != arity:
+                raise ValueError(f"multi-index {index} must have length {arity}")
+            if any(i < 0 or i >= rank for i in index):
+                raise ValueError(f"multi-index {index} out of range for rank {rank}")
             if any(a > b for a, b in zip(index, index[1:])):
                 raise ValueError(f"multi-index {index} must be non-decreasing")
             if index in seen:
@@ -107,6 +99,8 @@ class SymmetricForm:
             if value != 0:
                 normalized.append((index, value))
         normalized.sort()
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "values", tuple(normalized))
         object.__setattr__(self, "_table", dict(normalized))
 
@@ -153,61 +147,70 @@ class SymmetricForm:
         return total
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(Record):
     """One irreducible component: its dimension, top intersection form, and
     optionally the Todd functionals T_0 ... T_dim used for Euler
     characteristics (T_dim must coincide with the intersection form)."""
 
-    name: str
-    dim: int
-    top_form: SymmetricForm
-    todd: tuple[SymmetricForm, ...] | None = None
+    __slots__ = ("name", "dim", "top_form", "todd")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        top_form: SymmetricForm,
+        todd: tuple[SymmetricForm, ...] | None = None,
+    ) -> None:
+        if dim < 1:
             raise ValueError("component dimension must be >= 1")
-        if self.top_form.arity != self.dim:
+        if top_form.arity != dim:
             raise ValueError("top form arity must equal the component dimension")
-        if not self.top_form.is_integral:
+        if not top_form.is_integral:
             raise ValueError("top intersection form must have integer values")
-        if self.todd is not None:
-            todd = tuple(self.todd)
-            if len(todd) != self.dim + 1:
+        if todd is not None:
+            todd = tuple(todd)
+            if len(todd) != dim + 1:
                 raise ValueError("todd data must list functionals for j = 0 .. dim")
             for j, form in enumerate(todd):
                 if form.arity != j:
                     raise ValueError(f"todd functional at position {j} has arity {form.arity}")
-                if form.rank != self.top_form.rank:
+                if form.rank != top_form.rank:
                     raise ValueError("todd functionals must share the lattice rank")
-            if todd[self.dim] != self.top_form:
+            if todd[dim] != top_form:
                 raise ValueError("top todd functional must equal the intersection form")
-            object.__setattr__(self, "todd", todd)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "top_form", top_form)
+        object.__setattr__(self, "todd", todd)
 
 
-@dataclass(frozen=True)
-class SchemeDescriptor:
+class SchemeDescriptor(Record):
     """A projective scheme seen through its rank-``rank`` divisor lattice."""
 
-    rank: int
-    components: tuple[ComponentDescriptor, ...]
-    euler_char: Fraction | None = None
+    __slots__ = ("rank", "components", "euler_char")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(
+        self,
+        rank: int,
+        components: tuple[ComponentDescriptor, ...],
+        euler_char: Fraction | None = None,
+    ) -> None:
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        components = tuple(self.components)
+        components = tuple(components)
         if not components:
             raise ValueError("at least one component is required")
         for comp in components:
-            if comp.top_form.rank != self.rank:
+            if comp.top_form.rank != rank:
                 raise ValueError(
                     f"component {comp.name!r} lives on rank {comp.top_form.rank}, "
-                    f"scheme has rank {self.rank}"
+                    f"scheme has rank {rank}"
                 )
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "components", components)
-        if self.euler_char is not None:
-            object.__setattr__(self, "euler_char", Fraction(self.euler_char))
+        object.__setattr__(
+            self, "euler_char", None if euler_char is None else Fraction(euler_char)
+        )
 
     @property
     def dim(self) -> int:
@@ -218,8 +221,7 @@ class SchemeDescriptor:
         return all(comp.todd is not None for comp in self.components)
 
 
-@dataclass(frozen=True)
-class AutomorphismAction:
+class AutomorphismAction(Record):
     """A named automorphism given by its matrix on the divisor lattice.
 
     ``todd_invariant`` is a user assertion that the action also preserves the
@@ -227,9 +229,12 @@ class AutomorphismAction:
     since that invariance is extra geometric data, not a lattice consequence.
     """
 
-    name: str
-    matrix: IntegerMatrix
-    todd_invariant: bool = False
+    __slots__ = ("name", "matrix", "todd_invariant")
+
+    def __init__(self, name: str, matrix: IntegerMatrix, todd_invariant: bool = False) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "todd_invariant", todd_invariant)
 
 
 def intersect(component: ComponentDescriptor, classes: Sequence[DivisorClass]) -> Fraction:
@@ -248,17 +253,21 @@ def apply(action: AutomorphismAction, divisor: DivisorClass) -> DivisorClass:
     return DivisorClass(action.matrix.column_action(divisor.coords))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    subject: str
-    checks: tuple[CheckResult, ...]
+class ValidationReport(Record):
+    __slots__ = ("subject", "checks")
+
+    def __init__(self, subject: str, checks: tuple[CheckResult, ...]) -> None:
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def valid(self) -> bool:

@@ -12,26 +12,25 @@ coefficient, so scans terminate with certainty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .intpoly import _horner, _strip, cauchy_root_bound
+from .record import Record
 
 
-@dataclass(frozen=True)
-class NumericalPolynomial:
+class NumericalPolynomial(Record):
     """Polynomial in m, monomial coefficients lowest degree first."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        for c in self.coeffs:
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        for c in coeffs:
             if isinstance(c, float):
                 raise TypeError("exact coefficients required, not float")
-        cs = [c if type(c) is Fraction else Fraction(c) for c in self.coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         object.__setattr__(self, "coeffs", tuple(_strip(cs)))
 
     @classmethod
@@ -133,22 +132,6 @@ def binomial_coefficients(p: NumericalPolynomial) -> tuple[Fraction, ...]:
         out.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
     return tuple(out)
-
-
-def from_binomial_coefficients(bs: Iterable) -> NumericalPolynomial:
-    out = ZERO
-    for i, b in enumerate(bs):
-        out = out + Fraction(b) * binomial_basis(i)
-    return out
-
-
-def is_integer_valued(p: NumericalPolynomial) -> bool:
-    """True iff p maps every integer to an integer.
-
-    Equivalent to all binomial-basis coefficients being integers, which is the
-    integrality of the finite-difference table at 0.
-    """
-    return all(b.denominator == 1 for b in binomial_coefficients(p))
 
 
 def cauchy_bound(p: NumericalPolynomial) -> int:

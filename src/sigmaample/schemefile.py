@@ -10,7 +10,6 @@ equal inputs give byte-identical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -24,16 +23,25 @@ from .lattice import (
     SchemeDescriptor,
     SymmetricForm,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SchemeFile:
+class SchemeFile(Record):
     """A scheme plus its named oracles, actions, and divisor classes."""
 
-    scheme: SchemeDescriptor
-    oracles: dict[str, AmplenessOracle]
-    automorphisms: dict[str, AutomorphismAction]
-    divisors: dict[str, DivisorClass]
+    __slots__ = ("scheme", "oracles", "automorphisms", "divisors")
+
+    def __init__(
+        self,
+        scheme: SchemeDescriptor,
+        oracles: dict[str, AmplenessOracle],
+        automorphisms: dict[str, AutomorphismAction],
+        divisors: dict[str, DivisorClass],
+    ) -> None:
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "oracles", oracles)
+        object.__setattr__(self, "automorphisms", automorphisms)
+        object.__setattr__(self, "divisors", divisors)
 
     def oracle(self, name: str | None = None) -> AmplenessOracle:
         if name is None:

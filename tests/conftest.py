@@ -35,6 +35,19 @@ def random_divisors(rank, count, seed=0, span=9):
     return out
 
 
+def power_symbolic(matrix, divisor):
+    """Coordinates of the m-th image under a unipotent matrix, as
+    polynomials in m: sum C(m, i) N^i D."""
+    from sigmaample.engine import nilpotent_steps
+    from sigmaample.numpoly import ZERO, binomial_basis
+
+    out = [ZERO] * divisor.rank
+    for i, step in enumerate(nilpotent_steps(matrix, divisor)):
+        for coord, c in enumerate(step.coords):
+            out[coord] = out[coord] + c * binomial_basis(i)
+    return tuple(out)
+
+
 def unimodular_matrices(size: int, ops: int = 6, magnitude: int = 3):
     """Products of elementary integer operations, so det is +-1."""
 

@@ -1,8 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sigmaample
 from sigmaample.cli import main
 from sigmaample.schemefile import serialize_scheme_file
 from sigmaample.catalog import catalog_entry
@@ -380,17 +386,15 @@ def test_oracle_flag_required_with_multiple_oracles(tmp_path, capsys):
     assert json.loads(out)["oracle"] == "extra"
 
 
-def test_cross_process_byte_determinism():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import sigmaample
-
-    # the child imports the same package as this process, PYTHONPATH or not
+def _child_env() -> dict:
+    """Environment in which a child imports the same package as this
+    process, PYTHONPATH or not."""
     src = str(Path(sigmaample.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cross_process_byte_determinism():
+    env = _child_env()
     cmd = [
         sys.executable,
         "-m",
@@ -405,3 +409,25 @@ def test_cross_process_byte_determinism():
     first = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     second = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     assert first == second
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # dataclasses and what it imports cost milliseconds on every CLI start;
+    # modules the interpreter loaded before the import do not count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import sigmaample.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True, text=True, env=_child_env()
+    ).stdout.split()
+    assert "sigmaample.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
+
+
+def test_no_package_module_imports_dataclasses():
+    package = Path(sigmaample.__file__).parent
+    pattern = re.compile(r"^\s*(from|import)\s+dataclasses\b", re.MULTILINE)
+    assert [p.name for p in sorted(package.glob("*.py")) if pattern.search(p.read_text())] == []

@@ -16,7 +16,7 @@ from sigmaample.lattice import (
 )
 from sigmaample.numpoly import ZERO, binomial_basis
 
-from conftest import random_divisors, unimodular_matrices
+from conftest import power_symbolic, random_divisors, unimodular_matrices
 
 
 # --- classification ---------------------------------------------------------
@@ -85,7 +85,7 @@ def test_delta_symbolic_agrees_with_direct_sum(abelian):
 def test_power_symbolic_reproduces_matrix_powers(abelian):
     shear = abelian.action("shear").matrix
     d = abelian.divisor("diag")
-    family = engine.power_symbolic(shear, d)
+    family = power_symbolic(shear, d)
     for m in range(0, 12):
         expected = DivisorClass(mat_pow(shear, m).column_action(d.coords))
         assert DivisorClass.of(*(p.evaluate(m) for p in family)) == expected
@@ -331,6 +331,22 @@ def test_growth_exponential_branch(wehler):
     last = report.ratio_samples[-1]
     target = Fraction(139282, 10000)
     assert abs(last - target) <= Fraction(2, 100) * target
+
+
+def test_growth_reduces_a_quasi_unipotent_action_once(abelian, monkeypatch):
+    calls = {"mat_pow": 0, "nilpotency_index": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(engine, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    report = engine.growth_report(
+        abelian.scheme, abelian.action("shear"), abelian.oracle(), abelian.divisor("D111")
+    )
+    assert report == engine.PolynomialGrowth(5, 4)
+    assert calls == {"mat_pow": 1, "nilpotency_index": 1}
 
 
 def test_growth_requires_ample(wehler):

@@ -275,7 +275,7 @@ def test_mat_pow_additive(m, a, b):
 
 def test_spectral_radius_identity():
     iv = spectral_radius(IntegerMatrix.identity(3), Fraction(1, 100))
-    assert iv.contains(Fraction(1))
+    assert iv.lo <= 1 <= iv.hi
     assert iv.width <= Fraction(1, 100)
 
 
@@ -298,14 +298,14 @@ def test_spectral_radius_companion_matrix():
 def test_spectral_radius_nilpotent_is_zero():
     m = IntegerMatrix.from_rows([[0, 1], [0, 0]])
     iv = spectral_radius(m, Fraction(1, 1000))
-    assert iv.contains(Fraction(0))
+    assert iv.lo <= 0 <= iv.hi
     assert iv.width <= Fraction(1, 1000)
 
 
 def test_spectral_radius_negative_dominant_eigenvalue():
     m = IntegerMatrix.from_rows([[-2, 0], [0, 1]])
     iv = spectral_radius(m, Fraction(1, 1000))
-    assert iv.contains(Fraction(2))
+    assert iv.lo <= 2 <= iv.hi
 
 
 def test_spectral_radius_complex_dominant_pair():

@@ -16,7 +16,7 @@ from sigmaample.lattice import (
     validate,
 )
 
-from conftest import random_divisors
+from conftest import power_symbolic, random_divisors
 
 SAMPLE = 30
 
@@ -181,7 +181,7 @@ def test_power_polynomial_reproduces_iterated_pairings():
         for action, cls in _qu_actions(sf):
             unipotent = mat_pow(action.matrix, cls.unipotent_power)
             for d in random_divisors(sf.scheme.rank, 5, seed=73):
-                family = engine.power_symbolic(unipotent, d)
+                family = power_symbolic(unipotent, d)
                 current = d
                 for m in range(1, 51):
                     current = DivisorClass(unipotent.column_action(current.coords))

@@ -180,7 +180,7 @@ def test_divisor_class_algebra():
     assert (3 * d).coords == (3, -6)
     assert (Fraction(1, 2) * d).coords == (Fraction(1, 2), -1)
     assert (-d).coords == (-1, 2)
-    assert DivisorClass.of(Fraction(1, 2)).is_integral is False
+    assert DivisorClass.of(Fraction(1, 2)).coords[0].denominator == 2
 
 
 def test_floats_are_rejected_everywhere():

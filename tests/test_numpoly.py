@@ -9,9 +9,20 @@ from sigmaample.numpoly import (
     binomial_coefficients,
     cauchy_bound,
     exists_common_positive,
-    from_binomial_coefficients,
-    is_integer_valued,
 )
+
+
+def from_binomial_coefficients(bs) -> NumericalPolynomial:
+    out = NumericalPolynomial(())
+    for i, b in enumerate(bs):
+        out = out + Fraction(b) * binomial_basis(i)
+    return out
+
+
+def is_integer_valued(p: NumericalPolynomial) -> bool:
+    """True iff p maps every integer to an integer: every binomial-basis
+    coefficient (the finite-difference table at 0) is an integer."""
+    return all(b.denominator == 1 for b in binomial_coefficients(p))
 
 
 def test_binomial_basis_small_cases():
