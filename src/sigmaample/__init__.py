@@ -13,20 +13,12 @@ from .ampleness import (
 )
 from .engine import (
     Classification,
-    ExponentialGrowth,
     GKProfile,
     GrowthReport,
-    NonQuasiUnipotentClass,
-    NoReason,
-    PolynomialGrowth,
-    QuasiUnipotentClass,
-    SigmaAmpleNo,
     SigmaAmpleVerdict,
-    SigmaAmpleYes,
     classify,
     delta_symbolic,
     euler_char_series,
-    gk_dimension,
     gk_profile,
     growth_report,
     is_sigma_ample,

@@ -171,18 +171,18 @@ def is_ample_symbolic(
     return exists_common_positive(symbolic_constraints(oracle, family))
 
 
-def oracle_report(name: str, oracle: AmplenessOracle, rank: int) -> ValidationReport:
+def oracle_report(oracle: AmplenessOracle, rank: int) -> ValidationReport:
     """Sanity report: rank agreement plus the oracle's own invariants.
 
     Construction already enforces the invariants, so the checks here mostly
     re-state them for file-level validation output.
     """
     checks = [CheckResult("rank", oracle.rank == rank, f"oracle rank {oracle.rank}")]
-    return ValidationReport(name, tuple(checks + oracle.invariant_checks()))
+    return ValidationReport(tuple(checks + oracle.invariant_checks()))
 
 
 def action_stability_report(
-    name: str, oracle: AmplenessOracle, action: AutomorphismAction
+    oracle: AmplenessOracle, action: AutomorphismAction
 ) -> ValidationReport:
     """Does the action preserve the oracle's ample cone?
 
@@ -190,4 +190,4 @@ def action_stability_report(
     the action (up to positive scaling). For a surface positive cone the
     reference class must stay ample and the obstruction set must be permuted.
     """
-    return ValidationReport(f"{name}/{action.name}", tuple(oracle.stability_checks(action)))
+    return ValidationReport(tuple(oracle.stability_checks(action)))

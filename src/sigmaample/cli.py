@@ -105,7 +105,7 @@ def cmd_validate(args) -> tuple[dict, int]:
     oracles = []
     stability = []
     for name, oracle in sf.oracles.items():
-        report = oracle_report(name, oracle, sf.scheme.rank)
+        report = oracle_report(oracle, sf.scheme.rank)
         oracles.append(
             {
                 "name": name,
@@ -116,7 +116,7 @@ def cmd_validate(args) -> tuple[dict, int]:
         for aname, action in sf.automorphisms.items():
             if not reports[aname].valid:
                 continue
-            sreport = action_stability_report(name, oracle, action)
+            sreport = action_stability_report(oracle, action)
             stability.append(
                 {
                     "oracle": name,
@@ -175,7 +175,7 @@ def cmd_classify(args) -> tuple[dict, int]:
                 "text": poly.format(),
             },
         }
-        cls = engine.classify(action, args.eps)
+        cls = engine.classify(action.matrix, args.eps)
         result["quasi_unipotent"] = cls.quasi_unipotent
         if cls.quasi_unipotent:
             result["unipotent_power"] = cls.unipotent_power
@@ -229,7 +229,7 @@ def cmd_sigma_ample(args) -> tuple[dict, int]:
         if verdict.sigma_ample:
             result["witness"] = verdict.witness
         else:
-            result["reason"] = verdict.reason.value
+            result["reason"] = verdict.reason
         if verdict.unipotent_power is not None:
             result["unipotent_power"] = verdict.unipotent_power
             result["reduction"] = _reduction_trace(verdict.family)
@@ -317,7 +317,7 @@ def cmd_growth(args) -> tuple[dict, int]:
             sf.scheme, sf.action(aname), oracle, sf.divisor(dname), args.mmax, args.eps
         )
         result: dict = {"action": aname, "divisor": dname, "mmax": args.mmax}
-        if isinstance(report, engine.PolynomialGrowth):
+        if report.gk_dimension is not None:
             result["kind"] = "polynomial"
             result["gk_dimension"] = report.gk_dimension
             result["hilbert_degree"] = report.hilbert_degree

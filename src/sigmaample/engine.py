@@ -19,11 +19,9 @@ characteristic sequence at the rate of the spectral radius.
 """
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Union
 
 from .ampleness import AmplenessOracle, is_ample, is_ample_symbolic
 from .errors import (
@@ -53,52 +51,42 @@ from .record import Record
 DEFAULT_EPS = Fraction(1, 1000)
 
 
-class QuasiUnipotentClass(Record):
-    """Classification of an action whose eigenvalues are all roots of unity:
-    the minimal q with action^q unipotent, and the least k with
-    (action^q - I)^(k+1) = 0."""
+class Classification(Record):
+    """Classification of an action. When every eigenvalue is a root of unity
+    (quasi-unipotent), the minimal q with action^q unipotent and the least k
+    with (action^q - I)^(k+1) = 0, and radius is None. Otherwise both are
+    None and radius encloses the spectral radius with lower end above 1."""
 
-    __slots__ = ("unipotent_power", "jordan_index")
+    __slots__ = ("unipotent_power", "jordan_index", "radius")
 
-    def __init__(self, unipotent_power: int, jordan_index: int) -> None:
+    def __init__(
+        self,
+        unipotent_power: int | None,
+        jordan_index: int | None,
+        radius: RationalInterval | None,
+    ) -> None:
         object.__setattr__(self, "unipotent_power", unipotent_power)
         object.__setattr__(self, "jordan_index", jordan_index)
-
-    @property
-    def quasi_unipotent(self) -> bool:
-        return True
-
-
-class NonQuasiUnipotentClass(Record):
-    """Classification of an action with an eigenvalue off the unit circle:
-    an enclosure of the spectral radius with lower end above 1."""
-
-    __slots__ = ("radius",)
-
-    def __init__(self, radius: RationalInterval) -> None:
         object.__setattr__(self, "radius", radius)
 
     @property
     def quasi_unipotent(self) -> bool:
-        return False
+        return self.radius is None
 
 
-Classification = Union[QuasiUnipotentClass, NonQuasiUnipotentClass]
-
-
-class NoReason(enum.Enum):
-    NOT_QUASI_UNIPOTENT = "not-quasi-unipotent"
-    NO_AMPLE_PARTIAL_SUM = "no-ample-partial-sum"
-
-
-class SigmaAmpleYes(Record):
-    """The q used for the reduction, the minimal m with the reduced partial
-    sum ample, and the reduced partial sums as polynomials in m."""
+class SigmaAmpleVerdict(Record):
+    """The q used for the reduction and the reduced partial sums as
+    polynomials in m (None and () when the action is not quasi-unipotent),
+    and the minimal m with the reduced partial sum ample (None when no
+    partial sum is ample)."""
 
     __slots__ = ("unipotent_power", "witness", "family")
 
     def __init__(
-        self, unipotent_power: int, witness: int, family: tuple[NumericalPolynomial, ...]
+        self,
+        unipotent_power: int | None,
+        witness: int | None,
+        family: tuple[NumericalPolynomial, ...],
     ) -> None:
         object.__setattr__(self, "unipotent_power", unipotent_power)
         object.__setattr__(self, "witness", witness)
@@ -106,31 +94,16 @@ class SigmaAmpleYes(Record):
 
     @property
     def sigma_ample(self) -> bool:
-        return True
-
-
-class SigmaAmpleNo(Record):
-    """The reason, and, when the action is quasi-unipotent, q and the
-    reduced partial sums."""
-
-    __slots__ = ("reason", "unipotent_power", "family")
-
-    def __init__(
-        self,
-        reason: NoReason,
-        unipotent_power: int | None = None,
-        family: tuple[NumericalPolynomial, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "unipotent_power", unipotent_power)
-        object.__setattr__(self, "family", family)
+        return self.witness is not None
 
     @property
-    def sigma_ample(self) -> bool:
-        return False
-
-
-SigmaAmpleVerdict = Union[SigmaAmpleYes, SigmaAmpleNo]
+    def reason(self) -> str | None:
+        """Why the class is not sigma-ample, or None when it is."""
+        if self.witness is not None:
+            return None
+        if self.unipotent_power is None:
+            return "not-quasi-unipotent"
+        return "no-ample-partial-sum"
 
 
 class ComponentExpansion(Record):
@@ -161,29 +134,29 @@ class GKProfile(Record):
         return self.gk_dimension - 1
 
 
-class PolynomialGrowth(Record):
-    __slots__ = ("gk_dimension", "hilbert_degree")
+class GrowthReport(Record):
+    """GK dimension for a quasi-unipotent action (radius None, no ratios,
+    threshold_exceeded None). Otherwise gk_dimension is None and the report
+    carries the radius enclosure, the consecutive Euler-characteristic
+    ratios, and whether the partial-sum root statistic is above 1 + 1/1000."""
 
-    def __init__(self, gk_dimension: int, hilbert_degree: int) -> None:
-        object.__setattr__(self, "gk_dimension", gk_dimension)
-        object.__setattr__(self, "hilbert_degree", hilbert_degree)
-
-
-class ExponentialGrowth(Record):
-    """Radius enclosure, consecutive Euler-characteristic ratios, and whether
-    the partial-sum root statistic is above 1 + 1/1000."""
-
-    __slots__ = ("radius", "ratio_samples", "threshold_exceeded")
+    __slots__ = ("gk_dimension", "radius", "ratio_samples", "threshold_exceeded")
 
     def __init__(
-        self, radius: RationalInterval, ratio_samples: tuple[Fraction, ...], threshold_exceeded: bool
+        self,
+        gk_dimension: int | None,
+        radius: RationalInterval | None,
+        ratio_samples: tuple[Fraction, ...],
+        threshold_exceeded: bool | None,
     ) -> None:
+        object.__setattr__(self, "gk_dimension", gk_dimension)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "ratio_samples", ratio_samples)
         object.__setattr__(self, "threshold_exceeded", threshold_exceeded)
 
-
-GrowthReport = Union[PolynomialGrowth, ExponentialGrowth]
+    @property
+    def hilbert_degree(self) -> int | None:
+        return None if self.gk_dimension is None else self.gk_dimension - 1
 
 
 @lru_cache(maxsize=4096)
@@ -204,20 +177,19 @@ def require_valid(scheme: SchemeDescriptor, action: AutomorphismAction) -> None:
         )
 
 
-def classify(
-    action: AutomorphismAction | IntegerMatrix, eps: Fraction = DEFAULT_EPS
-) -> Classification:
+def classify(matrix: IntegerMatrix, eps: Fraction = DEFAULT_EPS) -> Classification:
     """Quasi-unipotent (with reduction power and Jordan index) or not (with a
     spectral-radius enclosure whose lower end exceeds 1)."""
-    matrix = action.matrix if isinstance(action, AutomorphismAction) else action
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     power = quasi_unipotence(matrix)
     if power is not None:
-        return QuasiUnipotentClass(power, nilpotency_index(mat_pow(matrix, power)))
-    eps = Fraction(eps)
+        return Classification(power, nilpotency_index(mat_pow(matrix, power)), None)
     while True:
         radius = spectral_radius(matrix, eps)
         if radius.lo > 1:
-            return NonQuasiUnipotentClass(radius)
+            return Classification(None, None, radius)
         # the radius is strictly above 1, so a tight enough enclosure shows it
         eps /= 4
 
@@ -283,17 +255,17 @@ def is_sigma_ample(
     require_valid(scheme, action)
     q = quasi_unipotence(action.matrix)
     if q is None:
-        return SigmaAmpleNo(NoReason.NOT_QUASI_UNIPOTENT)
+        return SigmaAmpleVerdict(None, None, ())
     reduced_matrix = mat_pow(action.matrix, q)
     reduced_divisor = partial_sum(action.matrix, divisor, q)
     family = delta_symbolic(reduced_matrix, reduced_divisor)
     witness = is_ample_symbolic(oracle, family)
     if witness is None:
-        return SigmaAmpleNo(NoReason.NO_AMPLE_PARTIAL_SUM, q, family)
+        return SigmaAmpleVerdict(q, None, family)
     concrete = partial_sum(reduced_matrix, reduced_divisor, witness)
     if not is_ample(oracle, concrete):
         raise AssertionError("symbolic witness failed the concrete ampleness check")
-    return SigmaAmpleYes(q, witness, family)
+    return SigmaAmpleVerdict(q, witness, family)
 
 
 def gk_profile(
@@ -342,15 +314,6 @@ def gk_profile(
     if best is None:
         raise NotAmple("partial-sum self-intersections all vanish; class cannot be ample")
     return GKProfile(best + 1, reduced_power, tuple(expansions))
-
-
-def gk_dimension(
-    scheme: SchemeDescriptor,
-    action: AutomorphismAction,
-    oracle: AmplenessOracle,
-    divisor: DivisorClass,
-) -> int:
-    return gk_profile(scheme, action, oracle, divisor).gk_dimension
 
 
 def euler_char_series(
@@ -409,19 +372,23 @@ def growth_report(
     exceeds 1 + 1/1000. The limit statement itself is asymptotic; only the
     finite statistic and the exact radius are claimed.
     """
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     require_valid(scheme, action)
     if not is_ample(oracle, divisor):
         raise NotAmple("growth reports are defined for ample divisor classes")
     if quasi_unipotence(action.matrix) is not None:
-        profile = gk_profile(scheme, action, oracle, divisor)
-        return PolynomialGrowth(profile.gk_dimension, profile.hilbert_degree)
-    radius = classify(action, eps).radius
+        gk = gk_profile(scheme, action, oracle, divisor).gk_dimension
+        return GrowthReport(gk, None, (), None)
+    radius = classify(action.matrix, eps).radius
     series = euler_char_series(scheme, action, divisor, m_max + 1)
     ratios = []
     for m in range(1, m_max + 1):
         if series[m - 1] == 0:
-            raise ArithmeticError(f"Euler characteristic vanished at m={m}")
+            raise ValueError(f"Euler characteristic vanished at m={m}")
         ratios.append(series[m] / series[m - 1])
     partial = sum(series[:m_max], Fraction(0))
     exceeded = partial > EXPONENTIAL_THRESHOLD**m_max
-    return ExponentialGrowth(radius, tuple(ratios), exceeded)
+    return GrowthReport(None, radius, tuple(ratios), exceeded)

@@ -100,9 +100,6 @@ class IntegerMatrix(Record):
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(tuple(zip(*self.rows)))
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.size))
-
     def determinant(self) -> int:
         """(-1)^n times the constant term of the characteristic polynomial."""
         return (-1) ** self.size * int(char_poly(self).coeffs[0])

@@ -263,10 +263,9 @@ class CheckResult(Record):
 
 
 class ValidationReport(Record):
-    __slots__ = ("subject", "checks")
+    __slots__ = ("checks",)
 
-    def __init__(self, subject: str, checks: tuple[CheckResult, ...]) -> None:
-        object.__setattr__(self, "subject", subject)
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
         object.__setattr__(self, "checks", checks)
 
     @property
@@ -299,7 +298,7 @@ def scheme_consistency_report(scheme: SchemeDescriptor) -> ValidationReport:
         )
     else:
         checks.append(CheckResult("euler_char_consistent", True, "nothing to compare"))
-    return ValidationReport("scheme", tuple(checks))
+    return ValidationReport(tuple(checks))
 
 
 def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> ValidationReport:
@@ -319,7 +318,7 @@ def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> Validation
                 f"matrix size {matrix.size} does not match lattice rank {scheme.rank}",
             )
         )
-        return ValidationReport(action.name, tuple(checks))
+        return ValidationReport(tuple(checks))
     checks.append(CheckResult("rank", True, f"matrix size {matrix.size}"))
 
     det = matrix.determinant()
@@ -345,4 +344,4 @@ def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> Validation
                     )
             else:
                 checks.append(CheckResult(name, True, "all basis tuples preserved"))
-    return ValidationReport(action.name, tuple(checks))
+    return ValidationReport(tuple(checks))

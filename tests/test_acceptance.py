@@ -164,7 +164,7 @@ def test_criterion_5_even_index_and_vanishing():
         for name in catalog_names():
             sf = catalog_entry(name)
             for action in sf.automorphisms.values():
-                cls = engine.classify(action)
+                cls = engine.classify(action.matrix)
                 if not cls.quasi_unipotent:
                     continue
                 if cls.jordan_index % 2 != 0:

@@ -139,7 +139,7 @@ def test_ample_cone_is_convex(entry):
 def test_ampleness_preserved_by_catalog_actions(entry):
     oracle = entry.oracle()
     for action in entry.automorphisms.values():
-        report = action_stability_report("ample", oracle, action)
+        report = action_stability_report(oracle, action)
         assert report.valid, report.failures
         for d in random_divisors(entry.scheme.rank, 40, seed=29):
             assert is_ample(oracle, d) == is_ample(oracle, apply(action, d))
@@ -151,5 +151,5 @@ def test_action_stability_detects_unstable_facets():
 
     cone = PolyhedralCone(2, ((1, 0), (0, 1)))
     rotate = AutomorphismAction("r", IntegerMatrix.from_rows([[0, -1], [1, 0]]))
-    report = action_stability_report("cone", cone, rotate)
+    report = action_stability_report(cone, rotate)
     assert not report.valid

@@ -90,10 +90,33 @@ def test_malformed_eps_is_parse_error(capsys, argv):
     assert "--eps" in capsys.readouterr().err
 
 
-def test_non_positive_eps_is_precondition_failure(capsys):
-    code, _, err = run(capsys, "classify", "wehler_k3", "--auto", "s1s2", "--eps", "0")
-    assert code == 4
-    assert "eps" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "wehler_k3", "--auto", "s1s2", "--eps", "0"],
+        # a quasi-unipotent action needs no radius, but the bound is still checked
+        ["classify", "wehler_k3", "--auto", "s1", "--eps", "0"],
+        ["growth", "abelian_square", "--auto", "shear", "--divisor", "D111", "--eps", "0"],
+    ],
+)
+def test_non_positive_eps_is_precondition_failure(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "error: eps must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "abelian_square", "--auto", "shear", "--divisor", "D111", "--mmax", "-3"],
+        ["growth", "wehler_k3", "--auto", "s1s2", "--divisor", "H1plusH2", "--mmax", "0"],
+        ["chi", "wehler_k3", "--auto", "id", "--divisor", "H1", "--mmax", "0"],
+    ],
+)
+def test_non_positive_mmax_is_precondition_failure(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "error: m_max must be >= 1\n"
 
 
 def test_sigma_ample_yes(capsys):
@@ -283,6 +306,21 @@ def test_gkdim_refuses_non_quasi_unipotent(capsys):
     )
     assert code == 4
     assert "quasi-unipotent" in err
+
+
+def test_growth_with_vanishing_euler_characteristic(tmp_path, capsys):
+    # a file validate accepts, whose chi at m=1 is (H1+H2)^2 / 2 - 6 = 0
+    doc = json.loads(serialize_scheme_file(catalog_entry("wehler_k3")))
+    doc["components"][0]["todd"][0] = [{"index": [], "value": "-6"}]
+    doc.pop("euler_char")
+    path = tmp_path / "vanishing_chi.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "validate", str(path))[0] == 0
+    code, out, err = run(
+        capsys, "growth", str(path), "--auto", "s1s2", "--divisor", "H1plusH2"
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: Euler characteristic vanished at m=1\n"
 
 
 def test_chi_without_todd_data(tmp_path, capsys):

@@ -23,15 +23,16 @@ from conftest import power_symbolic, random_divisors, unimodular_matrices
 
 
 def test_classify_identity(wehler):
-    cls = engine.classify(wehler.action("id"))
+    cls = engine.classify(wehler.action("id").matrix)
     assert cls.quasi_unipotent
     assert cls.unipotent_power == 1
     assert cls.jordan_index == 0
 
 
 def test_classify_wehler_composite(wehler):
-    cls = engine.classify(wehler.action("s1s2"))
+    cls = engine.classify(wehler.action("s1s2").matrix)
     assert not cls.quasi_unipotent
+    assert (cls.unipotent_power, cls.jordan_index) == (None, None)
     assert cls.radius.lo > 1
     assert cls.radius.width <= Fraction(1, 1000)
     # encloses 7 + 4 sqrt(3)
@@ -40,14 +41,14 @@ def test_classify_wehler_composite(wehler):
 
 
 def test_classify_shear(abelian):
-    cls = engine.classify(abelian.action("shear"))
+    cls = engine.classify(abelian.action("shear").matrix)
     assert cls.quasi_unipotent
     assert cls.unipotent_power == 1
     assert cls.jordan_index == 2
 
 
 def test_classify_swap(abelian):
-    cls = engine.classify(abelian.action("swap"))
+    cls = engine.classify(abelian.action("swap").matrix)
     assert (cls.unipotent_power, cls.jordan_index) == (2, 0)
 
 
@@ -101,6 +102,7 @@ def test_sigma_ample_involution(wehler):
     assert verdict.sigma_ample
     assert verdict.unipotent_power == 2
     assert verdict.witness == 1
+    assert verdict.reason is None
 
 
 def test_sigma_ample_fails_for_composite(wehler):
@@ -108,7 +110,7 @@ def test_sigma_ample_fails_for_composite(wehler):
         wehler.scheme, wehler.action("s1s2"), wehler.oracle(), wehler.divisor("H1")
     )
     assert not verdict.sigma_ample
-    assert verdict.reason is engine.NoReason.NOT_QUASI_UNIPOTENT
+    assert verdict.reason == "not-quasi-unipotent"
 
 
 def test_sigma_ample_negative_class(wehler):
@@ -116,7 +118,7 @@ def test_sigma_ample_negative_class(wehler):
         wehler.scheme, wehler.action("id"), wehler.oracle(), wehler.divisor("minusH1")
     )
     assert not verdict.sigma_ample
-    assert verdict.reason is engine.NoReason.NO_AMPLE_PARTIAL_SUM
+    assert verdict.reason == "no-ample-partial-sum"
 
 
 def test_sigma_ample_zero_class(wehler):
@@ -124,7 +126,7 @@ def test_sigma_ample_zero_class(wehler):
         wehler.scheme, wehler.action("id"), wehler.oracle(), DivisorClass.zero(2)
     )
     assert not verdict.sigma_ample
-    assert verdict.reason is engine.NoReason.NO_AMPLE_PARTIAL_SUM
+    assert verdict.reason == "no-ample-partial-sum"
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,9 +161,9 @@ def test_verdict_family_is_the_reduced_partial_sums(data):
 def test_gk_dimension_rank_one_models():
     from sigmaample.catalog import catalog_entry
 
-    assert engine.gk_dimension(*_std(catalog_entry("p2"))) == 3
-    assert engine.gk_dimension(*_std(catalog_entry("p1"))) == 2
-    assert engine.gk_dimension(*_std(catalog_entry("pn"))) == 4
+    assert engine.gk_profile(*_std(catalog_entry("p2"))).gk_dimension == 3
+    assert engine.gk_profile(*_std(catalog_entry("p1"))).gk_dimension == 2
+    assert engine.gk_profile(*_std(catalog_entry("pn"))).gk_dimension == 4
 
 
 def _std(sf):
@@ -169,9 +171,9 @@ def _std(sf):
 
 
 def test_gk_dimension_wehler_involution(wehler):
-    gk = engine.gk_dimension(
+    gk = engine.gk_profile(
         wehler.scheme, wehler.action("s1"), wehler.oracle(), wehler.divisor("H1")
-    )
+    ).gk_dimension
     assert gk == 3
 
 
@@ -187,18 +189,18 @@ def test_gk_profile_abelian_shear(abelian):
 
 def test_gk_requires_quasi_unipotent(wehler):
     with pytest.raises(NotQuasiUnipotent):
-        engine.gk_dimension(
+        engine.gk_profile(
             wehler.scheme, wehler.action("s1s2"), wehler.oracle(), wehler.divisor("H1")
         )
 
 
 def test_gk_rejects_hopeless_class(wehler):
     with pytest.raises(NotAmple):
-        engine.gk_dimension(
+        engine.gk_profile(
             wehler.scheme, wehler.action("id"), wehler.oracle(), wehler.divisor("minusH1")
         )
     with pytest.raises(NotAmple):
-        engine.gk_dimension(
+        engine.gk_profile(
             wehler.scheme, wehler.action("id"), wehler.oracle(), DivisorClass.zero(2)
         )
 
@@ -209,9 +211,9 @@ def test_gk_accepts_sigma_ample_but_not_ample_class(abelian):
         abelian.scheme, abelian.action("shear"), abelian.oracle(), abelian.divisor("fiber1")
     )
     assert verdict.sigma_ample
-    gk = engine.gk_dimension(
+    gk = engine.gk_profile(
         abelian.scheme, abelian.action("shear"), abelian.oracle(), abelian.divisor("fiber1")
-    )
+    ).gk_dimension
     assert gk == 5
 
 
@@ -303,7 +305,7 @@ def test_growth_polynomial_branch(wehler):
     report = engine.growth_report(
         wehler.scheme, wehler.action("s1"), wehler.oracle(), wehler.divisor("H1")
     )
-    assert isinstance(report, engine.PolynomialGrowth)
+    assert report.radius is None
     assert report.gk_dimension == 3
     assert report.hilbert_degree == 2
 
@@ -313,7 +315,7 @@ def test_growth_p2_identity():
 
     p2 = catalog_entry("p2")
     report = engine.growth_report(*_std(p2))
-    assert report == engine.PolynomialGrowth(3, 2)
+    assert report == engine.GrowthReport(3, None, (), None)
 
 
 def test_growth_exponential_branch(wehler):
@@ -324,7 +326,7 @@ def test_growth_exponential_branch(wehler):
         wehler.divisor("H1plusH2"),
         m_max=12,
     )
-    assert isinstance(report, engine.ExponentialGrowth)
+    assert (report.gk_dimension, report.hilbert_degree) == (None, None)
     assert len(report.ratio_samples) == 12
     assert report.threshold_exceeded
     # consecutive ratios approach the spectral radius
@@ -345,7 +347,7 @@ def test_growth_reduces_a_quasi_unipotent_action_once(abelian, monkeypatch):
     report = engine.growth_report(
         abelian.scheme, abelian.action("shear"), abelian.oracle(), abelian.divisor("D111")
     )
-    assert report == engine.PolynomialGrowth(5, 4)
+    assert report == engine.GrowthReport(5, None, (), None)
     assert calls == {"mat_pow": 1, "nilpotency_index": 1}
 
 
@@ -434,4 +436,4 @@ def test_multi_component_chi_sums_components():
     # (1 + m) from the curve plus (1 + m + m^2) from the surface
     assert series == [m * m + 2 * m + 2 for m in range(1, 5)]
     report = engine.growth_report(scheme, ident, oracle, DivisorClass.of(1, 1))
-    assert report == engine.PolynomialGrowth(3, 2)
+    assert report == engine.GrowthReport(3, None, (), None)

@@ -28,7 +28,7 @@ def _entries():
 def _qu_actions(sf):
     out = []
     for action in sf.automorphisms.values():
-        cls = engine.classify(action)
+        cls = engine.classify(action.matrix)
         if cls.quasi_unipotent:
             out.append((action, cls))
     return out
@@ -66,7 +66,7 @@ def test_gk_dimension_independent_of_ample_class():
         ][:6]
         for action, _ in _qu_actions(sf):
             dims = {
-                engine.gk_dimension(sf.scheme, action, oracle, d) for d in candidates
+                engine.gk_profile(sf.scheme, action, oracle, d).gk_dimension for d in candidates
             }
             assert len(dims) <= 1, (action.name, dims)
 
@@ -83,7 +83,7 @@ def test_gk_dimension_bounds_on_equidimensional_catalog():
         )
         for action, cls in _qu_actions(sf):
             k = cls.jordan_index
-            gk = engine.gk_dimension(sf.scheme, action, oracle, ample)
+            gk = engine.gk_profile(sf.scheme, action, oracle, ample).gk_dimension
             assert k + n + 1 <= gk <= k * (n - 1) + n + 1, (action.name, k, gk)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import sigmaample.cli  # noqa: F401  (defines every value type)
-from sigmaample.engine import NoReason, SigmaAmpleNo
+from sigmaample.engine import SigmaAmpleVerdict
 from sigmaample.intmat import IntegerMatrix, quasi_unipotence
 from sigmaample.intpoly import RationalInterval
 from sigmaample.lattice import AutomorphismAction, DivisorClass, SymmetricForm
@@ -28,8 +28,8 @@ def test_equality_and_hash_follow_the_fields():
     assert a != SymmetricForm.from_dict(2, 2, {(0, 1): 2})
     # the same field values in another class are not equal
     assert DivisorClass.of(1) != NumericalPolynomial.of(1)
-    assert SigmaAmpleNo(NoReason.NOT_QUASI_UNIPOTENT) == SigmaAmpleNo(
-        reason=NoReason.NOT_QUASI_UNIPOTENT, unipotent_power=None, family=()
+    assert SigmaAmpleVerdict(None, None, ()) == SigmaAmpleVerdict(
+        unipotent_power=None, witness=None, family=()
     )
 
 
