@@ -38,11 +38,13 @@ from .errors import (
 )
 from .intmat import (
     IntegerMatrix,
+    UnipotentReduction,
     char_poly,
     mat_pow,
     nilpotency_index,
     quasi_unipotence,
     spectral_radius,
+    unipotent_reduction,
 )
 from .intpoly import RationalInterval
 from .lattice import (

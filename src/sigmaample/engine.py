@@ -29,20 +29,19 @@ from .errors import (
     MissingToddData,
     NotAmple,
     NotQuasiUnipotent,
+    RankMismatch,
 )
 from .intmat import (
     IntegerMatrix,
-    mat_pow,
     nilpotency_index,
-    quasi_unipotence,
     spectral_radius,
+    unipotent_reduction,
 )
 from .intpoly import RationalInterval
 from .lattice import (
     AutomorphismAction,
     DivisorClass,
     SchemeDescriptor,
-    apply,
     validate,
 )
 from .numpoly import ZERO, NumericalPolynomial, binomial_basis
@@ -183,9 +182,9 @@ def classify(matrix: IntegerMatrix, eps: Fraction = DEFAULT_EPS) -> Classificati
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    power = quasi_unipotence(matrix)
-    if power is not None:
-        return Classification(power, nilpotency_index(mat_pow(matrix, power)), None)
+    reduction = unipotent_reduction(matrix)
+    if reduction is not None:
+        return Classification(reduction.power, reduction.jordan_index, None)
     while True:
         radius = spectral_radius(matrix, eps)
         if radius.lo > 1:
@@ -194,13 +193,30 @@ def classify(matrix: IntegerMatrix, eps: Fraction = DEFAULT_EPS) -> Classificati
         eps /= 4
 
 
+def _numerators(divisor: DivisorClass) -> tuple[int, tuple[int, ...]]:
+    """The common denominator of the coordinates and their numerators over it."""
+    denom = lcm(*(c.denominator for c in divisor.coords))
+    return denom, tuple(c.numerator * (denom // c.denominator) for c in divisor.coords)
+
+
 def nilpotent_steps(matrix: IntegerMatrix, divisor: DivisorClass) -> list[DivisorClass]:
     """[N^0 D, ..., N^k D] for unipotent matrix with nilpotent part N."""
-    k = nilpotency_index(matrix)
-    nil = matrix - IntegerMatrix.identity(matrix.size)
+    return _nilpotent_steps(matrix, nilpotency_index(matrix), divisor)
+
+
+def _nilpotent_steps(
+    unipotent: IntegerMatrix, k: int, divisor: DivisorClass
+) -> list[DivisorClass]:
+    """N^0 D .. N^k D, iterated on integer numerators over the common
+    denominator of D (N v = M v - v keeps that denominator)."""
+    denom, current = _numerators(divisor)
     steps = [divisor]
     for _ in range(k):
-        steps.append(DivisorClass(nil.column_action(steps[-1].coords)))
+        current = tuple(
+            sum(a * x for a, x in zip(row, current)) - current[i]
+            for i, row in enumerate(unipotent.rows)
+        )
+        steps.append(DivisorClass(tuple(Fraction(c, denom) for c in current)))
     return steps
 
 
@@ -212,8 +228,14 @@ def delta_symbolic(
     Requires a unipotent matrix; evaluating at any integer m >= 0 agrees with
     the directly accumulated sum D + PD + ... + P^(m-1)D.
     """
+    return _delta_symbolic(matrix, nilpotency_index(matrix), divisor)
+
+
+def _delta_symbolic(
+    unipotent: IntegerMatrix, k: int, divisor: DivisorClass
+) -> tuple[NumericalPolynomial, ...]:
     out = [ZERO] * divisor.rank
-    for i, step in enumerate(nilpotent_steps(matrix, divisor)):
+    for i, step in enumerate(_nilpotent_steps(unipotent, k, divisor)):
         basis = binomial_basis(i + 1)
         for coord, c in enumerate(step.coords):
             if c:
@@ -229,8 +251,7 @@ def partial_sum(matrix: IntegerMatrix, divisor: DivisorClass, m: int) -> Divisor
     """
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
-    denom = lcm(*(c.denominator for c in divisor.coords))
-    current = tuple(c.numerator * (denom // c.denominator) for c in divisor.coords)
+    denom, current = _numerators(divisor)
     total = (0,) * divisor.rank
     for _ in range(m):
         total = tuple(a + b for a, b in zip(total, current))
@@ -253,16 +274,16 @@ def is_sigma_ample(
     the existence verdict transfers exactly.
     """
     require_valid(scheme, action)
-    q = quasi_unipotence(action.matrix)
-    if q is None:
+    reduction = unipotent_reduction(action.matrix)
+    if reduction is None:
         return SigmaAmpleVerdict(None, None, ())
-    reduced_matrix = mat_pow(action.matrix, q)
+    q = reduction.power
     reduced_divisor = partial_sum(action.matrix, divisor, q)
-    family = delta_symbolic(reduced_matrix, reduced_divisor)
+    family = _delta_symbolic(reduction.matrix, reduction.jordan_index, reduced_divisor)
     witness = is_ample_symbolic(oracle, family)
     if witness is None:
         return SigmaAmpleVerdict(q, None, family)
-    concrete = partial_sum(reduced_matrix, reduced_divisor, witness)
+    concrete = partial_sum(reduction.matrix, reduced_divisor, witness)
     if not is_ample(oracle, concrete):
         raise AssertionError("symbolic witness failed the concrete ampleness check")
     return SigmaAmpleVerdict(q, witness, family)
@@ -286,12 +307,13 @@ def gk_profile(
     components.
     """
     require_valid(scheme, action)
-    q = quasi_unipotence(action.matrix)
-    if q is None:
+    reduction = unipotent_reduction(action.matrix)
+    if reduction is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
     if is_ample(oracle, divisor):
-        reduced_power = q
-        family = delta_symbolic(mat_pow(action.matrix, q), partial_sum(action.matrix, divisor, q))
+        reduced_power = reduction.power
+        reduced_divisor = partial_sum(action.matrix, divisor, reduced_power)
+        family = _delta_symbolic(reduction.matrix, reduction.jordan_index, reduced_divisor)
     else:
         verdict = is_sigma_ample(scheme, action, oracle, divisor)
         if not verdict.sigma_ample:
@@ -299,7 +321,7 @@ def gk_profile(
                 "divisor is neither ample nor sigma-ample; no growth data exists"
             )
         w = verdict.witness
-        reduced_power = q * w
+        reduced_power = reduction.power * w
         family = tuple(
             NumericalPolynomial(tuple(c * w**i for i, c in enumerate(p.coeffs)))
             for p in verdict.family
@@ -326,6 +348,9 @@ def euler_char_series(
 
     Computed from the Todd functionals: chi = sum over components and j of
     T_j(Delta_m, ..., Delta_m) / j!. Every component must carry Todd data.
+    The partial sums run over integer numerators, as in ``partial_sum``;
+    with d their common denominator, T_j(Delta_m, ...) is T_j of the
+    numerators over d^j.
     """
     require_valid(scheme, action)
     if m_max < 1:
@@ -337,17 +362,19 @@ def euler_char_series(
     factorial = [1]
     for j in range(1, scheme.dim + 1):
         factorial.append(factorial[-1] * j)
-    total = DivisorClass.zero(divisor.rank)
-    current = divisor
+    if divisor.rank != action.matrix.size:
+        raise RankMismatch(f"rank {divisor.rank} vs matrix size {action.matrix.size}")
+    denom, current = _numerators(divisor)
+    total = (0,) * divisor.rank
     for _ in range(m_max):
-        total = total + current
-        current = apply(action, current)
+        total = tuple(a + b for a, b in zip(total, current))
+        current = action.matrix.column_action(current)
         chi = Fraction(0)
         for comp in scheme.components:
             for j, form in enumerate(comp.todd):
-                value = form.evaluate([total.coords] * j)
+                value = form.evaluate([total] * j)
                 if value:
-                    chi += value / factorial[j]
+                    chi += value / (factorial[j] * denom**j)
         out.append(chi)
     return out
 
@@ -379,7 +406,7 @@ def growth_report(
     require_valid(scheme, action)
     if not is_ample(oracle, divisor):
         raise NotAmple("growth reports are defined for ample divisor classes")
-    if quasi_unipotence(action.matrix) is not None:
+    if unipotent_reduction(action.matrix) is not None:
         gk = gk_profile(scheme, action, oracle, divisor).gk_dimension
         return GrowthReport(gk, None, (), None)
     radius = classify(action.matrix, eps).radius

@@ -9,7 +9,9 @@ so no matrix is raised to a large power. Spectral radii come from integer
 Sturm isolation on the characteristic polynomial of the Kronecker square
 M (x) M, whose real roots include every squared eigenvalue modulus; that
 polynomial is built from the power sums of M by Newton's identities, never
-from the n^2 x n^2 matrix itself.
+from the n^2 x n^2 matrix itself. The characteristic polynomial and the
+reduction of a quasi-unipotent matrix to its unipotent power (q, M^q and the
+Jordan index of M^q) are each computed once per matrix in a process.
 """
 from __future__ import annotations
 
@@ -78,7 +80,6 @@ class IntegerMatrix(Record):
 
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_size(other)
-        n = self.size
         cols = tuple(zip(*other.rows))
         return IntegerMatrix(
             tuple(
@@ -141,10 +142,13 @@ def mat_pow(matrix: IntegerMatrix, exponent: int) -> IntegerMatrix:
     return result
 
 
+@lru_cache(maxsize=4096)
 def char_poly(matrix: IntegerMatrix) -> NumericalPolynomial:
     """Characteristic polynomial det(xI - M) by the Berkowitz recursion.
 
-    Division-free: every intermediate value is an integer.
+    Division-free: every intermediate value is an integer. Computed once per
+    matrix in a process; the determinant, the inverse, quasi-unipotence and
+    the spectral radius all read it.
     """
     n = matrix.size
     a = matrix.rows
@@ -197,11 +201,6 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
     return tuple(cs)
 
 
-def _is_unipotent(matrix: IntegerMatrix) -> bool:
-    n = matrix.size
-    return mat_pow(matrix - IntegerMatrix.identity(n), n).is_zero
-
-
 @lru_cache(maxsize=4096)
 def quasi_unipotence(matrix: IntegerMatrix) -> int | None:
     """Minimal q >= 1 with matrix^q unipotent, or None when no power is.
@@ -212,7 +211,7 @@ def quasi_unipotence(matrix: IntegerMatrix) -> int | None:
     divided out as often as it divides; the quotient reaches 1 iff every
     eigenvalue is a root of unity, and q is then the lcm of the orders m
     found, since M^d is unipotent iff lambda^d = 1 for every eigenvalue.
-    (M^q - I)^rank = 0 is checked before q is returned. Requires
+    ``unipotent_reduction`` checks that M^q is unipotent. Requires
     determinant +-1.
     """
     n = matrix.size
@@ -230,11 +229,7 @@ def quasi_unipotence(matrix: IntegerMatrix) -> int | None:
         while quotient is not None:
             rest, q = quotient, lcm(q, m)
             quotient = _divide_exact(rest, _cyclotomic(m))
-    if len(rest) > 1:
-        return None
-    if not _is_unipotent(mat_pow(matrix, q)):
-        raise AssertionError(f"cyclotomic characteristic polynomial but M^{q} is not unipotent")
-    return q
+    return None if len(rest) > 1 else q
 
 
 def nilpotency_index(matrix: IntegerMatrix) -> int:
@@ -247,6 +242,36 @@ def nilpotency_index(matrix: IntegerMatrix) -> int:
         if power.is_zero:
             return k
     raise NotUnipotent("matrix is not unipotent")
+
+
+class UnipotentReduction(Record):
+    """The minimal q >= 1 with M^q unipotent, the unipotent power M^q, and
+    its Jordan index: the least k with (M^q - I)^(k+1) = 0."""
+
+    __slots__ = ("power", "matrix", "jordan_index")
+
+    def __init__(self, power: int, matrix: IntegerMatrix, jordan_index: int) -> None:
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "jordan_index", jordan_index)
+
+
+@lru_cache(maxsize=4096)
+def unipotent_reduction(matrix: IntegerMatrix) -> UnipotentReduction | None:
+    """The reduction of a quasi-unipotent matrix to its unipotent power, or
+    None when no power is unipotent. Computed once per matrix in a process;
+    finding the Jordan index proves M^q unipotent."""
+    q = quasi_unipotence(matrix)
+    if q is None:
+        return None
+    reduced = mat_pow(matrix, q)
+    try:
+        k = nilpotency_index(reduced)
+    except NotUnipotent:
+        raise AssertionError(
+            f"cyclotomic characteristic polynomial but M^{q} is not unipotent"
+        ) from None
+    return UnipotentReduction(q, reduced, k)
 
 
 def _kronecker_square_char_poly(coeffs: list[int]) -> list[int]:

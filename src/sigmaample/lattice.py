@@ -6,6 +6,11 @@ Conventions fixed once and used everywhere: matrices act on column coordinate
 vectors of divisor classes, so the m-th power image of D has coordinates
 ``matrix^m * coords(D)``. Symmetric tensors are stored as value tables keyed
 by non-decreasing basis multi-indices; symmetry makes that table complete.
+Each form also expands its nonzero entries once into their distinct index
+orderings, with integral values held as ``int``, so evaluation is a flat walk
+of that list. Validation evaluates the forms on the integer columns of the
+matrix (the images of the basis vectors), so an integral form is checked in
+integer arithmetic throughout.
 """
 from __future__ import annotations
 
@@ -75,7 +80,7 @@ class SymmetricForm(Record):
     by the empty tuple.
     """
 
-    __slots__ = ("rank", "arity", "values", "_table")
+    __slots__ = ("rank", "arity", "values", "_table", "_terms")
 
     def __init__(
         self, rank: int, arity: int, values: tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -103,6 +108,15 @@ class SymmetricForm(Record):
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "values", tuple(normalized))
         object.__setattr__(self, "_table", dict(normalized))
+        object.__setattr__(
+            self,
+            "_terms",
+            tuple(
+                (order, value.numerator if value.denominator == 1 else value)
+                for index, value in normalized
+                for order in sorted(set(permutations(index)))
+            ),
+        )
 
     @classmethod
     def from_dict(cls, rank: int, arity: int, table: Mapping) -> "SymmetricForm":
@@ -122,10 +136,11 @@ class SymmetricForm(Record):
     def evaluate(self, vectors: Sequence[Sequence]):
         """Multilinear evaluation on ``arity`` coordinate vectors.
 
-        Walks the stored entries only, each over its distinct orderings.
-        Coordinates may be rationals or ``NumericalPolynomial``s; the result
-        has the type of their products (``Fraction(0)`` when nothing
-        survives).
+        Walks the nonzero entries only, each over its distinct orderings.
+        Coordinates may be ints, Fractions or ``NumericalPolynomial``s. The
+        result is a ``Fraction`` for rational coordinates (also when every
+        product was an ``int``) and a ``NumericalPolynomial`` for polynomial
+        ones unless nothing survives, which gives ``Fraction(0)``.
         """
         if len(vectors) != self.arity:
             raise RankMismatch(
@@ -134,17 +149,16 @@ class SymmetricForm(Record):
         for v in vectors:
             if len(v) != self.rank:
                 raise RankMismatch(f"vector length {len(v)} vs rank {self.rank}")
-        total = Fraction(0)
-        for index, value in self.values:
-            for order in set(permutations(index)):
-                term = value
-                for v, i in zip(vectors, order):
-                    term = term * v[i]
-                    if not term:
-                        break
-                else:
-                    total = total + term
-        return total
+        total = 0
+        for order, value in self._terms:
+            term = value
+            for v, i in zip(vectors, order):
+                term = v[i] * term
+                if not term:
+                    break
+            else:
+                total = term + total
+        return Fraction(total) if type(total) is int else total
 
 
 class ComponentDescriptor(Record):
@@ -277,10 +291,6 @@ class ValidationReport(Record):
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _basis_vector(rank: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if j == i else 0) for j in range(rank))
-
-
 def scheme_consistency_report(scheme: SchemeDescriptor) -> ValidationReport:
     """Scheme-level sanity: the declared Euler characteristic, when present,
     must equal the sum of the components' constant Todd terms."""
@@ -324,7 +334,7 @@ def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> Validation
     det = matrix.determinant()
     checks.append(CheckResult("unimodular", det in (1, -1), f"det={det}"))
 
-    images = [matrix.column_action(_basis_vector(scheme.rank, i)) for i in range(scheme.rank)]
+    columns = tuple(zip(*matrix.rows))
     for comp in scheme.components:
         forms = [("top_form", comp.top_form)]
         if action.todd_invariant and comp.todd is not None:
@@ -333,7 +343,7 @@ def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> Validation
             bad = []
             for index in combinations_with_replacement(range(scheme.rank), form.arity):
                 expected = form.value_at(index)
-                got = form.evaluate([images[i] for i in index])
+                got = form.evaluate([columns[i] for i in index])
                 if got != expected:
                     bad.append((index, expected, got))
             name = f"{label}_invariance:{comp.name}"

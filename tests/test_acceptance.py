@@ -14,7 +14,7 @@ from sigmaample import engine
 from sigmaample.ampleness import is_ample, is_nef
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.cli import main
-from sigmaample.intmat import mat_pow
+from sigmaample.intmat import mat_pow, quasi_unipotence
 from sigmaample.lattice import AutomorphismAction, DivisorClass, apply, validate
 
 from conftest import random_divisors
@@ -261,7 +261,7 @@ def test_criterion_8_symbolic_direct_agreement():
         for name in catalog_names():
             sf = catalog_entry(name)
             for action in sf.automorphisms.values():
-                q = engine.quasi_unipotence(action.matrix)
+                q = quasi_unipotence(action.matrix)
                 if q is None:
                     continue  # symbolic form requires the unipotent reduction
                 unipotent = mat_pow(action.matrix, q)

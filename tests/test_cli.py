@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sigmaample
+from sigmaample import engine, intmat
 from sigmaample.cli import main
 from sigmaample.schemefile import serialize_scheme_file
 from sigmaample.catalog import catalog_entry
@@ -469,3 +470,18 @@ def test_no_package_module_imports_dataclasses():
     package = Path(sigmaample.__file__).parent
     pattern = re.compile(r"^\s*(from|import)\s+dataclasses\b", re.MULTILINE)
     assert [p.name for p in sorted(package.glob("*.py")) if pattern.search(p.read_text())] == []
+
+
+def test_classify_computes_each_characteristic_polynomial_once(capsys):
+    for cache in (
+        intmat.char_poly,
+        intmat.quasi_unipotence,
+        intmat.unipotent_reduction,
+        engine._first_validation_failure,
+    ):
+        cache.cache_clear()
+    assert main(["classify", "wehler_k3", "--auto", "s1s2"]) == 0
+    info = intmat.char_poly.cache_info()
+    # one Berkowitz run per action of the file (validation), then the
+    # printed polynomial, quasi-unipotence and the spectral radius read it
+    assert (info.misses, info.hits) == (4, 3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmaample import engine
+from sigmaample import engine, intmat
 from sigmaample.ampleness import is_ample
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import MissingToddData, NotAmple, NotQuasiUnipotent, NotUnipotent
@@ -335,20 +335,41 @@ def test_growth_exponential_branch(wehler):
     assert abs(last - target) <= Fraction(2, 100) * target
 
 
-def test_growth_reduces_a_quasi_unipotent_action_once(abelian, monkeypatch):
+def _count_reduction_work(monkeypatch):
+    """Clear the reduction cache and count the matrix powers and Jordan-index
+    computations made from here on, wherever they are called from."""
+    intmat.unipotent_reduction.cache_clear()
     calls = {"mat_pow": 0, "nilpotency_index": 0}
     for name in calls:
 
-        def counted(*args, _name=name, _original=getattr(engine, name)):
+        def counted(*args, _name=name, _original=getattr(intmat, name)):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(engine, name, counted)
+        for module in (intmat, engine):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_growth_reduces_a_quasi_unipotent_action_once(abelian, monkeypatch):
+    calls = _count_reduction_work(monkeypatch)
     report = engine.growth_report(
         abelian.scheme, abelian.action("shear"), abelian.oracle(), abelian.divisor("D111")
     )
     assert report == engine.GrowthReport(5, None, (), None)
     assert calls == {"mat_pow": 1, "nilpotency_index": 1}
+
+
+def test_sigma_ample_batch_reduces_each_action_once(wehler, monkeypatch):
+    calls = _count_reduction_work(monkeypatch)
+    verdicts = [
+        engine.is_sigma_ample(wehler.scheme, wehler.action(a), wehler.oracle(), wehler.divisor(d))
+        for a in ("s1", "s2")
+        for d in ("H1", "H2", "H1plusH2", "minusH1")
+    ]
+    assert {v.unipotent_power for v in verdicts} == {2}
+    assert calls == {"mat_pow": 2, "nilpotency_index": 2}
 
 
 def test_growth_requires_ample(wehler):

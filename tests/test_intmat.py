@@ -9,12 +9,14 @@ from sigmaample.engine import classify
 from sigmaample.errors import NotInvertibleOverIntegers, NotUnipotent
 from sigmaample.intmat import (
     IntegerMatrix,
+    UnipotentReduction,
     _cyclotomic,
     char_poly,
     mat_pow,
     nilpotency_index,
     quasi_unipotence,
     spectral_radius,
+    unipotent_reduction,
 )
 from sigmaample.numpoly import NumericalPolynomial
 
@@ -236,9 +238,11 @@ def test_nilpotency_index_requires_unipotent():
 def test_nilpotency_index_matches_inverse_for_unipotent_powers(m):
     q = quasi_unipotence(m)
     if q is None:
+        assert unipotent_reduction(m) is None
         return
     u = mat_pow(m, q)
     assert nilpotency_index(u) == nilpotency_index(u.inverse_unimodular())
+    assert unipotent_reduction(m) == UnipotentReduction(q, u, nilpotency_index(u))
 
 
 # --- matrix powers ---------------------------------------------------------
