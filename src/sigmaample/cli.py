@@ -7,9 +7,20 @@ stdout, text by default or canonical JSON with --format structured;
 diagnostics go to stderr. Exit codes: 0 success, 2 parse or validation
 error, 3 unknown name, 4 precondition failure.
 
---auto and --divisor may be repeated; the cartesian batch of queries is
-evaluated serially and reported in input order. --jobs N is accepted for
-compatibility and has no effect.
+The query commands (classify, sigma-ample, gkdim, growth, chi) share one
+batch loop. It loads and validates INPUT and resolves --oracle (for the
+commands that take it) before any query runs, then answers each
+(--auto, --divisor) pair in input order (--auto alone for classify) and
+wraps the results in one {command, input, [oracle], results} document.
+Each query command has a ``cmd_<name>(args, sf, oracle, aname, dname)``
+that answers one query (None for an option the command lacks) and a
+``_text_<name>`` that renders one result; text output is the rendered
+results joined by newlines. ``validate`` and ``catalog`` build their whole
+document in ``cmd_<name>(args)``. ``build_parser`` declares each command
+once, with its options, its function and its renderer; ``main`` finds the
+functions on the module when it runs. Repeated --auto and --divisor are
+evaluated serially; --jobs N is accepted for compatibility and has no
+effect.
 """
 from __future__ import annotations
 
@@ -78,15 +89,13 @@ def _interval_json(iv) -> dict:
     return {"lo": format_rational(iv.lo), "hi": format_rational(iv.hi)}
 
 
-def _poly_json(poly) -> dict:
+def _report_json(report) -> dict:
     return {
-        "monomial_coefficients": [format_rational(c) for c in poly.coeffs],
-        "binomial_coefficients": [format_rational(c) for c in binomial_coefficients(poly)],
+        "valid": report.valid,
+        "checks": [
+            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
+        ],
     }
-
-
-def _report_json(check) -> dict:
-    return {"name": check.name, "passed": check.passed, "detail": check.detail}
 
 
 def cmd_validate(args) -> tuple[dict, int]:
@@ -94,52 +103,22 @@ def cmd_validate(args) -> tuple[dict, int]:
     reports = {
         name: validate_action(sf.scheme, action) for name, action in sf.automorphisms.items()
     }
-    actions = [
-        {
-            "name": name,
-            "valid": report.valid,
-            "checks": [_report_json(c) for c in report.checks],
-        }
-        for name, report in reports.items()
-    ]
+    actions = [{"name": name, **_report_json(report)} for name, report in reports.items()]
     oracles = []
     stability = []
     for name, oracle in sf.oracles.items():
-        report = oracle_report(oracle, sf.scheme.rank)
-        oracles.append(
-            {
-                "name": name,
-                "valid": report.valid,
-                "checks": [_report_json(c) for c in report.checks],
-            }
-        )
+        oracles.append({"name": name, **_report_json(oracle_report(oracle, sf.scheme.rank))})
         for aname, action in sf.automorphisms.items():
-            if not reports[aname].valid:
-                continue
-            sreport = action_stability_report(oracle, action)
-            stability.append(
-                {
-                    "oracle": name,
-                    "action": aname,
-                    "valid": sreport.valid,
-                    "checks": [_report_json(c) for c in sreport.checks],
-                }
-            )
-    scheme_report = scheme_consistency_report(sf.scheme)
-    scheme_entry = {
-        "valid": scheme_report.valid,
-        "checks": [_report_json(c) for c in scheme_report.checks],
-    }
-    valid = (
-        all(a["valid"] for a in actions)
-        and all(o["valid"] for o in oracles)
-        and scheme_report.valid
-    )
+            if reports[aname].valid:
+                sreport = action_stability_report(oracle, action)
+                stability.append({"oracle": name, "action": aname, **_report_json(sreport)})
+    scheme = _report_json(scheme_consistency_report(sf.scheme))
+    valid = all(entry["valid"] for entry in [*actions, *oracles, scheme])
     doc = {
         "command": "validate",
         "input": args.input,
         "valid": valid,
-        "scheme": scheme_entry,
+        "scheme": scheme,
         "actions": actions,
         "oracles": oracles,
         "cone_stability": stability,
@@ -162,225 +141,147 @@ def _text_validate(doc) -> str:
     return "\n".join(lines)
 
 
-def cmd_classify(args) -> tuple[dict, int]:
-    sf = load_input(args.input)
-
-    def one(name: str) -> dict:
-        action = sf.action(name)
-        poly = char_poly(action.matrix)
-        result: dict = {
-            "action": name,
-            "char_poly": {
-                "coefficients": [str(c) for c in poly.coeffs],
-                "text": poly.format(),
-            },
-        }
-        cls = engine.classify(action.matrix, args.eps)
-        result["quasi_unipotent"] = cls.quasi_unipotent
-        if cls.quasi_unipotent:
-            result["unipotent_power"] = cls.unipotent_power
-            result["jordan_index"] = cls.jordan_index
-            result["jordan_index_even"] = cls.jordan_index % 2 == 0
-        else:
-            result["spectral_radius"] = _interval_json(cls.radius)
-        return result
-
-    results = [one(name) for name in args.auto]
-    return {"command": "classify", "input": args.input, "results": results}, EXIT_OK
-
-
-def _text_classify(doc) -> str:
-    lines = []
-    for r in doc["results"]:
-        lines.append(f"action {r['action']}: char poly {r['char_poly']['text']}")
-        if r["quasi_unipotent"]:
-            parity = "even" if r["jordan_index_even"] else "odd (not geometrically realizable)"
-            lines.append(
-                f"  quasi-unipotent: unipotent power {r['unipotent_power']}, "
-                f"jordan index {r['jordan_index']} ({parity})"
-            )
-        else:
-            iv = r["spectral_radius"]
-            mid = float(Fraction(iv["lo"]) + (Fraction(iv["hi"]) - Fraction(iv["lo"])) / 2)
-            lines.append(
-                f"  not quasi-unipotent: spectral radius in [{iv['lo']}, {iv['hi']}] (~{mid:.5f})"
-            )
-    return "\n".join(lines)
-
-
-def _pairs(args) -> list[tuple[str, str]]:
-    return [(a, d) for a in args.auto for d in args.divisor]
-
-
-def _reduction_trace(family) -> dict:
-    """The reduced partial sums at m = 1 (the summed divisor), 2 and 3."""
-    sums = [[format_rational(p.evaluate(m)) for p in family] for m in range(1, 4)]
-    return {"summed_divisor": sums[0], "partial_sums": sums}
-
-
-def cmd_sigma_ample(args) -> tuple[dict, int]:
-    sf = load_input(args.input)
-    oracle = sf.oracle(args.oracle)
-
-    def one(pair) -> dict:
-        aname, dname = pair
-        verdict = engine.is_sigma_ample(sf.scheme, sf.action(aname), oracle, sf.divisor(dname))
-        result: dict = {"action": aname, "divisor": dname, "sigma_ample": verdict.sigma_ample}
-        if verdict.sigma_ample:
-            result["witness"] = verdict.witness
-        else:
-            result["reason"] = verdict.reason
-        if verdict.unipotent_power is not None:
-            result["unipotent_power"] = verdict.unipotent_power
-            result["reduction"] = _reduction_trace(verdict.family)
-        return result
-
-    results = [one(pair) for pair in _pairs(args)]
-    doc = {
-        "command": "sigma-ample",
-        "input": args.input,
-        "oracle": args.oracle or next(iter(sf.oracles)),
-        "results": results,
+def cmd_classify(args, sf, oracle, aname, dname) -> dict:
+    action = sf.action(aname)
+    poly = char_poly(action.matrix)
+    result: dict = {
+        "action": aname,
+        "char_poly": {
+            "coefficients": [str(c) for c in poly.coeffs],
+            "text": poly.format(),
+        },
     }
-    return doc, EXIT_OK
+    cls = engine.classify(action.matrix, args.eps)
+    result["quasi_unipotent"] = cls.quasi_unipotent
+    if cls.quasi_unipotent:
+        result["unipotent_power"] = cls.unipotent_power
+        result["jordan_index"] = cls.jordan_index
+        result["jordan_index_even"] = cls.jordan_index % 2 == 0
+    else:
+        result["spectral_radius"] = _interval_json(cls.radius)
+    return result
 
 
-def _text_sigma_ample(doc) -> str:
-    lines = []
-    for r in doc["results"]:
-        head = f"({r['action']}, {r['divisor']}):"
-        if r["sigma_ample"]:
-            lines.append(
-                f"{head} sigma-ample, witness m={r['witness']} "
-                f"after reduction to the power {r['unipotent_power']}"
-            )
-        else:
-            lines.append(f"{head} not sigma-ample ({r['reason']})")
-    return "\n".join(lines)
-
-
-def cmd_gkdim(args) -> tuple[dict, int]:
-    sf = load_input(args.input)
-    oracle = sf.oracle(args.oracle)
-
-    def one(pair) -> dict:
-        aname, dname = pair
-        profile = engine.gk_profile(sf.scheme, sf.action(aname), oracle, sf.divisor(dname))
-        return {
-            "action": aname,
-            "divisor": dname,
-            "gk_dimension": profile.gk_dimension,
-            "hilbert_degree": profile.hilbert_degree,
-            "reduced_power": profile.reduced_power,
-            "components": [
-                {
-                    "name": comp.name,
-                    "degree": comp.polynomial.degree,
-                    "leading": None
-                    if comp.polynomial.is_zero
-                    else format_rational(comp.polynomial.leading),
-                    **_poly_json(comp.polynomial),
-                }
-                for comp in profile.components
-            ],
-        }
-
-    results = [one(pair) for pair in _pairs(args)]
-    doc = {
-        "command": "gkdim",
-        "input": args.input,
-        "oracle": args.oracle or next(iter(sf.oracles)),
-        "results": results,
-    }
-    return doc, EXIT_OK
-
-
-def _text_gkdim(doc) -> str:
-    lines = []
-    for r in doc["results"]:
-        lines.append(f"({r['action']}, {r['divisor']}): GK dimension {r['gk_dimension']}")
-        for comp in r["components"]:
-            lines.append(
-                f"  component {comp['name']}: degree {comp['degree']}, "
-                f"leading {comp['leading']}, monomial {comp['monomial_coefficients']}"
-            )
-    return "\n".join(lines)
-
-
-def cmd_growth(args) -> tuple[dict, int]:
-    sf = load_input(args.input)
-    oracle = sf.oracle(args.oracle)
-
-    def one(pair) -> dict:
-        aname, dname = pair
-        report = engine.growth_report(
-            sf.scheme, sf.action(aname), oracle, sf.divisor(dname), args.mmax, args.eps
+def _text_classify(r) -> str:
+    head = f"action {r['action']}: char poly {r['char_poly']['text']}"
+    if r["quasi_unipotent"]:
+        parity = "even" if r["jordan_index_even"] else "odd (not geometrically realizable)"
+        return (
+            f"{head}\n  quasi-unipotent: unipotent power {r['unipotent_power']}, "
+            f"jordan index {r['jordan_index']} ({parity})"
         )
-        result: dict = {"action": aname, "divisor": dname, "mmax": args.mmax}
-        if report.gk_dimension is not None:
-            result["kind"] = "polynomial"
-            result["gk_dimension"] = report.gk_dimension
-            result["hilbert_degree"] = report.hilbert_degree
-        else:
-            result["kind"] = "exponential"
-            result["spectral_radius"] = _interval_json(report.radius)
-            result["ratios"] = [format_rational(r) for r in report.ratio_samples]
-            result["threshold_exceeded"] = report.threshold_exceeded
-        return result
+    iv = r["spectral_radius"]
+    mid = float(Fraction(iv["lo"]) + (Fraction(iv["hi"]) - Fraction(iv["lo"])) / 2)
+    return (
+        f"{head}\n  not quasi-unipotent: spectral radius in [{iv['lo']}, {iv['hi']}] "
+        f"(~{mid:.5f})"
+    )
 
-    results = [one(pair) for pair in _pairs(args)]
-    doc = {
-        "command": "growth",
-        "input": args.input,
-        "oracle": args.oracle or next(iter(sf.oracles)),
-        "results": results,
+
+def cmd_sigma_ample(args, sf, oracle, aname, dname) -> dict:
+    verdict = engine.is_sigma_ample(sf.scheme, sf.action(aname), oracle, sf.divisor(dname))
+    result: dict = {"action": aname, "divisor": dname, "sigma_ample": verdict.sigma_ample}
+    if verdict.sigma_ample:
+        result["witness"] = verdict.witness
+    else:
+        result["reason"] = verdict.reason
+    if verdict.unipotent_power is not None:
+        # the reduced partial sums at m = 1 (the summed divisor), 2 and 3
+        sums = [[format_rational(p.evaluate(m)) for p in verdict.family] for m in (1, 2, 3)]
+        result["unipotent_power"] = verdict.unipotent_power
+        result["reduction"] = {"summed_divisor": sums[0], "partial_sums": sums}
+    return result
+
+
+def _text_sigma_ample(r) -> str:
+    head = f"({r['action']}, {r['divisor']}):"
+    if r["sigma_ample"]:
+        return (
+            f"{head} sigma-ample, witness m={r['witness']} "
+            f"after reduction to the power {r['unipotent_power']}"
+        )
+    return f"{head} not sigma-ample ({r['reason']})"
+
+
+def cmd_gkdim(args, sf, oracle, aname, dname) -> dict:
+    profile = engine.gk_profile(sf.scheme, sf.action(aname), oracle, sf.divisor(dname))
+    return {
+        "action": aname,
+        "divisor": dname,
+        "gk_dimension": profile.gk_dimension,
+        "hilbert_degree": profile.hilbert_degree,
+        "reduced_power": profile.reduced_power,
+        "components": [
+            {
+                "name": comp.name,
+                "degree": comp.polynomial.degree,
+                "leading": None
+                if comp.polynomial.is_zero
+                else format_rational(comp.polynomial.leading),
+                "monomial_coefficients": [format_rational(c) for c in comp.polynomial.coeffs],
+                "binomial_coefficients": [
+                    format_rational(c) for c in binomial_coefficients(comp.polynomial)
+                ],
+            }
+            for comp in profile.components
+        ],
     }
-    return doc, EXIT_OK
 
 
-def _text_growth(doc) -> str:
-    lines = []
-    for r in doc["results"]:
-        head = f"({r['action']}, {r['divisor']}):"
-        if r["kind"] == "polynomial":
-            lines.append(
-                f"{head} polynomial growth, GK dimension {r['gk_dimension']} "
-                f"(Hilbert degree {r['hilbert_degree']})"
-            )
-        else:
-            last = Fraction(r["ratios"][-1]) if r["ratios"] else None
-            approx = f", last ratio ~{float(last):.5f}" if last is not None else ""
-            lines.append(
-                f"{head} exponential growth, radius {r['spectral_radius']['lo']} .. "
-                f"{r['spectral_radius']['hi']}{approx}, "
-                f"root statistic above 1.001: {r['threshold_exceeded']}"
-            )
+def _text_gkdim(r) -> str:
+    lines = [f"({r['action']}, {r['divisor']}): GK dimension {r['gk_dimension']}"]
+    for comp in r["components"]:
+        lines.append(
+            f"  component {comp['name']}: degree {comp['degree']}, "
+            f"leading {comp['leading']}, monomial {comp['monomial_coefficients']}"
+        )
     return "\n".join(lines)
 
 
-def cmd_chi(args) -> tuple[dict, int]:
-    sf = load_input(args.input)
+def cmd_growth(args, sf, oracle, aname, dname) -> dict:
+    report = engine.growth_report(
+        sf.scheme, sf.action(aname), oracle, sf.divisor(dname), args.mmax, args.eps
+    )
+    result: dict = {"action": aname, "divisor": dname, "mmax": args.mmax}
+    if report.gk_dimension is not None:
+        result["kind"] = "polynomial"
+        result["gk_dimension"] = report.gk_dimension
+        result["hilbert_degree"] = report.hilbert_degree
+    else:
+        result["kind"] = "exponential"
+        result["spectral_radius"] = _interval_json(report.radius)
+        result["ratios"] = [format_rational(r) for r in report.ratio_samples]
+        result["threshold_exceeded"] = report.threshold_exceeded
+    return result
 
-    def one(pair) -> dict:
-        aname, dname = pair
-        series = engine.euler_char_series(sf.scheme, sf.action(aname), sf.divisor(dname), args.mmax)
-        return {
-            "action": aname,
-            "divisor": dname,
-            "mmax": args.mmax,
-            "values": [format_rational(v) for v in series],
-        }
 
-    results = [one(pair) for pair in _pairs(args)]
-    return {"command": "chi", "input": args.input, "results": results}, EXIT_OK
+def _text_growth(r) -> str:
+    head = f"({r['action']}, {r['divisor']}):"
+    if r["kind"] == "polynomial":
+        return (
+            f"{head} polynomial growth, GK dimension {r['gk_dimension']} "
+            f"(Hilbert degree {r['hilbert_degree']})"
+        )
+    approx = f", last ratio ~{float(Fraction(r['ratios'][-1])):.5f}" if r["ratios"] else ""
+    return (
+        f"{head} exponential growth, radius {r['spectral_radius']['lo']} .. "
+        f"{r['spectral_radius']['hi']}{approx}, "
+        f"root statistic above 1.001: {r['threshold_exceeded']}"
+    )
 
 
-def _text_chi(doc) -> str:
-    lines = []
-    for r in doc["results"]:
-        lines.append(f"({r['action']}, {r['divisor']}): chi at m=1..{r['mmax']}:")
-        lines.append("  " + " ".join(r["values"]))
-    return "\n".join(lines)
+def cmd_chi(args, sf, oracle, aname, dname) -> dict:
+    series = engine.euler_char_series(sf.scheme, sf.action(aname), sf.divisor(dname), args.mmax)
+    return {
+        "action": aname,
+        "divisor": dname,
+        "mmax": args.mmax,
+        "values": [format_rational(v) for v in series],
+    }
+
+
+def _text_chi(r) -> str:
+    return f"({r['action']}, {r['divisor']}): chi at m=1..{r['mmax']}:\n  " + " ".join(r["values"])
 
 
 def cmd_catalog(args) -> tuple[dict, int]:
@@ -400,14 +301,30 @@ def _text_catalog(doc) -> str:
     return json.dumps(doc["document"], indent=2, sort_keys=True)
 
 
-_TEXT_RENDERERS = {
-    "validate": _text_validate,
-    "classify": _text_classify,
-    "sigma-ample": _text_sigma_ample,
-    "gkdim": _text_gkdim,
-    "growth": _text_growth,
-    "chi": _text_chi,
-    "catalog": _text_catalog,
+def _answer_batch(args) -> dict:
+    """Load INPUT and resolve the oracle, then answer the queries in input order."""
+    sf = load_input(args.input)
+    doc = {"command": args.command, "input": args.input}
+    oracle = None
+    if "oracle" in args:
+        oracle = sf.oracle(args.oracle)
+        doc["oracle"] = args.oracle or next(iter(sf.oracles))
+    divisors = args.divisor if "divisor" in args else [None]
+    doc["results"] = [args.func(args, sf, oracle, a, d) for a in args.auto for d in divisors]
+    return doc
+
+
+# The options a query command may take after INPUT, in declaration order.
+_OPTIONS = {
+    "auto": {"action": "append", "required": True, "help": "automorphism name (repeatable)"},
+    "divisor": {"action": "append", "required": True, "help": "divisor name (repeatable)"},
+    "oracle": {"default": None, "help": "oracle name"},
+    "mmax": {"type": int, "default": 12, "help": "series length"},
+    "eps": {
+        "type": Fraction,
+        "default": Fraction(1, 1000),
+        "help": "spectral radius enclosure width (P/Q)",
+    },
 }
 
 
@@ -426,52 +343,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted but has no effect; batches run serially",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, auto=True, divisor=True, oracle=True, mmax=False, eps=True):
+    # name, help, options after INPUT (None: catalog's own arguments),
+    # the function main calls and the text renderer
+    for name, help_text, options, func, render in (
+        ("validate", "validate a scheme document", "", cmd_validate, _text_validate),
+        ("classify", "classify automorphisms", "auto eps", cmd_classify, _text_classify),
+        ("sigma-ample", "decide sigma-ampleness", "auto divisor oracle",
+         cmd_sigma_ample, _text_sigma_ample),
+        ("gkdim", "GK dimension of the twisted ring", "auto divisor oracle",
+         cmd_gkdim, _text_gkdim),
+        ("growth", "growth report (polynomial or exponential)", "auto divisor oracle mmax eps",
+         cmd_growth, _text_growth),
+        ("chi", "Euler characteristic series of partial sums", "auto divisor mmax",
+         cmd_chi, _text_chi),
+        ("catalog", "list or show builtin entries", None, cmd_catalog, _text_catalog),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func, render=render)
+        if options is None:
+            p.add_argument("action", choices=("list", "show"))
+            p.add_argument("name", nargs="?", default=None)
+            continue
         p.add_argument("input", help="scheme file path or catalog entry name")
-        if auto:
-            p.add_argument("--auto", action="append", required=True,
-                           help="automorphism name (repeatable)")
-        if divisor:
-            p.add_argument("--divisor", action="append", required=True,
-                           help="divisor name (repeatable)")
-        if oracle:
-            p.add_argument("--oracle", default=None, help="oracle name")
-        if mmax:
-            p.add_argument("--mmax", type=int, default=12, help="series length")
-        if eps:
-            p.add_argument("--eps", type=Fraction, default=Fraction(1, 1000),
-                           help="spectral radius enclosure width (P/Q)")
-
-    p = sub.add_parser("validate", help="validate a scheme document")
-    p.add_argument("input", help="scheme file path or catalog entry name")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("classify", help="classify automorphisms")
-    add_common(p, divisor=False, oracle=False)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("sigma-ample", help="decide sigma-ampleness")
-    add_common(p, eps=False)
-    p.set_defaults(func=cmd_sigma_ample)
-
-    p = sub.add_parser("gkdim", help="GK dimension of the twisted ring")
-    add_common(p, eps=False)
-    p.set_defaults(func=cmd_gkdim)
-
-    p = sub.add_parser("growth", help="growth report (polynomial or exponential)")
-    add_common(p, mmax=True)
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("chi", help="Euler characteristic series of partial sums")
-    add_common(p, oracle=False, mmax=True, eps=False)
-    p.set_defaults(func=cmd_chi)
-
-    p = sub.add_parser("catalog", help="list or show builtin entries")
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(func=cmd_catalog)
-
+        for option in options.split():
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
@@ -481,8 +376,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "catalog" and args.action == "show" and args.name is None:
         print("error: catalog show requires an entry name", file=sys.stderr)
         return EXIT_UNKNOWN_NAME
+    batch = "auto" in args
     try:
-        doc, code = args.func(args)
+        doc, code = (_answer_batch(args), EXIT_OK) if batch else args.func(args)
     except (SchemeParseError, InvalidSchemeData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -495,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.format == "structured":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(_TEXT_RENDERERS[args.command](doc))
+        print("\n".join(map(args.render, doc["results"])) if batch else args.render(doc))
     return code
 
 

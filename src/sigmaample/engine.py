@@ -301,31 +301,26 @@ def gk_profile(
     A non-ample input is first replaced by an ample partial sum when one
     exists (taking a Veronese step changes neither the growth degree nor the
     dimension); otherwise NotAmple. The family at the step q*w is the
-    verdict's reduced family with m replaced by w*m. Per component, the top
-    form evaluated on the reduced partial-sum family is the self-intersection
-    polynomial, and the dimension is one more than the largest degree over
-    components.
+    sigma-ample verdict's reduced family with m replaced by w*m, where w is 1
+    for an ample class and the verdict's witness otherwise. Per component,
+    the top form evaluated on the reduced partial-sum family is the
+    self-intersection polynomial, and the dimension is one more than the
+    largest degree over components.
     """
     require_valid(scheme, action)
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
-    if is_ample(oracle, divisor):
-        reduced_power = reduction.power
-        reduced_divisor = partial_sum(action.matrix, divisor, reduced_power)
-        family = _delta_symbolic(reduction.matrix, reduction.jordan_index, reduced_divisor)
-    else:
-        verdict = is_sigma_ample(scheme, action, oracle, divisor)
-        if not verdict.sigma_ample:
-            raise NotAmple(
-                "divisor is neither ample nor sigma-ample; no growth data exists"
-            )
-        w = verdict.witness
-        reduced_power = reduction.power * w
-        family = tuple(
-            NumericalPolynomial(tuple(c * w**i for i, c in enumerate(p.coeffs)))
-            for p in verdict.family
-        )
+    ample = is_ample(oracle, divisor)
+    verdict = is_sigma_ample(scheme, action, oracle, divisor)
+    if not (ample or verdict.sigma_ample):
+        raise NotAmple("divisor is neither ample nor sigma-ample; no growth data exists")
+    w = 1 if ample else verdict.witness
+    reduced_power = reduction.power * w
+    family = tuple(
+        NumericalPolynomial(tuple(c * w**i for i, c in enumerate(p.coeffs)))
+        for p in verdict.family
+    )
     expansions = []
     best: int | None = None
     for comp in scheme.components:

@@ -201,7 +201,6 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@lru_cache(maxsize=4096)
 def quasi_unipotence(matrix: IntegerMatrix) -> int | None:
     """Minimal q >= 1 with matrix^q unipotent, or None when no power is.
 
@@ -211,8 +210,8 @@ def quasi_unipotence(matrix: IntegerMatrix) -> int | None:
     divided out as often as it divides; the quotient reaches 1 iff every
     eigenvalue is a root of unity, and q is then the lcm of the orders m
     found, since M^d is unipotent iff lambda^d = 1 for every eigenvalue.
-    ``unipotent_reduction`` checks that M^q is unipotent. Requires
-    determinant +-1.
+    ``unipotent_reduction`` checks that M^q is unipotent and keeps one
+    result per matrix. Requires determinant +-1.
     """
     n = matrix.size
     rest = [int(c) for c in char_poly(matrix).coeffs]
@@ -315,13 +314,13 @@ def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
         raise ValueError("eps must be positive")
     coeffs = [int(c) for c in char_poly(matrix).coeffs]
     squared = NumericalPolynomial(tuple(_kronecker_square_char_poly(coeffs)))
+    # sqrt(b) - sqrt(a) <= sqrt(b - a) <= eps/2 (1/2 when eps >= 1), and the
+    # integer square roots move the two ends by less than 4/slack <= eps/2
     width = eps * eps / 4 if eps < 1 else Fraction(1, 4)
     slack = max(8, int(8 / eps) + 1)
-    while True:
-        iv = largest_real_root_interval(squared, width)
-        clipped = RationalInterval(max(iv.lo, Fraction(0)), max(iv.hi, Fraction(0)))
-        enclosure = sqrt_enclosure(clipped, slack)
-        if enclosure.width <= eps:
-            return enclosure
-        width /= 16
-        slack *= 4
+    iv = largest_real_root_interval(squared, width)
+    clipped = RationalInterval(max(iv.lo, Fraction(0)), max(iv.hi, Fraction(0)))
+    enclosure = sqrt_enclosure(clipped, slack)
+    if enclosure.width > eps:
+        raise AssertionError(f"radius enclosure of width {enclosure.width} exceeds eps {eps}")
+    return enclosure

@@ -106,11 +106,9 @@ def _greatest_common_divisor(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return a
 
 
-def square_free_part(p: NumericalPolynomial) -> NumericalPolynomial:
-    """p divided by gcd(p, p'), returned with integer primitive coefficients
-    and a positive leading coefficient."""
-    from .numpoly import NumericalPolynomial  # numpoly imports this module
-
+def square_free_part(p: NumericalPolynomial) -> list[int]:
+    """p divided by gcd(p, p'), as a primitive integer list with a positive
+    leading coefficient."""
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free part")
     denom = lcm(*(c.denominator for c in p.coeffs))
@@ -119,7 +117,7 @@ def square_free_part(p: NumericalPolynomial) -> NumericalPolynomial:
     q = _divide_exact(cs, _greatest_common_divisor(cs, [i * cs[i] for i in range(1, len(cs))]))
     if q[-1] < 0:
         q = [-c for c in q]
-    return NumericalPolynomial(tuple(q))
+    return q
 
 
 def cauchy_root_bound(coeffs: Sequence) -> Fraction:
@@ -141,7 +139,7 @@ def sturm_chain(p: NumericalPolynomial) -> list[list[int]]:
     content: a positive multiple of the rational Sturm member, so every sign
     count is the same.
     """
-    first = [int(c) for c in square_free_part(p).coeffs]
+    first = square_free_part(p)
     chain = [first]
     d = _primitive([i * first[i] for i in range(1, len(first))])
     if d:

@@ -475,7 +475,6 @@ def test_no_package_module_imports_dataclasses():
 def test_classify_computes_each_characteristic_polynomial_once(capsys):
     for cache in (
         intmat.char_poly,
-        intmat.quasi_unipotence,
         intmat.unipotent_reduction,
         engine._first_validation_failure,
     ):
@@ -485,3 +484,70 @@ def test_classify_computes_each_characteristic_polynomial_once(capsys):
     # one Berkowitz run per action of the file (validation), then the
     # printed polynomial, quasi-unipotence and the spectral radius read it
     assert (info.misses, info.hits) == (4, 3)
+
+
+# The usage block of every parser at 80 columns: the command table must
+# declare the same arguments, in the same order, as the hand-built parsers.
+USAGE = {
+    None: (
+        "usage: sigmaample [-h] [--format {text,structured}] [--jobs JOBS]\n"
+        "                  {validate,classify,sigma-ample,gkdim,growth,chi,catalog} ...\n"
+    ),
+    "validate": "usage: sigmaample validate [-h] input\n",
+    "classify": "usage: sigmaample classify [-h] --auto AUTO [--eps EPS] input\n",
+    "sigma-ample": (
+        "usage: sigmaample sigma-ample [-h] --auto AUTO --divisor DIVISOR\n"
+        "                              [--oracle ORACLE]\n"
+        "                              input\n"
+    ),
+    "gkdim": (
+        "usage: sigmaample gkdim [-h] --auto AUTO --divisor DIVISOR [--oracle ORACLE]\n"
+        "                        input\n"
+    ),
+    "growth": (
+        "usage: sigmaample growth [-h] --auto AUTO --divisor DIVISOR [--oracle ORACLE]\n"
+        "                         [--mmax MMAX] [--eps EPS]\n"
+        "                         input\n"
+    ),
+    "chi": "usage: sigmaample chi [-h] --auto AUTO --divisor DIVISOR [--mmax MMAX] input\n",
+    "catalog": "usage: sigmaample catalog [-h] {list,show} [name]\n",
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE))
+def test_help_usage_block(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out[: out.index("\n\n") + 1] == USAGE[command]
+
+
+DISPATCH = {
+    "validate": ["validate", "p1"],
+    "classify": ["classify", "p1", "--auto", "id"],
+    "sigma_ample": ["sigma-ample", "p1", "--auto", "id", "--divisor", "D"],
+    "gkdim": ["gkdim", "p1", "--auto", "id", "--divisor", "D"],
+    "growth": ["growth", "p1", "--auto", "id", "--divisor", "D"],
+    "chi": ["chi", "p1", "--auto", "id", "--divisor", "D"],
+    "catalog": ["catalog", "list"],
+}
+
+
+@pytest.mark.parametrize("name", list(DISPATCH))
+def test_main_calls_the_module_level_command_function(name, monkeypatch, capsys):
+    # main must find cmd_<name> on the module when it runs, so that a
+    # rebinding (a tracer's timing wrapper, a test double) takes effect
+    from sigmaample import cli
+
+    original = getattr(cli, f"cmd_{name}")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, f"cmd_{name}", counting)
+    assert main(DISPATCH[name]) == 0
+    assert calls

@@ -8,7 +8,7 @@ import pytest
 
 import sigmaample.cli  # noqa: F401  (defines every value type)
 from sigmaample.engine import SigmaAmpleVerdict
-from sigmaample.intmat import IntegerMatrix, quasi_unipotence
+from sigmaample.intmat import IntegerMatrix, unipotent_reduction
 from sigmaample.intpoly import RationalInterval
 from sigmaample.lattice import AutomorphismAction, DivisorClass, SymmetricForm
 from sigmaample.numpoly import NumericalPolynomial
@@ -61,7 +61,7 @@ def test_copy_and_pickle_round_trip():
 
 
 def test_equal_matrices_share_a_cache_entry():
-    quasi_unipotence(IntegerMatrix.from_rows([[1, 1], [0, 1]]))
-    hits = quasi_unipotence.cache_info().hits
-    quasi_unipotence(IntegerMatrix.from_rows([[1, 1], [0, 1]]))
-    assert quasi_unipotence.cache_info().hits == hits + 1
+    unipotent_reduction(IntegerMatrix.from_rows([[1, 1], [0, 1]]))
+    hits = unipotent_reduction.cache_info().hits
+    unipotent_reduction(IntegerMatrix.from_rows([[1, 1], [0, 1]]))
+    assert unipotent_reduction.cache_info().hits == hits + 1
