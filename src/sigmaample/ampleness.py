@@ -55,8 +55,9 @@ class PolyhedralCone(Record):
         object.__setattr__(self, "facets", facets)
 
     def conditions(self, coords: Sequence) -> list:
-        """The facet functionals applied to the coordinates."""
-        return [sum(f * c for f, c in zip(facet, coords)) for facet in self.facets]
+        """The facet functionals applied to the coordinates (zero entries
+        skipped, so a polynomial coordinate is multiplied only where needed)."""
+        return [sum(f * c for f, c in zip(facet, coords) if f) for facet in self.facets]
 
     def invariant_checks(self) -> list[CheckResult]:
         """The cone has at least one facet."""

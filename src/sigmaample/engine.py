@@ -11,7 +11,8 @@ the m-th partial sum has coordinates
     sum over i of C(m, i+1) * N^i D,
 
 a polynomial family in m, so existence of an ample member reduces to exact
-polynomial sign analysis with Cauchy bounds. Growth questions ride on the
+polynomial sign analysis, which tests only the integers just after the real
+roots of the constraint polynomials. Growth questions ride on the
 same expansion: intersection numbers of the family against itself are
 numerical polynomials whose degree drives the Gelfand-Kirillov dimension,
 while a non-quasi-unipotent action forces exponential growth of the Euler
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .intmat import (
     IntegerMatrix,
+    UnipotentReduction,
     nilpotency_index,
     spectral_radius,
     unipotent_reduction,
@@ -244,19 +246,40 @@ def _delta_symbolic(
 
 
 def partial_sum(matrix: IntegerMatrix, divisor: DivisorClass, m: int) -> DivisorClass:
-    """D + PD + ... + P^(m-1)D, accumulated directly (any matrix, m >= 0).
+    """D + PD + ... + P^(m-1)D (any matrix, m >= 0), from the matrix alone.
 
     The matrix is integral, so every image keeps the denominator of D and
-    the sum runs over integer numerators.
+    the sum runs over integer numerators. The sum is built by doubling on the
+    bits of m, lowest first, in O(log m) matrix products: with T = S(2^j) and
+    B = P^(2^j), S(2^j + r) = T + B S(r) and S(2^(j+1)) = T + B T.
     """
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
-    denom, current = _numerators(divisor)
-    total = (0,) * divisor.rank
-    for _ in range(m):
-        total = tuple(a + b for a, b in zip(total, current))
-        current = matrix.column_action(current)
+    denom, block = _numerators(divisor)
+    total, power = (0,) * divisor.rank, matrix
+    while m:
+        if m & 1:
+            total = _vector_sum(block, power.column_action(total))
+        m >>= 1
+        if m:
+            block = _vector_sum(block, power.column_action(block))
+            power = power * power
     return DivisorClass(tuple(Fraction(t, denom) for t in total))
+
+
+def _vector_sum(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _reduced_family(
+    matrix: IntegerMatrix, reduction: UnipotentReduction, divisor: DivisorClass
+) -> tuple[DivisorClass, tuple[NumericalPolynomial, ...]]:
+    """The q-fold partial sum D' of the divisor and the reduced partial sums
+    D' + P^q D' + ... as polynomials in m."""
+    reduced_divisor = partial_sum(matrix, divisor, reduction.power)
+    return reduced_divisor, _delta_symbolic(
+        reduction.matrix, reduction.jordan_index, reduced_divisor
+    )
 
 
 def is_sigma_ample(
@@ -271,22 +294,20 @@ def is_sigma_ample(
     power q (summing the first q images into one class), express the reduced
     partial sums as a polynomial family, and search for an ample member; the
     reduced family samples the original partial sums at multiples of q, so
-    the existence verdict transfers exactly.
+    the existence verdict transfers exactly. A witness is checked once more
+    on the partial sum computed from the matrix alone.
     """
     require_valid(scheme, action)
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
         return SigmaAmpleVerdict(None, None, ())
-    q = reduction.power
-    reduced_divisor = partial_sum(action.matrix, divisor, q)
-    family = _delta_symbolic(reduction.matrix, reduction.jordan_index, reduced_divisor)
+    reduced_divisor, family = _reduced_family(action.matrix, reduction, divisor)
     witness = is_ample_symbolic(oracle, family)
-    if witness is None:
-        return SigmaAmpleVerdict(q, None, family)
-    concrete = partial_sum(reduction.matrix, reduced_divisor, witness)
-    if not is_ample(oracle, concrete):
-        raise AssertionError("symbolic witness failed the concrete ampleness check")
-    return SigmaAmpleVerdict(q, witness, family)
+    if witness is not None:
+        concrete = partial_sum(reduction.matrix, reduced_divisor, witness)
+        if not is_ample(oracle, concrete):
+            raise AssertionError("symbolic witness failed the concrete ampleness check")
+    return SigmaAmpleVerdict(reduction.power, witness, family)
 
 
 def gk_profile(
@@ -300,27 +321,29 @@ def gk_profile(
 
     A non-ample input is first replaced by an ample partial sum when one
     exists (taking a Veronese step changes neither the growth degree nor the
-    dimension); otherwise NotAmple. The family at the step q*w is the
-    sigma-ample verdict's reduced family with m replaced by w*m, where w is 1
-    for an ample class and the verdict's witness otherwise. Per component,
-    the top form evaluated on the reduced partial-sum family is the
-    self-intersection polynomial, and the dimension is one more than the
+    dimension); otherwise NotAmple. The family at the step q*w is the reduced
+    family with m replaced by w*m, where w is 1 for an ample class (which
+    needs no witness search) and the sigma-ample witness otherwise. Per
+    component, the top form evaluated on the reduced partial-sum family is
+    the self-intersection polynomial, and the dimension is one more than the
     largest degree over components.
     """
     require_valid(scheme, action)
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
-    ample = is_ample(oracle, divisor)
-    verdict = is_sigma_ample(scheme, action, oracle, divisor)
-    if not (ample or verdict.sigma_ample):
-        raise NotAmple("divisor is neither ample nor sigma-ample; no growth data exists")
-    w = 1 if ample else verdict.witness
-    reduced_power = reduction.power * w
-    family = tuple(
-        NumericalPolynomial(tuple(c * w**i for i, c in enumerate(p.coeffs)))
-        for p in verdict.family
-    )
+    if is_ample(oracle, divisor):
+        w = 1
+        family = _reduced_family(action.matrix, reduction, divisor)[1]
+    else:
+        verdict = is_sigma_ample(scheme, action, oracle, divisor)
+        if not verdict.sigma_ample:
+            raise NotAmple("divisor is neither ample nor sigma-ample; no growth data exists")
+        w = verdict.witness
+        family = tuple(
+            NumericalPolynomial(tuple(c * w**i for i, c in enumerate(p.coeffs)))
+            for p in verdict.family
+        )
     expansions = []
     best: int | None = None
     for comp in scheme.components:
@@ -330,7 +353,7 @@ def gk_profile(
             best = poly.degree if best is None else max(best, poly.degree)
     if best is None:
         raise NotAmple("partial-sum self-intersections all vanish; class cannot be ample")
-    return GKProfile(best + 1, reduced_power, tuple(expansions))
+    return GKProfile(best + 1, reduction.power * w, tuple(expansions))
 
 
 def euler_char_series(

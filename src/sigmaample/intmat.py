@@ -103,7 +103,7 @@ class IntegerMatrix(Record):
 
     def determinant(self) -> int:
         """(-1)^n times the constant term of the characteristic polynomial."""
-        return (-1) ** self.size * int(char_poly(self).coeffs[0])
+        return (-1) ** self.size * char_poly(self).numerators[0]
 
     def inverse_unimodular(self) -> "IntegerMatrix":
         """Exact integer inverse by Cayley-Hamilton; requires determinant +-1.
@@ -111,7 +111,7 @@ class IntegerMatrix(Record):
         With det(xI - M) = x^n + c_(n-1) x^(n-1) + ... + c_0 and c_0 = +-1,
         M^-1 = -c_0 (M^(n-1) + c_(n-1) M^(n-2) + ... + c_1 I).
         """
-        coeffs = [int(c) for c in char_poly(self).coeffs]
+        coeffs = char_poly(self).numerators
         d = (-1) ** self.size * coeffs[0]
         if d not in (1, -1):
             raise NotInvertibleOverIntegers(f"determinant is {d}, not +-1")
@@ -214,7 +214,7 @@ def quasi_unipotence(matrix: IntegerMatrix) -> int | None:
     result per matrix. Requires determinant +-1.
     """
     n = matrix.size
-    rest = [int(c) for c in char_poly(matrix).coeffs]
+    rest = char_poly(matrix).numerators
     d = (-1) ** n * rest[0]
     if d not in (1, -1):
         raise NotInvertibleOverIntegers(f"determinant is {d}, not +-1")
@@ -273,7 +273,7 @@ def unipotent_reduction(matrix: IntegerMatrix) -> UnipotentReduction | None:
     return UnipotentReduction(q, reduced, k)
 
 
-def _kronecker_square_char_poly(coeffs: list[int]) -> list[int]:
+def _kronecker_square_char_poly(coeffs: Sequence[int]) -> list[int]:
     """det(xI - M (x) M) from det(xI - M), both lowest degree first.
 
     Newton's identities turn the monic coefficients into the power sums
@@ -312,7 +312,7 @@ def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    coeffs = [int(c) for c in char_poly(matrix).coeffs]
+    coeffs = char_poly(matrix).numerators
     squared = NumericalPolynomial(tuple(_kronecker_square_char_poly(coeffs)))
     # sqrt(b) - sqrt(a) <= sqrt(b - a) <= eps/2 (1/2 when eps >= 1), and the
     # integer square roots move the two ends by less than 4/slack <= eps/2

@@ -12,7 +12,7 @@ rational a/b homogenised, b^d p(a/b), so neither floating point nor a
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import TYPE_CHECKING, Sequence
 
 from .record import Record
@@ -111,8 +111,7 @@ def square_free_part(p: NumericalPolynomial) -> list[int]:
     leading coefficient."""
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free part")
-    denom = lcm(*(c.denominator for c in p.coeffs))
-    cs = _primitive([c.numerator * (denom // c.denominator) for c in p.coeffs])
+    cs = _primitive(p.numerators)
     # cs and the gcd are primitive, so the quotient is too (Gauss's lemma)
     q = _divide_exact(cs, _greatest_common_divisor(cs, [i * cs[i] for i in range(1, len(cs))]))
     if q[-1] < 0:
@@ -122,13 +121,12 @@ def square_free_part(p: NumericalPolynomial) -> list[int]:
 
 def cauchy_root_bound(coeffs: Sequence) -> Fraction:
     """1 + max|a_i| / |a_lead|; every root modulus is at most this."""
-    cs = _strip([Fraction(c) for c in coeffs])
+    cs = _strip(list(coeffs))
     if not cs:
         raise ValueError("zero polynomial has unbounded roots")
     if len(cs) == 1:
         return Fraction(0)
-    lead = abs(cs[-1])
-    return 1 + max(abs(c) for c in cs[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in cs[:-1])) / Fraction(abs(cs[-1]))
 
 
 def sturm_chain(p: NumericalPolynomial) -> list[list[int]]:
@@ -177,6 +175,34 @@ def sign_variations(chain: Sequence[Sequence[int]], x) -> int:
     return changes
 
 
+def root_cells(p: NumericalPolynomial, top: int) -> list[int]:
+    """The integers k, 0 <= k < top, such that the nonzero polynomial has a
+    real root in (k, k+1], in increasing order.
+
+    The distinct real roots in (lo, hi] number V(lo) - V(hi), V counting the
+    sign changes of the Sturm chain at a point (a root of the square-free
+    part is counted at the root itself, since the chain's first two members
+    agree in sign just after it); the count is bisected over the integers.
+    """
+    chain = sturm_chain(p)
+    cells: list[int] = []
+    # (lo, V(lo), hi, V(hi)); the left half is popped first, so cells come
+    # out in increasing order
+    stack = [(0, sign_variations(chain, 0), top, sign_variations(chain, top))]
+    while stack:
+        lo, at_lo, hi, at_hi = stack.pop()
+        if at_lo == at_hi:
+            continue
+        if hi - lo == 1:
+            cells.append(lo)
+            continue
+        mid = (lo + hi) // 2
+        at_mid = sign_variations(chain, mid)
+        stack.append((mid, at_mid, hi, at_hi))
+        stack.append((lo, at_lo, mid, at_mid))
+    return cells
+
+
 def largest_real_root_interval(p: NumericalPolynomial, width: Fraction) -> RationalInterval:
     """Interval of width <= ``width`` around the largest real root of p.
 
@@ -185,7 +211,7 @@ def largest_real_root_interval(p: NumericalPolynomial, width: Fraction) -> Ratio
     if width <= 0:
         raise ValueError("width must be positive")
     chain = sturm_chain(p)
-    bound = cauchy_root_bound(p.coeffs)
+    bound = cauchy_root_bound(p.numerators)
     lo, hi = -bound - 1, bound + 1
     at_hi = sign_variations(chain, hi)
     if sign_variations(chain, lo) == at_hi:

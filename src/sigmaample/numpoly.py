@@ -2,90 +2,138 @@
 that take integer values at integers.
 
 This is the package's one polynomial type: it also carries the integer
-characteristic polynomials whose roots ``intpoly`` isolates. The internal
-representation is the monomial basis with exact ``Fraction`` coefficients;
-the binomial basis C(m, i) is available as a constructor and a converter,
-since polynomials built from lattice data are naturally integer combinations
-of binomials. Sign analysis over the positive integers is exact: beyond the
-Cauchy root bound the sign of a polynomial equals the sign of its leading
-coefficient, so scans terminate with certainty.
+characteristic polynomials whose roots ``intpoly`` isolates. A polynomial is
+stored in the monomial basis as integer numerators over one positive
+denominator, in lowest terms, so sums, products and evaluations run on
+``int``; the exact ``Fraction`` coefficients are derived from them. The
+binomial basis C(m, i) is available as a constructor and a converter, since
+polynomials built from lattice data are naturally integer combinations of
+binomials. Sign analysis over the positive integers is exact and its cost
+depends on the degrees, not on the size of the coefficients: the set of m
+where every polynomial of a list is positive can change only next to a real
+root of one of them, so only m = 1 and the integers just after each root are
+tested, the roots being isolated to unit cells by integer Sturm counts.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from typing import Sequence
 
-from .intpoly import _horner, _strip, cauchy_root_bound
+from .intpoly import _horner, cauchy_root_bound, root_cells
 from .record import Record
 
 
 class NumericalPolynomial(Record):
-    """Polynomial in m, monomial coefficients lowest degree first."""
+    """Polynomial in m, monomial coefficients lowest degree first.
 
-    __slots__ = ("coeffs",)
+    ``numerators`` (a tuple of ints without trailing zeros) over
+    ``denominator`` (a positive int sharing no factor with all of them; 1 for
+    the zero polynomial) are the stored form; ``coeffs``, the field, is the
+    tuple of ``Fraction`` coefficients they give.
+    """
+
+    __slots__ = ("numerators", "denominator")
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        cs = []
         for c in coeffs:
-            if isinstance(c, float):
-                raise TypeError("exact coefficients required, not float")
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", tuple(_strip(cs)))
+            if type(c) is not int and type(c) is not Fraction:
+                if isinstance(c, float):
+                    raise TypeError("exact coefficients required, not float")
+                c = Fraction(c)
+            cs.append(c)
+        # over the lcm of reduced denominators no prime divides every numerator
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", den if nums else 1)
 
     @classmethod
     def of(cls, *coeffs) -> "NumericalPolynomial":
         return cls(tuple(coeffs))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.denominator
+        return tuple(Fraction(c, den) for c in self.numerators)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.numerators == other.numerators and self.denominator == other.denominator
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial (minus infinity)."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.numerators) - 1 if self.numerators else None
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.numerators[-1], self.denominator) if self.numerators else Fraction(0)
 
     def evaluate(self, m) -> Fraction:
-        return _horner(self.coeffs, m)
+        """The value at an int or ``Fraction`` m."""
+        return Fraction(_horner(self.numerators, m), self.denominator)
 
     def __add__(self, other) -> "NumericalPolynomial":
         """Sum with a polynomial or an exact scalar (taken as a constant)."""
-        if not isinstance(other, NumericalPolynomial):
+        if other.__class__ is not NumericalPolynomial:
             other = NumericalPolynomial((other,))
-        a, b = self.coeffs, other.coeffs
+        a, da, b, db = self.numerators, self.denominator, other.numerators, other.denominator
+        if da != db:
+            den = lcm(da, db)
+            a = [c * (den // da) for c in a]
+            b = [c * (den // db) for c in b]
+            da = den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return NumericalPolynomial(tuple(out))
+        return _reduced(out, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NumericalPolynomial":
-        return NumericalPolynomial(tuple(-c for c in self.coeffs))
+        return _reduced([-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other: "NumericalPolynomial") -> "NumericalPolynomial":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, NumericalPolynomial):
-            if self.is_zero or other.is_zero:
-                return NumericalPolynomial(())
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return NumericalPolynomial(tuple(out))
-        if isinstance(other, float):
-            raise TypeError("exact scalar required, not float")
-        return NumericalPolynomial(tuple(Fraction(other) * c for c in self.coeffs))
+        if other.__class__ is NumericalPolynomial:
+            a, b = self.numerators, other.numerators
+            if not a or not b:
+                return ZERO
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return _reduced(out, self.denominator * other.denominator)
+        if type(other) is not int:
+            if isinstance(other, float):
+                raise TypeError("exact scalar required, not float")
+            other = Fraction(other)
+            if other.denominator != 1:
+                return _reduced(
+                    [c * other.numerator for c in self.numerators],
+                    self.denominator * other.denominator,
+                )
+            other = other.numerator
+        return _reduced([c * other for c in self.numerators], self.denominator)
 
     __rmul__ = __mul__
 
@@ -94,8 +142,9 @@ class NumericalPolynomial(Record):
         if self.is_zero:
             return "0"
         parts = []
+        coeffs = self.coeffs
         for power in range(self.degree, -1, -1):
-            c = self.coeffs[power]
+            c = coeffs[power]
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
@@ -106,6 +155,23 @@ class NumericalPolynomial(Record):
                 body = ("" if a == 1 else str(a)) + var + ("" if power == 1 else f"^{power}")
             parts.append(sign + body)
         return "".join(parts)
+
+
+def _reduced(nums: list[int], den: int) -> NumericalPolynomial:
+    """The polynomial nums / den (den > 0), stripped and in lowest terms."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    p = object.__new__(NumericalPolynomial)
+    object.__setattr__(p, "numerators", tuple(nums))
+    object.__setattr__(p, "denominator", den)
+    return p
 
 
 ZERO = NumericalPolynomial(())
@@ -126,7 +192,7 @@ def binomial_basis(i: int) -> NumericalPolynomial:
 def binomial_coefficients(p: NumericalPolynomial) -> tuple[Fraction, ...]:
     """Coefficients b_i with p = sum b_i C(m, i): the forward differences of
     p(0), ..., p(deg p) at 0."""
-    values = [p.evaluate(m) for m in range(len(p.coeffs))]
+    values = [p.evaluate(m) for m in range(len(p.numerators))]
     out = []
     while values:
         out.append(values[0])
@@ -138,32 +204,43 @@ def cauchy_bound(p: NumericalPolynomial) -> int:
     """Integer B >= 1 such that every real root of p is at most B."""
     if p.is_zero:
         return 1
-    return max(1, ceil(cauchy_root_bound(p.coeffs)))
+    return max(1, ceil(cauchy_root_bound(p.numerators)))
 
 
-def _int_scaled(p: NumericalPolynomial) -> list[int]:
-    """Integer coefficient list with the same signs as p at every point."""
-    if p.is_zero:
-        return []
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    return [int(c * scale) for c in p.coeffs]
+def _all_positive(numerator_lists: Sequence[Sequence[int]], m: int) -> bool:
+    """Is every polynomial of the list positive at m? (Numerators over a
+    positive denominator have the polynomial's sign.)"""
+    return all(_horner(cs, m) > 0 for cs in numerator_lists)
 
 
 def exists_common_positive(ps: Sequence[NumericalPolynomial]) -> int | None:
     """Minimal m >= 1 with p(m) > 0 for every p, or None if no m works.
 
-    Exact: scan up to the largest Cauchy bound, beyond which each polynomial
-    keeps the sign of its leading coefficient.
+    Exact. If m = 1 fails, a least m > 1 follows some p with p(m-1) <= 0 <
+    p(m), so p has a real root r with m - 1 <= r < m, that is m = floor(r) + 1.
+    Each root in a unit cell (k, k+1] gives the candidates k+1 and k+2; the
+    cells come from Sturm counts bisected over the integers up to the Cauchy
+    bound, beyond which every polynomial keeps the sign of its leading
+    coefficient. The candidates, then bound + 1, are tested in increasing
+    order by integer Horner, at most 2 + 2 * (sum of the degrees) of them.
     """
     if not ps:
         raise ValueError("need at least one polynomial")
-    bound = max(cauchy_bound(p) for p in ps)
-    scaled = [_int_scaled(p) for p in ps]
-    for m in range(1, bound + 1):
-        if all(cs and _horner(cs, m) > 0 for cs in scaled):
+    unique = {p.numerators: p for p in ps}
+    if () in unique:
+        return None
+    if _all_positive(unique, 1):
+        return 1
+    candidates = set()
+    bound = 1
+    for p in unique.values():
+        top = cauchy_bound(p)
+        bound = max(bound, top)
+        for k in root_cells(p, top):
+            candidates.update((k + 1, k + 2))
+    candidates.add(bound + 1)
+    candidates.discard(1)
+    for m in sorted(candidates):
+        if _all_positive(unique, m):
             return m
-    if all(p.leading > 0 for p in ps):
-        witness = bound + 1
-        assert all(_horner(cs, witness) > 0 for cs in scaled)
-        return witness
     return None

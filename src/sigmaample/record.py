@@ -8,13 +8,15 @@ class Record:
     A direct subclass lists its fields in ``__slots__`` in positional order
     and sets them in ``__init__`` with ``object.__setattr__``. A slot whose
     name starts with an underscore holds a derived cache: it stays out of
-    equality, hashing and repr.
+    equality, hashing and repr. A subclass that stores its fields in another
+    form declares ``_fields`` itself and provides each field as a property.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):

@@ -217,6 +217,37 @@ def test_gk_accepts_sigma_ample_but_not_ample_class(abelian):
     assert gk == 5
 
 
+def test_gk_profile_of_ample_class_runs_no_witness_search(abelian, monkeypatch):
+    from sigmaample import ampleness
+
+    searches = []
+    search = ampleness.exists_common_positive
+    monkeypatch.setattr(
+        ampleness, "exists_common_positive", lambda ps: searches.append(ps) or search(ps)
+    )
+    args = abelian.scheme, abelian.action("shear"), abelian.oracle()
+    assert engine.gk_profile(*args, abelian.divisor("D111")).gk_dimension == 5
+    assert searches == []
+    # a class that is only sigma-ample needs its witness
+    assert engine.gk_profile(*args, abelian.divisor("fiber1")).gk_dimension == 5
+    assert len(searches) == 1
+
+
+def test_gk_profile_error_order(wehler):
+    from sigmaample.errors import InvalidSchemeData, RankMismatch
+
+    wrong_rank = DivisorClass.of(-1, 0, 0)
+    bogus = AutomorphismAction("bogus", IntegerMatrix.from_rows([[1, 1], [0, 1]]))
+    cases = [
+        (bogus, InvalidSchemeData),
+        (wehler.action("s1s2"), NotQuasiUnipotent),
+        (wehler.action("id"), RankMismatch),
+    ]
+    for action, error in cases:
+        with pytest.raises(error):
+            engine.gk_profile(wehler.scheme, action, wehler.oracle(), wrong_rank)
+
+
 def _components_at_direct_power(sf, action, divisor, power):
     """Self-intersection polynomials of the partial sums taken at the given
     step, built from the matrix power and the summed divisor directly."""
@@ -396,7 +427,7 @@ def test_partial_sum_accumulates(abelian):
         unimodular_matrices(n, ops=2 * n),
         st.lists(st.fractions(-9, 9, max_denominator=12), min_size=n, max_size=n),
     )),
-    st.integers(0, 12),
+    st.integers(0, 40),
 )
 def test_partial_sum_matches_fraction_accumulation(matrix_and_coords, m):
     matrix, coords = matrix_and_coords
