@@ -9,7 +9,6 @@ from .ampleness import (
     SurfacePositiveCone,
     is_ample,
     is_ample_symbolic,
-    is_nef,
 )
 from .engine import (
     Classification,

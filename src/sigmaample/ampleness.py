@@ -9,9 +9,8 @@ listed obstruction curve. Real ample cones on surfaces can have irrational
 boundary, which the sign conditions capture exactly; whether the obstruction
 list is complete is the caller's geometric assertion.
 
-Nef variants replace strict inequalities with non-strict ones on the same
-data. Symbolic variants substitute a one-parameter polynomial family of
-classes and reduce existence of an ample member to exact sign analysis.
+Symbolic variants substitute a one-parameter polynomial family of classes and
+reduce existence of an ample member to exact sign analysis.
 """
 from __future__ import annotations
 
@@ -51,8 +50,7 @@ class PolyhedralCone(Record):
                 raise ValueError(f"facet {f} does not match rank {rank}")
             if all(c == 0 for c in f):
                 raise ValueError("zero functional is not a facet")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "facets", facets)
+        super().__init__(rank, facets)
 
     def conditions(self, coords: Sequence) -> list:
         """The facet functionals applied to the coordinates (zero entries
@@ -98,9 +96,7 @@ class SurfacePositiveCone(Record):
         for c in obstructions:
             if intersect(component, [a, c]) <= 0:
                 raise ValueError("reference class must pair positively with obstructions")
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "reference_ample", reference_ample)
-        object.__setattr__(self, "obstructions", obstructions)
+        super().__init__(component, reference_ample, obstructions)
 
     @property
     def rank(self) -> int:
@@ -152,10 +148,6 @@ def _conditions(oracle: AmplenessOracle, coords: Sequence) -> list:
 
 def is_ample(oracle: AmplenessOracle, divisor: DivisorClass) -> bool:
     return all(v > 0 for v in _conditions(oracle, divisor.coords))
-
-
-def is_nef(oracle: AmplenessOracle, divisor: DivisorClass) -> bool:
-    return all(v >= 0 for v in _conditions(oracle, divisor.coords))
 
 
 def symbolic_constraints(

@@ -35,11 +35,11 @@ from .errors import (
 from .intmat import (
     IntegerMatrix,
     UnipotentReduction,
+    exact_eps,
     nilpotency_index,
     spectral_radius,
     unipotent_reduction,
 )
-from .intpoly import RationalInterval
 from .lattice import (
     AutomorphismAction,
     DivisorClass,
@@ -60,16 +60,6 @@ class Classification(Record):
 
     __slots__ = ("unipotent_power", "jordan_index", "radius")
 
-    def __init__(
-        self,
-        unipotent_power: int | None,
-        jordan_index: int | None,
-        radius: RationalInterval | None,
-    ) -> None:
-        object.__setattr__(self, "unipotent_power", unipotent_power)
-        object.__setattr__(self, "jordan_index", jordan_index)
-        object.__setattr__(self, "radius", radius)
-
     @property
     def quasi_unipotent(self) -> bool:
         return self.radius is None
@@ -82,16 +72,6 @@ class SigmaAmpleVerdict(Record):
     partial sum is ample)."""
 
     __slots__ = ("unipotent_power", "witness", "family")
-
-    def __init__(
-        self,
-        unipotent_power: int | None,
-        witness: int | None,
-        family: tuple[NumericalPolynomial, ...],
-    ) -> None:
-        object.__setattr__(self, "unipotent_power", unipotent_power)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "family", family)
 
     @property
     def sigma_ample(self) -> bool:
@@ -112,23 +92,12 @@ class ComponentExpansion(Record):
 
     __slots__ = ("name", "polynomial")
 
-    def __init__(self, name: str, polynomial: NumericalPolynomial) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "polynomial", polynomial)
-
 
 class GKProfile(Record):
     """GK dimension, the step at which partial sums and action powers are
     taken, and the per-component expansions."""
 
     __slots__ = ("gk_dimension", "reduced_power", "components")
-
-    def __init__(
-        self, gk_dimension: int, reduced_power: int, components: tuple[ComponentExpansion, ...]
-    ) -> None:
-        object.__setattr__(self, "gk_dimension", gk_dimension)
-        object.__setattr__(self, "reduced_power", reduced_power)
-        object.__setattr__(self, "components", components)
 
     @property
     def hilbert_degree(self) -> int:
@@ -142,18 +111,6 @@ class GrowthReport(Record):
     ratios, and whether the partial-sum root statistic is above 1 + 1/1000."""
 
     __slots__ = ("gk_dimension", "radius", "ratio_samples", "threshold_exceeded")
-
-    def __init__(
-        self,
-        gk_dimension: int | None,
-        radius: RationalInterval | None,
-        ratio_samples: tuple[Fraction, ...],
-        threshold_exceeded: bool | None,
-    ) -> None:
-        object.__setattr__(self, "gk_dimension", gk_dimension)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "ratio_samples", ratio_samples)
-        object.__setattr__(self, "threshold_exceeded", threshold_exceeded)
 
     @property
     def hilbert_degree(self) -> int | None:
@@ -181,9 +138,7 @@ def require_valid(scheme: SchemeDescriptor, action: AutomorphismAction) -> None:
 def classify(matrix: IntegerMatrix, eps: Fraction = DEFAULT_EPS) -> Classification:
     """Quasi-unipotent (with reduction power and Jordan index) or not (with a
     spectral-radius enclosure whose lower end exceeds 1)."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = exact_eps(eps)
     reduction = unipotent_reduction(matrix)
     if reduction is not None:
         return Classification(reduction.power, reduction.jordan_index, None)
@@ -419,8 +374,7 @@ def growth_report(
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = exact_eps(eps)
     require_valid(scheme, action)
     if not is_ample(oracle, divisor):
         raise NotAmple("growth reports are defined for ample divisor classes")

@@ -45,7 +45,7 @@ class IntegerMatrix(Record):
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "rows", rows)
+        super().__init__(rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
@@ -249,11 +249,6 @@ class UnipotentReduction(Record):
 
     __slots__ = ("power", "matrix", "jordan_index")
 
-    def __init__(self, power: int, matrix: IntegerMatrix, jordan_index: int) -> None:
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "jordan_index", jordan_index)
-
 
 @lru_cache(maxsize=4096)
 def unipotent_reduction(matrix: IntegerMatrix) -> UnipotentReduction | None:
@@ -300,6 +295,17 @@ def _kronecker_square_char_poly(coeffs: Sequence[int]) -> list[int]:
     return out[::-1]
 
 
+def exact_eps(eps) -> Fraction:
+    """A tolerance as a positive ``Fraction``; a float is refused, since its
+    binary value would enter the decision."""
+    if isinstance(eps, float):
+        raise TypeError("exact eps required, not float")
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return eps
+
+
 def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
     """Exact rational interval of width <= eps containing the spectral radius.
 
@@ -309,9 +315,7 @@ def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
     from the n^2 x n^2 matrix. Integer Sturm isolation plus an
     integer-square-root enclosure then brackets the radius itself.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = exact_eps(eps)
     coeffs = char_poly(matrix).numerators
     squared = NumericalPolynomial(tuple(_kronecker_square_char_poly(coeffs)))
     # sqrt(b) - sqrt(a) <= sqrt(b - a) <= eps/2 (1/2 when eps >= 1), and the

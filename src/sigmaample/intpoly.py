@@ -30,8 +30,7 @@ class RationalInterval(Record):
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(lo, hi)
 
     @property
     def width(self) -> Fraction:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import RankMismatch
 from .intmat import IntegerMatrix
@@ -32,19 +32,11 @@ class DivisorClass(Record):
         for c in coords:
             if isinstance(c, float):
                 raise TypeError("exact coordinates required, not float")
-        object.__setattr__(
-            self,
-            "coords",
-            tuple(c if type(c) is Fraction else Fraction(c) for c in coords),
-        )
+        super().__init__(tuple(c if type(c) is Fraction else Fraction(c) for c in coords))
 
     @classmethod
     def of(cls, *coords) -> "DivisorClass":
         return cls(tuple(coords))
-
-    @classmethod
-    def zero(cls, rank: int) -> "DivisorClass":
-        return cls((Fraction(0),) * rank)
 
     @property
     def rank(self) -> int:
@@ -75,9 +67,9 @@ class DivisorClass(Record):
 class SymmetricForm(Record):
     """Symmetric multilinear functional on the rank-``rank`` lattice.
 
-    ``values`` maps non-decreasing basis multi-indices of length ``arity`` to
-    rational values; omitted indices are zero. Arity 0 is a constant, keyed
-    by the empty tuple.
+    ``values`` pairs non-decreasing basis multi-indices of length ``arity``
+    with rational values (``from_dict`` takes them as a dict); omitted
+    indices are zero. Arity 0 is a constant, keyed by the empty tuple.
     """
 
     __slots__ = ("rank", "arity", "values", "_table", "_terms")
@@ -87,7 +79,7 @@ class SymmetricForm(Record):
     ) -> None:
         normalized = []
         seen = set()
-        for index, value in values.items() if isinstance(values, Mapping) else values:
+        for index, value in values:
             index = tuple(int(i) for i in index)
             if len(index) != arity:
                 raise ValueError(f"multi-index {index} must have length {arity}")
@@ -104,9 +96,7 @@ class SymmetricForm(Record):
             if value != 0:
                 normalized.append((index, value))
         normalized.sort()
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "values", tuple(normalized))
+        super().__init__(rank, arity, tuple(normalized))
         object.__setattr__(self, "_table", dict(normalized))
         object.__setattr__(
             self,
@@ -119,7 +109,7 @@ class SymmetricForm(Record):
         )
 
     @classmethod
-    def from_dict(cls, rank: int, arity: int, table: Mapping) -> "SymmetricForm":
+    def from_dict(cls, rank: int, arity: int, table: dict) -> "SymmetricForm":
         return cls(rank, arity, tuple(table.items()))
 
     @property
@@ -192,10 +182,7 @@ class ComponentDescriptor(Record):
                     raise ValueError("todd functionals must share the lattice rank")
             if todd[dim] != top_form:
                 raise ValueError("top todd functional must equal the intersection form")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "top_form", top_form)
-        object.__setattr__(self, "todd", todd)
+        super().__init__(name, dim, top_form, todd)
 
 
 class SchemeDescriptor(Record):
@@ -220,11 +207,7 @@ class SchemeDescriptor(Record):
                     f"component {comp.name!r} lives on rank {comp.top_form.rank}, "
                     f"scheme has rank {rank}"
                 )
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(
-            self, "euler_char", None if euler_char is None else Fraction(euler_char)
-        )
+        super().__init__(rank, components, None if euler_char is None else Fraction(euler_char))
 
     @property
     def dim(self) -> int:
@@ -246,9 +229,7 @@ class AutomorphismAction(Record):
     __slots__ = ("name", "matrix", "todd_invariant")
 
     def __init__(self, name: str, matrix: IntegerMatrix, todd_invariant: bool = False) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "todd_invariant", todd_invariant)
+        super().__init__(name, matrix, todd_invariant)
 
 
 def intersect(component: ComponentDescriptor, classes: Sequence[DivisorClass]) -> Fraction:
@@ -270,17 +251,9 @@ def apply(action: AutomorphismAction, divisor: DivisorClass) -> DivisorClass:
 class CheckResult(Record):
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
 
 class ValidationReport(Record):
     __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
-        object.__setattr__(self, "checks", checks)
 
     @property
     def valid(self) -> bool:

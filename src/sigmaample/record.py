@@ -5,11 +5,16 @@ from operator import attrgetter
 class Record:
     """Immutable ``__slots__`` value, equal and hashed by its fields.
 
-    A direct subclass lists its fields in ``__slots__`` in positional order
-    and sets them in ``__init__`` with ``object.__setattr__``. A slot whose
-    name starts with an underscore holds a derived cache: it stays out of
-    equality, hashing and repr. A subclass that stores its fields in another
-    form declares ``_fields`` itself and provides each field as a property.
+    A direct subclass declares each field once, in ``__slots__``, in
+    positional order. The one constructor, ``Record.__init__``, takes the
+    fields positionally or by keyword and raises ``TypeError`` when one is
+    missing, extra, unknown or given twice. A subclass that checks or
+    normalises its arguments, or has a default, writes its own ``__init__``
+    with the same parameters and ends it with ``super().__init__(...)``. A
+    slot whose name starts with an underscore holds a derived cache: it stays
+    out of equality, hashing and repr. A subclass that stores its fields in
+    another form declares ``_fields`` itself, provides each field as a
+    property and builds its slots in its own constructor.
     """
 
     __slots__ = ()
@@ -18,6 +23,26 @@ class Record:
         if "_fields" not in cls.__dict__:
             cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            name = type(self).__name__
+            if len(args) > len(fields):
+                raise TypeError(f"{name} takes {len(fields)} fields, {len(args)} given")
+            values = dict(zip(fields, args))
+            for field, value in kwargs.items():
+                if field not in fields:
+                    raise TypeError(f"{name} has no field {field!r}")
+                if field in values:
+                    raise TypeError(f"{name} got field {field!r} twice")
+                values[field] = value
+            missing = [f for f in fields if f not in values]
+            if missing:
+                raise TypeError(f"{name} is missing {', '.join(missing)}")
+            args = [values[f] for f in fields]
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

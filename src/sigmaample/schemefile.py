@@ -31,22 +31,12 @@ class SchemeFile(Record):
 
     __slots__ = ("scheme", "oracles", "automorphisms", "divisors")
 
-    def __init__(
-        self,
-        scheme: SchemeDescriptor,
-        oracles: dict[str, AmplenessOracle],
-        automorphisms: dict[str, AutomorphismAction],
-        divisors: dict[str, DivisorClass],
-    ) -> None:
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "oracles", oracles)
-        object.__setattr__(self, "automorphisms", automorphisms)
-        object.__setattr__(self, "divisors", divisors)
-
     def oracle(self, name: str | None = None) -> AmplenessOracle:
         if name is None:
             if len(self.oracles) == 1:
                 return next(iter(self.oracles.values()))
+            if not self.oracles:
+                raise UnknownName("the input defines no oracle")
             raise UnknownName(
                 f"an oracle name is required; available: {', '.join(sorted(self.oracles))}"
             )

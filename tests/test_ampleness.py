@@ -8,7 +8,6 @@ from sigmaample.ampleness import (
     action_stability_report,
     is_ample,
     is_ample_symbolic,
-    is_nef,
     symbolic_constraints,
 )
 from sigmaample.engine import delta_symbolic, partial_sum
@@ -28,20 +27,20 @@ def test_wehler_examples(wehler):
     d = wehler.divisor("H1") - wehler.divisor("H2")
     # (D.D) = 2 - 8 + 2 = -4
     assert not is_ample(oracle, d)
-    assert not is_ample(oracle, DivisorClass.zero(2))
+    assert not is_ample(oracle, DivisorClass.of(0, 0))
 
 
 def test_zero_class_is_nef_but_not_ample(entry):
     oracle = entry.oracle()
-    zero = DivisorClass.zero(entry.scheme.rank)
+    zero = DivisorClass((0,) * entry.scheme.rank)
     assert not is_ample(oracle, zero)
-    assert is_nef(oracle, zero)
+    assert all(v >= 0 for v in oracle.conditions(zero.coords))
 
 
 def test_nef_examples(abelian):
     oracle = abelian.oracle()
     fiber = abelian.divisor("fiber1")
-    assert is_nef(oracle, fiber)
+    assert all(v >= 0 for v in oracle.conditions(fiber.coords))
     assert not is_ample(oracle, fiber)  # self-intersection is 0
 
 
@@ -99,7 +98,7 @@ def test_polyhedral_oracle_basics():
     cone = PolyhedralCone(2, ((1, 0), (0, 1)))
     assert is_ample(cone, DivisorClass.of(1, 1))
     assert not is_ample(cone, DivisorClass.of(1, 0))  # boundary is not ample
-    assert is_nef(cone, DivisorClass.of(1, 0))
+    assert all(v >= 0 for v in cone.conditions(DivisorClass.of(1, 0).coords))
     assert is_ample_symbolic(cone, [M, M - NumericalPolynomial.of(7)]) == 8
 
 

@@ -425,6 +425,17 @@ def test_oracle_flag_required_with_multiple_oracles(tmp_path, capsys):
     assert json.loads(out)["oracle"] == "extra"
 
 
+def test_file_without_oracles_says_so(tmp_path, capsys):
+    doc = json.loads(serialize_scheme_file(catalog_entry("wehler_k3")))
+    doc["oracles"] = []
+    path = tmp_path / "no_oracles.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "sigma-ample", str(path), "--auto", "s1", "--divisor", "H1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: the input defines no oracle\n"
+
+
 def _child_env() -> dict:
     """Environment in which a child imports the same package as this
     process, PYTHONPATH or not."""

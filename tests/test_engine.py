@@ -123,7 +123,7 @@ def test_sigma_ample_negative_class(wehler):
 
 def test_sigma_ample_zero_class(wehler):
     verdict = engine.is_sigma_ample(
-        wehler.scheme, wehler.action("id"), wehler.oracle(), DivisorClass.zero(2)
+        wehler.scheme, wehler.action("id"), wehler.oracle(), DivisorClass.of(0, 0)
     )
     assert not verdict.sigma_ample
     assert verdict.reason == "no-ample-partial-sum"
@@ -201,7 +201,7 @@ def test_gk_rejects_hopeless_class(wehler):
         )
     with pytest.raises(NotAmple):
         engine.gk_profile(
-            wehler.scheme, wehler.action("id"), wehler.oracle(), DivisorClass.zero(2)
+            wehler.scheme, wehler.action("id"), wehler.oracle(), DivisorClass.of(0, 0)
         )
 
 
@@ -302,7 +302,7 @@ def test_chi_series_degree_one_on_line():
 def test_chi_series_zero_class_gives_constant(entry):
     if not entry.scheme.has_todd:
         pytest.skip("entry without Todd data")
-    zero = DivisorClass.zero(entry.scheme.rank)
+    zero = DivisorClass((0,) * entry.scheme.rank)
     series = engine.euler_char_series(entry.scheme, entry.action("id"), zero, 3)
     constant = sum(
         (c.todd[0].value_at(()) for c in entry.scheme.components), Fraction(0)
@@ -416,7 +416,7 @@ def test_growth_requires_ample(wehler):
 def test_partial_sum_accumulates(abelian):
     shear = abelian.action("shear").matrix
     d = abelian.divisor("D111")
-    assert engine.partial_sum(shear, d, 0) == DivisorClass.zero(3)
+    assert engine.partial_sum(shear, d, 0) == DivisorClass.of(0, 0, 0)
     assert engine.partial_sum(shear, d, 1) == d
     assert engine.partial_sum(shear, d, 2) == DivisorClass.of(4, 4, 0)
 
@@ -432,7 +432,7 @@ def test_partial_sum_accumulates(abelian):
 def test_partial_sum_matches_fraction_accumulation(matrix_and_coords, m):
     matrix, coords = matrix_and_coords
     divisor = DivisorClass(tuple(coords))
-    total, current = DivisorClass.zero(divisor.rank), divisor
+    total, current = DivisorClass((0,) * divisor.rank), divisor
     for _ in range(m):
         total = total + current
         current = DivisorClass(matrix.column_action(current.coords))

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sigmaample import engine, intmat
 from sigmaample.errors import RankMismatch
 from sigmaample.intmat import IntegerMatrix
 from sigmaample.lattice import (
@@ -27,7 +28,7 @@ def test_intersection_numbers_wehler(wehler):
     assert intersect(comp, [h1, h1]) == 2
     assert intersect(comp, [h2, h2]) == 2
     assert intersect(comp, [h1, h2]) == 4
-    assert intersect(comp, [h1, DivisorClass.zero(2)]) == 0
+    assert intersect(comp, [h1, DivisorClass.of(0, 0)]) == 0
 
 
 def test_intersect_arity_checked(wehler):
@@ -183,7 +184,7 @@ def test_divisor_class_algebra():
     assert DivisorClass.of(Fraction(1, 2)).coords[0].denominator == 2
 
 
-def test_floats_are_rejected_everywhere():
+def test_floats_are_rejected_everywhere(wehler):
     with pytest.raises(TypeError):
         DivisorClass.of(1.5, 0)
     with pytest.raises(TypeError):
@@ -194,3 +195,15 @@ def test_floats_are_rejected_everywhere():
         IntegerMatrix.from_rows([[1.0]])
     with pytest.raises(TypeError):
         NumericalPolynomial.of(0.1)
+    # a float tolerance is refused before any work, on either branch
+    s1s2 = wehler.action("s1s2")
+    for matrix in (s1s2.matrix, IntegerMatrix.identity(2)):
+        with pytest.raises(TypeError):
+            engine.classify(matrix, eps=0.001)
+    with pytest.raises(TypeError):
+        intmat.spectral_radius(s1s2.matrix, 0.001)
+    for action in (s1s2, wehler.action("id")):
+        with pytest.raises(TypeError):
+            engine.growth_report(
+                wehler.scheme, action, wehler.oracle(), wehler.divisor("H1plusH2"), 4, 0.001
+            )

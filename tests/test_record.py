@@ -16,9 +16,30 @@ from sigmaample.record import Record
 
 
 def test_fields_are_the_positional_parameters():
+    shared = []
     for cls in Record.__subclasses__():
-        params = list(inspect.signature(cls.__init__).parameters)[1:]
-        assert params == list(cls._fields), cls.__name__
+        if cls.__init__ is not Record.__init__:
+            params = list(inspect.signature(cls.__init__).parameters)[1:]
+            assert params == list(cls._fields), cls.__name__
+            continue
+        shared.append(cls)
+        fields = cls._fields
+        values = [object() for _ in fields]
+        by_position = cls(*values)
+        by_keyword = cls(**dict(zip(reversed(fields), reversed(values))))
+        for record in (by_position, by_keyword):
+            assert [getattr(record, f) for f in fields] == values, cls.__name__
+        assert by_position == by_keyword
+        assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == by_position
+        with pytest.raises(TypeError, match="missing"):
+            cls(*values[:-1])
+        with pytest.raises(TypeError, match="given"):
+            cls(*values, object())
+        with pytest.raises(TypeError, match="no field"):
+            cls(*values, bogus=object())
+        with pytest.raises(TypeError, match="twice"):
+            cls(*values, **{fields[0]: values[0]})
+    assert shared
 
 
 def test_equality_and_hash_follow_the_fields():
