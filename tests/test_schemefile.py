@@ -2,7 +2,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import SchemeParseError, UnknownName
 from sigmaample.schemefile import (
     parse_scheme_file,
@@ -168,3 +170,58 @@ def test_document_serialization_is_deterministic():
     sf = parse_scheme_file(json.dumps(MINIMAL))
     assert serialize_scheme_file(sf) == serialize_scheme_file(sf)
     assert scheme_file_to_document(sf) == scheme_file_to_document(sf)
+
+
+# --- fuzzing: mutated catalog documents parse or raise SchemeParseError ---
+
+CATALOG_DOCUMENTS = [
+    json.loads(serialize_scheme_file(catalog_entry(name))) for name in catalog_names()
+]
+
+JSON_ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, width=32),
+    st.sampled_from(["", "0", "1", "-2", "1/2", "1/0", "x", "1e3", "X", "s1", "polyhedral"]),
+)
+
+
+def _subtree_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _subtree_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A catalog document with one to three subtrees replaced by a JSON atom
+    or deleted (deleting the root replaces it)."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(CATALOG_DOCUMENTS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_subtree_paths(doc))))
+        atom = draw(JSON_ATOMS)
+        if not path:
+            doc = atom
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = atom
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_parse_or_raise_parse_error(doc):
+    try:
+        sf = parse_scheme_file(json.dumps(doc))
+    except SchemeParseError:
+        return
+    text = serialize_scheme_file(sf)
+    assert parse_scheme_file(text) == sf
+    assert serialize_scheme_file(parse_scheme_file(text)) == text
