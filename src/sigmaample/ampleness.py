@@ -40,6 +40,7 @@ class PolyhedralCone(Record):
     """Ample cone cut out by finitely many integer facet functionals."""
 
     __slots__ = ("rank", "facets")
+    kind = "polyhedral"
 
     def __init__(self, rank: int, facets: tuple[tuple[int, ...], ...]) -> None:
         facets = tuple(tuple(int(c) for c in f) for f in facets)
@@ -80,6 +81,7 @@ class SurfacePositiveCone(Record):
     """
 
     __slots__ = ("component", "reference_ample", "obstructions")
+    kind = "surface_positive_cone"
 
     def __init__(
         self,

@@ -76,7 +76,11 @@ def load_input(name_or_path: str, enforce_valid: bool = True) -> SchemeFile:
     """Resolve INPUT: an existing file path first, then a catalog name."""
     path = Path(name_or_path)
     if path.is_file():
-        sf = parse_scheme_file(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemeParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
+        sf = parse_scheme_file(text)
     else:
         sf = catalog_entry(name_or_path)
     if enforce_valid:

@@ -6,12 +6,20 @@ hit a 64-bit ceiling. Structural counts (rank, dimensions, indices) are plain
 JSON integers. Parsing is strict and reports a field path or line/column with
 every complaint; serialization is canonical, so parse(serialize(x)) == x and
 equal inputs give byte-identical documents.
+
+Each input condition is checked once. This reader checks the JSON shape:
+types, required keys, names unique within a section, numeric strings, sizes
+against the rank, oracle kinds and component references. The constructors
+check the rest: ``SymmetricForm`` the multi-indices (length, range, order,
+duplicates), ``ComponentDescriptor`` the dimension and the Todd data,
+``SchemeDescriptor`` the ranks, each oracle its invariants; ``_checked`` puts
+the field path on their ``ValueError``. ``lattice.validate`` checks the actions.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .ampleness import AmplenessOracle, PolyhedralCone, SurfacePositiveCone
 from .errors import SchemeParseError, UnknownName
@@ -40,22 +48,19 @@ class SchemeFile(Record):
             raise UnknownName(
                 f"an oracle name is required; available: {', '.join(sorted(self.oracles))}"
             )
-        try:
-            return self.oracles[name]
-        except KeyError:
-            raise UnknownName(f"no oracle named {name!r}") from None
+        return _lookup(self.oracles, "oracle", name)
 
     def action(self, name: str) -> AutomorphismAction:
-        try:
-            return self.automorphisms[name]
-        except KeyError:
-            raise UnknownName(f"no automorphism named {name!r}") from None
+        return _lookup(self.automorphisms, "automorphism", name)
 
     def divisor(self, name: str) -> DivisorClass:
-        try:
-            return self.divisors[name]
-        except KeyError:
-            raise UnknownName(f"no divisor named {name!r}") from None
+        return _lookup(self.divisors, "divisor", name)
+
+
+def _lookup(table: dict, what: str, name: str):
+    if name not in table:
+        raise UnknownName(f"no {what} named {name!r}")
+    return table[name]
 
 
 def _fail(path: str, message: str) -> SchemeParseError:
@@ -66,6 +71,22 @@ def _expect(obj: Any, kind: type, path: str) -> Any:
     if not isinstance(obj, kind) or isinstance(obj, bool) and kind is not bool:
         raise _fail(path, f"expected {kind.__name__}, got {type(obj).__name__}")
     return obj
+
+
+def _require(obj: Any, path: str, keys: tuple[str, ...]) -> dict:
+    obj = _expect(obj, dict, path)
+    for key in keys:
+        if key not in obj:
+            raise _fail(path, f"missing key {key!r}")
+    return obj
+
+
+def _checked(path: str, build: Callable, *args) -> Any:
+    """Call a record constructor, naming ``path`` in the error it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise _fail(path, str(exc)) from None
 
 
 def parse_rational(text: Any, path: str) -> Fraction:
@@ -93,212 +114,166 @@ def format_rational(value: Fraction) -> str:
 
 
 def _parse_form(obj: Any, rank: int, arity: int, path: str) -> SymmetricForm:
-    entries = _expect(obj, list, path)
-    table = {}
-    for pos, entry in enumerate(entries):
+    values = []
+    for pos, entry in enumerate(_expect(obj, list, path)):
         epath = f"{path}[{pos}]"
         entry = _expect(entry, dict, epath)
         if set(entry) != {"index", "value"}:
             raise _fail(epath, "entry must have exactly the keys 'index' and 'value'")
         index = _expect(entry["index"], list, f"{epath}.index")
-        idx = tuple(parse_integer(i, f"{epath}.index") for i in index)
-        if len(idx) != arity:
-            raise _fail(f"{epath}.index", f"multi-index must have length {arity}")
-        if any(a > b for a, b in zip(idx, idx[1:])):
-            raise _fail(f"{epath}.index", f"multi-index {list(idx)} must be non-decreasing")
-        if any(i < 0 or i >= rank for i in idx):
-            raise _fail(f"{epath}.index", f"multi-index {list(idx)} out of range")
-        if idx in table:
-            raise _fail(f"{epath}.index", f"duplicate multi-index {list(idx)}")
-        table[idx] = parse_rational(entry["value"], f"{epath}.value")
-    try:
-        return SymmetricForm.from_dict(rank, arity, table)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from None
+        values.append((
+            tuple(parse_integer(i, f"{epath}.index") for i in index),
+            parse_rational(entry["value"], f"{epath}.value"),
+        ))
+    return _checked(path, SymmetricForm, rank, arity, tuple(values))
 
 
 def _form_to_json(form: SymmetricForm) -> list:
-    return [
-        {"index": list(index), "value": format_rational(value)}
-        for index, value in form.values
-    ]
+    return [{"index": list(index), "value": format_rational(v)} for index, v in form.values]
 
 
-def _parse_component(obj: Any, rank: int, path: str) -> ComponentDescriptor:
-    obj = _expect(obj, dict, path)
-    for key in ("name", "dim", "top_form"):
-        if key not in obj:
-            raise _fail(path, f"missing key {key!r}")
-    name = _expect(obj["name"], str, f"{path}.name")
+def _parse_component(obj: dict, rank: int, path: str) -> ComponentDescriptor:
     dim = _expect(obj["dim"], int, f"{path}.dim")
     top = _parse_form(obj["top_form"], rank, dim, f"{path}.top_form")
     todd = None
     if obj.get("todd") is not None:
-        rows = _expect(obj["todd"], list, f"{path}.todd")
-        if len(rows) != dim + 1:
-            raise _fail(f"{path}.todd", f"expected {dim + 1} functionals (j = 0 .. dim)")
         todd = tuple(
-            _parse_form(row, rank, j, f"{path}.todd[{j}]") for j, row in enumerate(rows)
+            _parse_form(row, rank, j, f"{path}.todd[{j}]")
+            for j, row in enumerate(_expect(obj["todd"], list, f"{path}.todd"))
         )
-    try:
-        return ComponentDescriptor(name, dim, top, todd)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from None
+    return _checked(path, ComponentDescriptor, obj["name"], dim, top, todd)
 
 
-def _parse_divisor_coords(obj: Any, rank: int, path: str) -> DivisorClass:
+def _parse_coords(obj: Any, rank: int, path: str) -> DivisorClass:
     coords = _expect(obj, list, path)
     if len(coords) != rank:
         raise _fail(path, f"expected {rank} coordinates, got {len(coords)}")
     return DivisorClass(tuple(parse_rational(c, f"{path}[{i}]") for i, c in enumerate(coords)))
 
 
-def _parse_oracle(obj: Any, scheme: SchemeDescriptor, path: str) -> tuple[str, AmplenessOracle]:
-    obj = _expect(obj, dict, path)
-    for key in ("name", "kind", "data"):
-        if key not in obj:
-            raise _fail(path, f"missing key {key!r}")
-    name = _expect(obj["name"], str, f"{path}.name")
-    kind = _expect(obj["kind"], str, f"{path}.kind")
-    data = _expect(obj["data"], dict, f"{path}.data")
-    if kind == "polyhedral":
-        facets = _expect(data.get("facets"), list, f"{path}.data.facets")
-        parsed = tuple(
-            tuple(parse_integer(c, f"{path}.data.facets[{i}]") for c in _expect(f, list, f"{path}.data.facets[{i}]"))
-            for i, f in enumerate(facets)
-        )
-        try:
-            return name, PolyhedralCone(scheme.rank, parsed)
-        except ValueError as exc:
-            raise _fail(f"{path}.data", str(exc)) from None
-    if kind == "surface_positive_cone":
-        comp_name = _expect(data.get("component"), str, f"{path}.data.component")
-        component = next((c for c in scheme.components if c.name == comp_name), None)
-        if component is None:
-            raise _fail(f"{path}.data.component", f"no component named {comp_name!r}")
-        reference = _parse_divisor_coords(
-            data.get("reference_ample"), scheme.rank, f"{path}.data.reference_ample"
-        )
-        obstructions = tuple(
-            _parse_divisor_coords(c, scheme.rank, f"{path}.data.obstructions[{i}]")
-            for i, c in enumerate(_expect(data.get("obstructions", []), list, f"{path}.data.obstructions"))
-        )
-        try:
-            return name, SurfacePositiveCone(component, reference, obstructions)
-        except ValueError as exc:
-            raise _fail(f"{path}.data", str(exc)) from None
-    raise _fail(f"{path}.kind", f"unknown oracle kind {kind!r}")
+def _coords_to_json(divisor: DivisorClass) -> list:
+    return [format_rational(c) for c in divisor.coords]
 
 
-def _oracle_to_json(name: str, oracle: AmplenessOracle) -> dict:
-    if isinstance(oracle, PolyhedralCone):
-        return {
-            "name": name,
-            "kind": "polyhedral",
-            "data": {"facets": [[str(c) for c in f] for f in oracle.facets]},
-        }
-    return {
-        "name": name,
-        "kind": "surface_positive_cone",
-        "data": {
-            "component": oracle.component.name,
-            "reference_ample": [format_rational(c) for c in oracle.reference_ample.coords],
-            "obstructions": [
-                [format_rational(x) for x in c.coords] for c in oracle.obstructions
-            ],
-        },
-    }
-
-
-def parse_scheme_document(obj: Any) -> SchemeFile:
-    """Build a SchemeFile from already-decoded JSON data."""
-    obj = _expect(obj, dict, "document")
-    for key in ("rank", "components"):
-        if key not in obj:
-            raise _fail("document", f"missing key {key!r}")
-    rank = _expect(obj["rank"], int, "rank")
-    comp_list = _expect(obj["components"], list, "components")
-    components = tuple(
-        _parse_component(c, rank, f"components[{i}]") for i, c in enumerate(comp_list)
+def _parse_action(obj: dict, rank: int, path: str) -> AutomorphismAction:
+    rows = _expect(obj["matrix"], list, f"{path}.matrix")
+    if len(rows) != rank or any(len(_expect(r, list, f"{path}.matrix")) != rank for r in rows):
+        raise _fail(f"{path}.matrix", f"expected a {rank}x{rank} matrix")
+    matrix = IntegerMatrix.from_rows(
+        [[parse_integer(c, f"{path}.matrix[{r}][{j}]") for j, c in enumerate(row)]
+         for r, row in enumerate(rows)]
     )
-    names: set[str] = set()
-    for i, comp in enumerate(components):
-        if comp.name in names:
-            raise _fail(f"components[{i}].name", f"duplicate component name {comp.name!r}")
-        names.add(comp.name)
-    euler = obj.get("euler_char")
-    euler_char = None if euler is None else parse_rational(euler, "euler_char")
-    try:
-        scheme = SchemeDescriptor(rank, components, euler_char)
-    except ValueError as exc:
-        raise _fail("document", str(exc)) from None
+    todd_invariant = obj.get("todd_invariant", False)
+    if not isinstance(todd_invariant, bool):
+        raise _fail(f"{path}.todd_invariant", "expected a boolean")
+    return AutomorphismAction(obj["name"], matrix, todd_invariant)
 
-    oracles: dict[str, AmplenessOracle] = {}
-    for i, entry in enumerate(_expect(obj.get("oracles", []), list, "oracles")):
-        name, oracle = _parse_oracle(entry, scheme, f"oracles[{i}]")
-        if name in oracles:
-            raise _fail(f"oracles[{i}].name", f"duplicate oracle name {name!r}")
-        oracles[name] = oracle
 
-    automorphisms: dict[str, AutomorphismAction] = {}
-    for i, entry in enumerate(_expect(obj.get("automorphisms", []), list, "automorphisms")):
-        path = f"automorphisms[{i}]"
-        entry = _expect(entry, dict, path)
-        for key in ("name", "matrix"):
-            if key not in entry:
-                raise _fail(path, f"missing key {key!r}")
+def _read_polyhedral(data: dict, scheme: SchemeDescriptor, path: str) -> PolyhedralCone:
+    facets = tuple(
+        tuple(parse_integer(c, f"{path}.facets[{i}]") for c in _expect(f, list, f"{path}.facets[{i}]"))
+        for i, f in enumerate(_expect(data.get("facets"), list, f"{path}.facets"))
+    )
+    return _checked(path, PolyhedralCone, scheme.rank, facets)
+
+
+def _read_surface(data: dict, scheme: SchemeDescriptor, path: str) -> SurfacePositiveCone:
+    name = _expect(data.get("component"), str, f"{path}.component")
+    component = next((c for c in scheme.components if c.name == name), None)
+    if component is None:
+        raise _fail(f"{path}.component", f"no component named {name!r}")
+    reference = _parse_coords(data.get("reference_ample"), scheme.rank, f"{path}.reference_ample")
+    obstructions = tuple(
+        _parse_coords(c, scheme.rank, f"{path}.obstructions[{i}]")
+        for i, c in enumerate(_expect(data.get("obstructions", []), list, f"{path}.obstructions"))
+    )
+    return _checked(path, SurfacePositiveCone, component, reference, obstructions)
+
+
+# oracle kind (a document's "kind", an oracle's ``kind``) -> (data reader, data writer)
+_ORACLE_KINDS = {
+    PolyhedralCone.kind: (
+        _read_polyhedral,
+        lambda oracle: {"facets": [[str(c) for c in f] for f in oracle.facets]},
+    ),
+    SurfacePositiveCone.kind: (
+        _read_surface,
+        lambda oracle: {
+            "component": oracle.component.name,
+            "reference_ample": _coords_to_json(oracle.reference_ample),
+            "obstructions": [_coords_to_json(c) for c in oracle.obstructions],
+        },
+    ),
+}
+
+
+def _parse_oracle(obj: dict, scheme: SchemeDescriptor, path: str) -> AmplenessOracle:
+    kind = _expect(obj["kind"], str, f"{path}.kind")
+    if kind not in _ORACLE_KINDS:
+        raise _fail(f"{path}.kind", f"unknown oracle kind {kind!r}")
+    read, _ = _ORACLE_KINDS[kind]
+    return read(_expect(obj["data"], dict, f"{path}.data"), scheme, f"{path}.data")
+
+
+def _named_section(
+    doc: dict, section: str, keys: tuple[str, ...], parse: Callable[[dict, str], Any]
+) -> dict[str, Any]:
+    """Parse the list ``doc[section]`` of named entries into a name -> value
+    dict; each entry needs a string name, unique in the section, and ``keys``."""
+    parsed: dict[str, Any] = {}
+    for i, entry in enumerate(_expect(doc.get(section, []), list, section)):
+        path = f"{section}[{i}]"
+        entry = _require(entry, path, ("name", *keys))
         name = _expect(entry["name"], str, f"{path}.name")
-        if name in automorphisms:
-            raise _fail(f"{path}.name", f"duplicate automorphism name {name!r}")
-        rows = _expect(entry["matrix"], list, f"{path}.matrix")
-        if len(rows) != rank or any(len(_expect(r, list, f"{path}.matrix")) != rank for r in rows):
-            raise _fail(f"{path}.matrix", f"expected a {rank}x{rank} matrix")
-        matrix = IntegerMatrix.from_rows(
-            [[parse_integer(c, f"{path}.matrix[{r}][{j}]") for j, c in enumerate(row)]
-             for r, row in enumerate(rows)]
-        )
-        todd_invariant = entry.get("todd_invariant", False)
-        if not isinstance(todd_invariant, bool):
-            raise _fail(f"{path}.todd_invariant", "expected a boolean")
-        automorphisms[name] = AutomorphismAction(name, matrix, todd_invariant)
-
-    divisors: dict[str, DivisorClass] = {}
-    for i, entry in enumerate(_expect(obj.get("divisors", []), list, "divisors")):
-        path = f"divisors[{i}]"
-        entry = _expect(entry, dict, path)
-        for key in ("name", "coords"):
-            if key not in entry:
-                raise _fail(path, f"missing key {key!r}")
-        name = _expect(entry["name"], str, f"{path}.name")
-        if name in divisors:
-            raise _fail(f"{path}.name", f"duplicate divisor name {name!r}")
-        divisors[name] = _parse_divisor_coords(entry["coords"], rank, f"{path}.coords")
-
-    return SchemeFile(scheme, oracles, automorphisms, divisors)
+        if name in parsed:
+            raise _fail(f"{path}.name", f"duplicate {section[:-1]} name {name!r}")
+        parsed[name] = parse(entry, path)
+    return parsed
 
 
 def parse_scheme_file(text: str) -> SchemeFile:
+    """Parse a scheme document; every malformed input raises ``SchemeParseError``."""
     try:
-        data = json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemeParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return parse_scheme_document(data)
+    except (ValueError, RecursionError) as exc:
+        # nested past the decoder's recursion limit, or an integer past the digit limit
+        raise _fail("document", f"cannot decode JSON: {exc}") from None
+    doc = _require(doc, "document", ("rank", "components"))
+    rank = _expect(doc["rank"], int, "rank")
+    components = _named_section(
+        doc, "components", ("dim", "top_form"), lambda e, p: _parse_component(e, rank, p)
+    )
+    euler = doc.get("euler_char")
+    euler_char = None if euler is None else parse_rational(euler, "euler_char")
+    scheme = _checked("document", SchemeDescriptor, rank, tuple(components.values()), euler_char)
+    return SchemeFile(
+        scheme,
+        _named_section(doc, "oracles", ("kind", "data"), lambda e, p: _parse_oracle(e, scheme, p)),
+        _named_section(doc, "automorphisms", ("matrix",), lambda e, p: _parse_action(e, rank, p)),
+        _named_section(
+            doc, "divisors", ("coords",), lambda e, p: _parse_coords(e["coords"], rank, f"{p}.coords")
+        ),
+    )
 
 
 def scheme_file_to_document(sf: SchemeFile) -> dict:
-    components = []
-    for comp in sf.scheme.components:
-        entry: dict[str, Any] = {
-            "name": comp.name,
-            "dim": comp.dim,
-            "top_form": _form_to_json(comp.top_form),
-        }
-        entry["todd"] = None if comp.todd is None else [_form_to_json(f) for f in comp.todd]
-        components.append(entry)
     doc: dict[str, Any] = {
         "rank": sf.scheme.rank,
-        "components": components,
-        "oracles": [_oracle_to_json(name, oracle) for name, oracle in sf.oracles.items()],
+        "components": [
+            {
+                "name": comp.name,
+                "dim": comp.dim,
+                "top_form": _form_to_json(comp.top_form),
+                "todd": None if comp.todd is None else [_form_to_json(f) for f in comp.todd],
+            }
+            for comp in sf.scheme.components
+        ],
+        "oracles": [
+            {"name": name, "kind": oracle.kind, "data": _ORACLE_KINDS[oracle.kind][1](oracle)}
+            for name, oracle in sf.oracles.items()
+        ],
         "automorphisms": [
             {
                 "name": action.name,
@@ -308,8 +283,7 @@ def scheme_file_to_document(sf: SchemeFile) -> dict:
             for action in sf.automorphisms.values()
         ],
         "divisors": [
-            {"name": name, "coords": [format_rational(c) for c in d.coords]}
-            for name, d in sf.divisors.items()
+            {"name": name, "coords": _coords_to_json(d)} for name, d in sf.divisors.items()
         ],
     }
     if sf.scheme.euler_char is not None:

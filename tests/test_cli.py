@@ -10,7 +10,7 @@ import pytest
 
 import sigmaample
 from sigmaample import engine, intmat
-from sigmaample.cli import main
+from sigmaample.cli import entry, main
 from sigmaample.schemefile import serialize_scheme_file
 from sigmaample.catalog import catalog_entry
 
@@ -281,6 +281,41 @@ def test_malformed_multi_index_is_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "non-decreasing" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 2000 + "]" * 2000, '{"rank": ' + "1" * 4301 + "}"],
+    ids=["deep_nesting", "long_integer"],
+)
+def test_undecodable_json_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "undecodable.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: document: ") and err.count("\n") == 1
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    text = '{"rank": 2, "components": [{"name": "\xe9"}]}'
+    path = tmp_path / "latin1.json"
+    path.write_bytes(text.encode("latin-1"))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: byte {text.index(chr(0xe9))}: not UTF-8 (invalid continuation byte)\n"
+
+
+def test_console_script_runs_cli_entry(tmp_path, monkeypatch, capsys):
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'sigmaample = "sigmaample.cli:entry"' in pyproject
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"rank": 2,,}', encoding="utf-8")
+    for argv, expected in ((["validate", "wehler_k3"], 0), (["validate", str(broken)], 2)):
+        monkeypatch.setattr(sys, "argv", ["sigmaample", *argv])
+        with pytest.raises(SystemExit) as exited:
+            entry()
+        assert exited.value.code == expected
+    assert capsys.readouterr().err == "error: line 1 column 12: Expecting property name enclosed in double quotes\n"
 
 
 def test_unknown_input_name(capsys):

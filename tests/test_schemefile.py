@@ -58,20 +58,70 @@ def test_parse_reports_line_and_column_for_bad_json():
     assert "line 2" in str(err.value)
 
 
-def test_decreasing_multi_index_rejected():
-    doc = _doc()
-    doc["components"][0]["top_form"][1]["index"] = [1, 0]
-    with pytest.raises(SchemeParseError) as err:
-        parse_scheme_file(json.dumps(doc))
-    assert "non-decreasing" in str(err.value)
+def _replace(*path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
 
 
-def test_out_of_range_index_rejected():
+TOP_FORM = ("components", 0, "top_form")
+
+
+# condition, the mutation of MINIMAL, the message's path prefix, a phrase of
+# the message, and the quoted multi-index (None when no index is involved)
+CONSTRUCTOR_CONDITIONS = [
+    ("decreasing", _replace(*TOP_FORM, 1, "index", value=[1, 0]),
+     "components[0].top_form: ", "must be non-decreasing", "(1, 0)"),
+    ("out_of_range", _replace(*TOP_FORM, 1, "index", value=[0, 5]),
+     "components[0].top_form: ", "out of range", "(0, 5)"),
+    ("wrong_length", _replace(*TOP_FORM, 1, "index", value=[0, 1, 1]),
+     "components[0].top_form: ", "must have length 2", "(0, 1, 1)"),
+    ("duplicate", _replace(*TOP_FORM, 2, "index", value=[0, 1]),
+     "components[0].top_form: ", "duplicate multi-index", "(0, 1)"),
+    ("todd_count", _replace("components", 0, "todd", value=[[{"index": [], "value": "2"}], []]),
+     "components[0]: ", "todd data must list functionals for j = 0 .. dim", None),
+    ("zero_facet", _replace("oracles", 0, value={
+        "name": "cone", "kind": "polyhedral", "data": {"facets": [["1", "0"], ["0", "0"]]}}),
+     "oracles[0].data: ", "zero functional is not a facet", None),
+    ("bad_reference", _replace("oracles", 0, "data", "reference_ample", value=["1", "-1"]),
+     "oracles[0].data: ", "reference class must have positive self-intersection", None),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, prefix, phrase, index",
+    [case[1:] for case in CONSTRUCTOR_CONDITIONS],
+    ids=[case[0] for case in CONSTRUCTOR_CONDITIONS],
+)
+def test_constructor_conditions_carry_the_field_path(mutate, prefix, phrase, index):
     doc = _doc()
-    doc["components"][0]["top_form"][1]["index"] = [0, 5]
+    mutate(doc)
     with pytest.raises(SchemeParseError) as err:
         parse_scheme_file(json.dumps(doc))
-    assert "out of range" in str(err.value)
+    message = str(err.value)
+    assert message.startswith(prefix)
+    assert phrase in message
+    if index is not None:
+        assert f"multi-index {index}" in message
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(SchemeParseError) as err:
+        parse_scheme_file("[" * 2000 + "]" * 2000)
+    assert str(err.value).startswith("document: cannot decode JSON: ")
+
+
+def test_integer_past_the_digit_limit_is_a_parse_error():
+    # past CPython's default int/str digit limit; where no limit applies the
+    # rank no longer matches the components, which is a parse error too
+    text = json.dumps(MINIMAL).replace('"rank": 2', '"rank": ' + "1" * 4301)
+    with pytest.raises(SchemeParseError) as err:
+        parse_scheme_file(text)
+    assert str(err.value).startswith("document: ")
 
 
 def test_wrong_matrix_shape_rejected():
