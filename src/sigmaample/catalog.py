@@ -62,47 +62,15 @@ def wehler_k3() -> SchemeFile:
     return SchemeFile(scheme, oracles, automorphisms, divisors)
 
 
-def p1() -> SchemeFile:
-    # projective line: rank 1, degree form, chi(O(m)) = m + 1
-    top = _form(1, 1, {(0,): 1})
-    todd = (_form(1, 0, {(): 1}), top)
-    comp = ComponentDescriptor("C", 1, top, todd)
-    scheme = SchemeDescriptor(1, (comp,), euler_char=Fraction(1))
+def _projective_space(name: str, todd: tuple) -> SchemeFile:
+    # projective n-space, n = len(todd), on its hyperplane class H: (H^n) = 1,
+    # T_j(H, ..., H) = todd[j] for j < n, chi(O) = 1, ample cone m*H with m > 0
+    n = len(todd)
+    top = _form(1, n, {(0,) * n: 1})
+    forms = tuple(_form(1, j, {(0,) * j: t}) for j, t in enumerate(todd)) + (top,)
+    comp = ComponentDescriptor(name, n, top, forms)
     return SchemeFile(
-        scheme,
-        {"ample": PolyhedralCone(1, ((1,),))},
-        {"id": AutomorphismAction("id", IntegerMatrix.identity(1), todd_invariant=True)},
-        {"D": DivisorClass.of(1), "minusD": DivisorClass.of(-1)},
-    )
-
-
-def p2() -> SchemeFile:
-    # projective plane: chi(O(m)) = m^2/2 + 3m/2 + 1
-    top = _form(1, 2, {(0, 0): 1})
-    todd = (_form(1, 0, {(): 1}), _form(1, 1, {(0,): Fraction(3, 2)}), top)
-    comp = ComponentDescriptor("X", 2, top, todd)
-    scheme = SchemeDescriptor(1, (comp,), euler_char=Fraction(1))
-    return SchemeFile(
-        scheme,
-        {"ample": PolyhedralCone(1, ((1,),))},
-        {"id": AutomorphismAction("id", IntegerMatrix.identity(1), todd_invariant=True)},
-        {"D": DivisorClass.of(1), "minusD": DivisorClass.of(-1)},
-    )
-
-
-def pn() -> SchemeFile:
-    # projective n-space sampled at n = 3: chi(O(m)) = C(m+3, 3)
-    top = _form(1, 3, {(0, 0, 0): 1})
-    todd = (
-        _form(1, 0, {(): 1}),
-        _form(1, 1, {(0,): Fraction(11, 6)}),
-        _form(1, 2, {(0, 0): 2}),
-        top,
-    )
-    comp = ComponentDescriptor("X", 3, top, todd)
-    scheme = SchemeDescriptor(1, (comp,), euler_char=Fraction(1))
-    return SchemeFile(
-        scheme,
+        SchemeDescriptor(1, (comp,), euler_char=Fraction(1)),
         {"ample": PolyhedralCone(1, ((1,),))},
         {"id": AutomorphismAction("id", IntegerMatrix.identity(1), todd_invariant=True)},
         {"D": DivisorClass.of(1), "minusD": DivisorClass.of(-1)},
@@ -144,9 +112,10 @@ def abelian_square() -> SchemeFile:
 
 _ENTRIES = {
     "wehler_k3": wehler_k3,
-    "p1": p1,
-    "p2": p2,
-    "pn": pn,
+    # chi(O(m)) on P^1, P^2 and P^3 (pn): m + 1, m^2/2 + 3m/2 + 1 and C(m+3, 3)
+    "p1": lambda: _projective_space("C", (1,)),
+    "p2": lambda: _projective_space("X", (1, Fraction(3, 2))),
+    "pn": lambda: _projective_space("X", (1, Fraction(11, 6), 2)),
     "abelian_square": abelian_square,
 }
 

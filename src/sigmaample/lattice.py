@@ -6,16 +6,16 @@ Conventions fixed once and used everywhere: matrices act on column coordinate
 vectors of divisor classes, so the m-th power image of D has coordinates
 ``matrix^m * coords(D)``. Symmetric tensors are stored as value tables keyed
 by non-decreasing basis multi-indices; symmetry makes that table complete.
-Each form also expands its nonzero entries once into their distinct index
-orderings, with integral values held as ``int``, so evaluation is a flat walk
-of that list. Validation evaluates the forms on the integer columns of the
-matrix (the images of the basis vectors), so an integral form is checked in
-integer arithmetic throughout.
+One kernel, ``_contract``, fills one slot of such a table with a vector and
+returns the table of the form of one lower arity, so evaluation is ``arity``
+contractions and never lists index orderings. Validation contracts the forms
+with the integer columns of the matrix (the images of the basis vectors),
+sharing each filled prefix among the basis tuples that extend it, so an
+integral form is checked in integer arithmetic throughout.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
 from typing import Sequence
 
 from .errors import RankMismatch
@@ -64,6 +64,25 @@ class DivisorClass(Record):
         return DivisorClass(tuple(s * c for c in self.coords))
 
 
+def _contract(table: dict, v: Sequence) -> dict:
+    """Fill one slot of a form's table with ``v``: each stored index gives up
+    one copy of each distinct position ``i`` it holds, with coefficient
+    ``v[i]``. Entries that sum to zero are dropped."""
+    out: dict = {}
+    get = out.get
+    for index, value in table.items():
+        last = -1
+        for p, i in enumerate(index):
+            if i != last:
+                last = i
+                x = v[i]
+                if x:
+                    rest = index[:p] + index[p + 1 :]
+                    prev = get(rest)
+                    out[rest] = x * value if prev is None else prev + x * value
+    return {index: value for index, value in out.items() if value}
+
+
 class SymmetricForm(Record):
     """Symmetric multilinear functional on the rank-``rank`` lattice.
 
@@ -72,7 +91,7 @@ class SymmetricForm(Record):
     indices are zero. Arity 0 is a constant, keyed by the empty tuple.
     """
 
-    __slots__ = ("rank", "arity", "values", "_table", "_terms")
+    __slots__ = ("rank", "arity", "values", "_table")
 
     def __init__(
         self, rank: int, arity: int, values: tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -97,16 +116,10 @@ class SymmetricForm(Record):
                 normalized.append((index, value))
         normalized.sort()
         super().__init__(rank, arity, tuple(normalized))
-        object.__setattr__(self, "_table", dict(normalized))
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(
-                (order, value.numerator if value.denominator == 1 else value)
-                for index, value in normalized
-                for order in sorted(set(permutations(index)))
-            ),
-        )
+        object.__setattr__(self, "_table", {
+            index: value.numerator if value.denominator == 1 else value
+            for index, value in normalized
+        })
 
     @classmethod
     def from_dict(cls, rank: int, arity: int, table: dict) -> "SymmetricForm":
@@ -121,16 +134,18 @@ class SymmetricForm(Record):
         return not self.values
 
     def value_at(self, index: Sequence[int]) -> Fraction:
-        return self._table.get(tuple(sorted(index)), Fraction(0))
+        return Fraction(self._table.get(tuple(sorted(index)), 0))
 
     def evaluate(self, vectors: Sequence[Sequence]):
         """Multilinear evaluation on ``arity`` coordinate vectors.
 
-        Walks the nonzero entries only, each over its distinct orderings.
-        Coordinates may be ints, Fractions or ``NumericalPolynomial``s. The
-        result is a ``Fraction`` for rational coordinates (also when every
-        product was an ``int``) and a ``NumericalPolynomial`` for polynomial
-        ones unless nothing survives, which gives ``Fraction(0)``.
+        Fills the slots one vector at a time with ``_contract``, so the work
+        follows the nonzero entries and their distinct positions, not their
+        orderings. Coordinates may be ints, Fractions or
+        ``NumericalPolynomial``s. The result is a ``Fraction`` for rational
+        coordinates (also when every product was an ``int``) and a
+        ``NumericalPolynomial`` for polynomial ones, unless the table empties
+        before a polynomial slot is filled, which gives ``Fraction(0)``.
         """
         if len(vectors) != self.arity:
             raise RankMismatch(
@@ -139,15 +154,10 @@ class SymmetricForm(Record):
         for v in vectors:
             if len(v) != self.rank:
                 raise RankMismatch(f"vector length {len(v)} vs rank {self.rank}")
-        total = 0
-        for order, value in self._terms:
-            term = value
-            for v, i in zip(vectors, order):
-                term = v[i] * term
-                if not term:
-                    break
-            else:
-                total = term + total
+        table = self._table
+        for v in vectors:
+            table = _contract(table, v)
+        total = table.get((), 0)
         return Fraction(total) if type(total) is int else total
 
 
@@ -313,18 +323,28 @@ def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> Validation
         if action.todd_invariant and comp.todd is not None:
             forms += [(f"todd[{j}]", f) for j, f in enumerate(comp.todd[: comp.dim])]
         for label, form in forms:
-            bad = []
-            for index in combinations_with_replacement(range(scheme.rank), form.arity):
-                expected = form.value_at(index)
-                got = form.evaluate([columns[i] for i in index])
-                if got != expected:
-                    bad.append((index, expected, got))
+            # T(c_i1, ..., c_ik) on non-decreasing tuples; a prefix whose
+            # filled table is empty has only zero values below it
+            got = {}
+            stack = [((), form._table)] if form._table else []
+            while stack:
+                prefix, table = stack.pop()
+                if len(prefix) == form.arity:
+                    got[prefix] = table[()]
+                    continue
+                for i in range(prefix[-1] if prefix else 0, scheme.rank):
+                    filled = _contract(table, columns[i])
+                    if filled:
+                        stack.append((prefix + (i,), filled))
             name = f"{label}_invariance:{comp.name}"
-            if bad:
-                for index, expected, got in bad:
-                    checks.append(
-                        CheckResult(name, False, f"basis tuple {index}: {got} != {expected}")
-                    )
-            else:
-                checks.append(CheckResult(name, True, "all basis tuples preserved"))
+            expected = form._table
+            checks += [
+                CheckResult(
+                    name,
+                    False,
+                    f"basis tuple {index}: {got.get(index, 0)} != {expected.get(index, 0)}",
+                )
+                for index in sorted(got.keys() | expected.keys())
+                if got.get(index, 0) != expected.get(index, 0)
+            ] or [CheckResult(name, True, "all basis tuples preserved")]
     return ValidationReport(tuple(checks))

@@ -2,10 +2,11 @@
 
 Numeric payload values (matrix entries, coordinates, tensor values) are
 carried as decimal strings, rationals as "p/q" strings, so documents never
-hit a 64-bit ceiling. Structural counts (rank, dimensions, indices) are plain
-JSON integers. Parsing is strict and reports a field path or line/column with
-every complaint; serialization is canonical, so parse(serialize(x)) == x and
-equal inputs give byte-identical documents.
+hit a 64-bit ceiling; exponent notation is refused, since ``Fraction`` would
+expand "1e999999999" into a billion-digit integer. Structural counts (rank,
+dimensions, indices) are plain JSON integers. Parsing is strict and reports a
+field path or line/column with every complaint; serialization is canonical,
+so parse(serialize(x)) == x and equal inputs give byte-identical documents.
 
 Each input condition is checked once. This reader checks the JSON shape:
 types, required keys, names unique within a section, numeric strings, sizes
@@ -95,6 +96,8 @@ def parse_rational(text: Any, path: str) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
+        if "e" in text or "E" in text:
+            raise _fail(path, f"bad rational {text!r}: exponent notation is not accepted")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

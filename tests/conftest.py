@@ -1,8 +1,14 @@
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import sigmaample
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.intmat import IntegerMatrix
 
@@ -71,3 +77,31 @@ def unimodular_matrices(size: int, ops: int = 6, magnitude: int = 3):
         st.integers(-magnitude, magnitude),
     )
     return st.lists(op, min_size=0, max_size=ops).map(build)
+
+
+def child_env() -> dict:
+    """Environment in which a child imports the same package as this
+    process, PYTHONPATH or not."""
+    src = str(Path(sigmaample.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _limit_memory() -> None:
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def run_bounded(*args: str, timeout: float = 10) -> subprocess.CompletedProcess:
+    """``python *args`` in a child on this package, stopped after ``timeout``
+    seconds and refused address space past 2 GiB, so that an input which
+    sends the code down an exponential path fails the test instead of
+    hanging it or filling the machine's memory."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=child_env(),
+        preexec_fn=_limit_memory,
+    )

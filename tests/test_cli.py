@@ -13,6 +13,7 @@ from sigmaample import engine, intmat
 from sigmaample.cli import entry, main
 from sigmaample.schemefile import serialize_scheme_file
 from sigmaample.catalog import catalog_entry
+from conftest import child_env, run_bounded
 
 
 def run(capsys, *argv):
@@ -296,6 +297,44 @@ def test_undecodable_json_exits_2(text, tmp_path, capsys):
     assert err.startswith("error: document: ") and err.count("\n") == 1
 
 
+def test_exponent_notation_exits_2(tmp_path):
+    # Fraction would expand the coordinate into a billion-digit integer
+    doc = json.loads(serialize_scheme_file(catalog_entry("p1")))
+    doc["divisors"][0]["coords"] = ["1e999999999"]
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    done = run_bounded("-m", "sigmaample.cli", "validate", str(path))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: divisors[0].coords[0]: bad rational '1e999999999': exponent notation is not accepted\n"
+
+
+@pytest.mark.parametrize("todd", [False, True], ids=["top_form_only", "todd_invariant"])
+def test_validate_empty_forms_of_large_dimension(todd, tmp_path):
+    # dimension 2000 on rank 3: C(2002, 2000) basis tuples per form, all zero
+    dim = 2000
+    doc = {
+        "rank": 3,
+        "components": [
+            {"name": "X", "dim": dim, "top_form": [], "todd": [[]] * (dim + 1) if todd else None}
+        ],
+        "oracles": [{"name": "ample", "kind": "polyhedral", "data": {"facets": [["1", "0", "0"]]}}],
+        "automorphisms": [
+            {"name": "id", "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+            {
+                "name": "shear",
+                "matrix": [["1", "2", "0"], ["0", "1", "0"], ["0", "-1", "1"]],
+                "todd_invariant": todd,
+            },
+        ],
+        "divisors": [],
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    done = run_bounded("-m", "sigmaample.cli", "--format", "structured", "validate", str(path))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["valid"] is True
+
+
 def test_non_utf8_file_exits_2(tmp_path, capsys):
     text = '{"rank": 2, "components": [{"name": "\xe9"}]}'
     path = tmp_path / "latin1.json"
@@ -471,15 +510,8 @@ def test_file_without_oracles_says_so(tmp_path, capsys):
     assert err == "error: the input defines no oracle\n"
 
 
-def _child_env() -> dict:
-    """Environment in which a child imports the same package as this
-    process, PYTHONPATH or not."""
-    src = str(Path(sigmaample.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def test_cross_process_byte_determinism():
-    env = _child_env()
+    env = child_env()
     cmd = [
         sys.executable,
         "-m",
@@ -506,7 +538,7 @@ def test_cli_import_loads_no_code_generation_modules():
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     loaded = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, check=True, text=True, env=_child_env()
+        [sys.executable, "-c", code], capture_output=True, check=True, text=True, env=child_env()
     ).stdout.split()
     assert "sigmaample.cli" in loaded
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)

@@ -19,7 +19,7 @@ from sigmaample.lattice import (
 )
 from sigmaample.numpoly import ZERO, NumericalPolynomial
 
-from conftest import random_divisors
+from conftest import random_divisors, run_bounded
 
 
 def test_intersection_numbers_wehler(wehler):
@@ -207,3 +207,38 @@ def test_floats_are_rejected_everywhere(wehler):
             engine.growth_report(
                 wehler.scheme, action, wehler.oracle(), wehler.divisor("H1plusH2"), 4, 0.001
             )
+
+
+_IMPORTS = (
+    "from math import factorial\n"
+    "from sigmaample.intmat import IntegerMatrix\n"
+    "from sigmaample.lattice import (\n"
+    "    AutomorphismAction, ComponentDescriptor, SchemeDescriptor, SymmetricForm, validate,\n"
+    ")\n"
+)
+
+
+def test_entry_with_twelve_distinct_indices():
+    # 12! orderings of one entry: the form must not list them
+    code = _IMPORTS + (
+        "form = SymmetricForm(12, 12, ((tuple(range(12)), 1),))\n"
+        "assert form.evaluate([tuple(range(1, 13))] * 12) == factorial(12) ** 2\n"
+        "scheme = SchemeDescriptor(12, (ComponentDescriptor('X', 12, form),))\n"
+        "assert validate(scheme, AutomorphismAction('id', IntegerMatrix.identity(12))).valid\n"
+    )
+    done = run_bounded("-c", code)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_validate_does_not_recurse_once_per_slot():
+    # arity 2000 is past the default recursion limit of 1000
+    code = _IMPORTS + (
+        "form = SymmetricForm(1, 2000, (((0,) * 2000, 3),))\n"
+        "scheme = SchemeDescriptor(1, (ComponentDescriptor('X', 2000, form),))\n"
+        "for sign in (1, -1):\n"
+        "    report = validate(scheme, AutomorphismAction('a', IntegerMatrix.from_rows([[sign]])))\n"
+        "    assert report.valid, report\n"
+        "assert form.evaluate([(2,)] * 2000) == 3 * 2 ** 2000\n"
+    )
+    done = run_bounded("-c", code)
+    assert (done.returncode, done.stderr) == (0, "")

@@ -1,12 +1,13 @@
 """The integer multilinear kernel against the Fraction references.
 
-``SymmetricForm.evaluate`` walks orderings expanded once per form with
-integral values held as ``int``; ``validate`` evaluates on the integer
-columns of the matrix; ``nilpotent_steps`` and ``euler_char_series`` iterate
-on integer numerators. Each is compared with the routine it replaced (kept in
-``reference_lattice``): the values, the whole ``ValidationReport``
-(failing-tuple order and detail strings included), the step lists and the
-Euler characteristics of fractional classes.
+``SymmetricForm.evaluate`` fills one slot at a time of a table with integral
+values held as ``int``; ``validate`` fills the slots with the integer columns
+of the matrix, sharing filled prefixes; ``nilpotent_steps`` and
+``euler_char_series`` iterate on integer numerators. Each is compared with
+the routine it replaced (kept in ``reference_lattice``, which lists every
+index ordering): the values, the whole ``ValidationReport`` (failing-tuple
+order and detail strings included), the step lists and the Euler
+characteristics of fractional classes.
 """
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -93,8 +94,9 @@ def _matrices(n):
 
 @st.composite
 def schemes_and_actions(draw):
-    """A scheme of one or two components of dimension 1-3 (Todd data or
-    not) and an action that preserves every form or only some of them."""
+    """A scheme of one or two components of dimension 1-4 (Todd data or
+    not) and an action that preserves every form, only some of them, or
+    none (a raw matrix, or an identity of the wrong size)."""
     n = draw(st.integers(1, 4))
     invariant = draw(st.booleans())
     matrix = draw(involutions(n) if invariant else _matrices(n))
@@ -105,7 +107,7 @@ def schemes_and_actions(draw):
 
     components = []
     for c in range(draw(st.integers(1, 2))):
-        dim = draw(st.integers(1, 3))
+        dim = draw(st.integers(1, 4))
         top = form(dim, integral_values)
         todd = None
         if draw(st.booleans()):
@@ -135,10 +137,17 @@ def test_validate_matches_reference_on_catalog():
 
 @st.composite
 def forms_and_vectors(draw, coordinate):
-    rank = draw(st.integers(1, 5))
-    arity = draw(st.integers(0, 3))
+    """A form of arity 0-5 and its vectors, drawn from a pool of one to
+    ``arity`` vectors: a pool of one gives the diagonal T(v, ..., v), a
+    larger one repeated and distinct vectors mixed."""
+    arity = draw(st.integers(0, 5))
+    rank = draw(st.integers(1, 5 if arity <= 3 else 4))
     form = draw(forms(rank, arity))
-    vectors = [draw(st.lists(coordinate, min_size=rank, max_size=rank)) for _ in range(arity)]
+    pool = [
+        draw(st.lists(coordinate, min_size=rank, max_size=rank))
+        for _ in range(draw(st.integers(1, max(arity, 1))))
+    ]
+    vectors = [draw(st.sampled_from(pool)) for _ in range(arity)]
     return form, vectors
 
 
@@ -162,7 +171,9 @@ def test_evaluate_matches_reference(case):
 ))
 def test_evaluate_on_polynomials_matches_reference(case):
     form, vectors = case
-    assert form.evaluate(vectors) == ref.evaluate(form, vectors)
+    got = form.evaluate(vectors)
+    assert got == ref.evaluate(form, vectors)
+    assert type(got) is (NumericalPolynomial if form.arity and form.values else Fraction)
 
 
 @settings(max_examples=100, deadline=None)

@@ -138,6 +138,16 @@ def test_bad_rational_rejected():
     assert "bad rational" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["1e999999999", "1E3", "2.5e-1"])
+def test_exponent_notation_is_a_parse_error(text):
+    doc = _doc(divisors=[{"name": "D", "coords": ["1", text]}])
+    with pytest.raises(SchemeParseError) as err:
+        parse_scheme_file(json.dumps(doc))
+    assert str(err.value) == (
+        f"divisors[0].coords[1]: bad rational {text!r}: exponent notation is not accepted"
+    )
+
+
 def test_duplicate_names_rejected():
     doc = _doc(divisors=[{"name": "D", "coords": ["1", "0"]}] * 2)
     with pytest.raises(SchemeParseError) as err:
@@ -233,7 +243,9 @@ JSON_ATOMS = st.one_of(
     st.booleans(),
     st.integers(-3, 3),
     st.floats(allow_nan=False, width=32),
-    st.sampled_from(["", "0", "1", "-2", "1/2", "1/0", "x", "1e3", "X", "s1", "polyhedral"]),
+    st.sampled_from(
+        ["", "0", "1", "-2", "1/2", "1/0", "x", "1e3", "1e999999999", "X", "s1", "polyhedral"]
+    ),
 )
 
 
