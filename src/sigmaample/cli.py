@@ -17,10 +17,10 @@ that answers one query (None for an option the command lacks) and a
 ``_text_<name>`` that renders one result; text output is the rendered
 results joined by newlines. ``validate`` and ``catalog`` build their whole
 document in ``cmd_<name>(args)``. ``build_parser`` declares each command
-once, with its options, its function and its renderer; ``main`` finds the
-functions on the module when it runs. Repeated --auto and --divisor are
-evaluated serially; --jobs N is accepted for compatibility and has no
-effect.
+once, with its options, its function and its renderer, and gives arguments
+only to the command that argv selects; ``main`` finds the functions on the
+module when it runs. Repeated --auto and --divisor are evaluated serially;
+--jobs N is accepted for compatibility and has no effect.
 """
 from __future__ import annotations
 
@@ -332,7 +332,28 @@ _OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``. Every command is named on the top-level
+    parser, with its help line, so its help and its invalid-choice message
+    list them all; only the command that argv selects (its first command
+    name: no top-level option takes one as its value) gets its arguments."""
+    # name, help, options after INPUT (None: catalog's own arguments),
+    # the function main calls and the text renderer
+    commands = (
+        ("validate", "validate a scheme document", "", cmd_validate, _text_validate),
+        ("classify", "classify automorphisms", "auto eps", cmd_classify, _text_classify),
+        ("sigma-ample", "decide sigma-ampleness", "auto divisor oracle",
+         cmd_sigma_ample, _text_sigma_ample),
+        ("gkdim", "GK dimension of the twisted ring", "auto divisor oracle",
+         cmd_gkdim, _text_gkdim),
+        ("growth", "growth report (polynomial or exponential)", "auto divisor oracle mmax eps",
+         cmd_growth, _text_growth),
+        ("chi", "Euler characteristic series of partial sums", "auto divisor mmax",
+         cmd_chi, _text_chi),
+        ("catalog", "list or show builtin entries", None, cmd_catalog, _text_catalog),
+    )
+    names = {command[0] for command in commands}
+    selected = next((arg for arg in argv if arg in names), None)
     parser = argparse.ArgumentParser(
         prog="sigmaample",
         description="Exact sigma-ampleness, growth, and GK-dimension decisions "
@@ -347,21 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted but has no effect; batches run serially",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # name, help, options after INPUT (None: catalog's own arguments),
-    # the function main calls and the text renderer
-    for name, help_text, options, func, render in (
-        ("validate", "validate a scheme document", "", cmd_validate, _text_validate),
-        ("classify", "classify automorphisms", "auto eps", cmd_classify, _text_classify),
-        ("sigma-ample", "decide sigma-ampleness", "auto divisor oracle",
-         cmd_sigma_ample, _text_sigma_ample),
-        ("gkdim", "GK dimension of the twisted ring", "auto divisor oracle",
-         cmd_gkdim, _text_gkdim),
-        ("growth", "growth report (polynomial or exponential)", "auto divisor oracle mmax eps",
-         cmd_growth, _text_growth),
-        ("chi", "Euler characteristic series of partial sums", "auto divisor mmax",
-         cmd_chi, _text_chi),
-        ("catalog", "list or show builtin entries", None, cmd_catalog, _text_catalog),
-    ):
+    for name, help_text, options, func, render in commands:
+        if name != selected:
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func, render=render)
         if options is None:
@@ -375,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     if args.command == "catalog" and args.action == "show" and args.name is None:
         print("error: catalog show requires an entry name", file=sys.stderr)
         return EXIT_UNKNOWN_NAME

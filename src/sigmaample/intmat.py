@@ -6,10 +6,17 @@ recursion: the determinant is its constant term up to sign, inverses of
 determinant +-1 follow from Cayley-Hamilton, and quasi-unipotence is read
 off it by trial division with cyclotomic polynomials (Kronecker's theorem),
 so no matrix is raised to a large power. Spectral radii come from integer
-Sturm isolation on the characteristic polynomial of the Kronecker square
-M (x) M, whose real roots include every squared eigenvalue modulus; that
-polynomial is built from the power sums of M by Newton's identities, never
-from the n^2 x n^2 matrix itself. The characteristic polynomial and the
+Sturm bisection on the degree-n Graeffe polynomial G(y) = p(sqrt y)
+p(-sqrt y) of the characteristic polynomial p, whose real roots above 0 are
+the squared real eigenvalues. Its answer is certified exactly per matrix:
+a Schur-Cohn count of the roots of p inside a circle just below the
+bisection's lower end and a Sturm count of the real roots outside it must
+agree, so that the radius is attained at a real eigenvalue. When they do
+not, the same bisection runs on the characteristic polynomial of the
+Kronecker square M (x) M, whose real roots include every squared eigenvalue
+modulus; that polynomial is built from the power sums of M by Newton's
+identities, never from the n^2 x n^2 matrix itself, and its Cauchy bound
+starts both bisections. The characteristic polynomial and the
 reduction of a quasi-unipotent matrix to its unipotent power (q, M^q and the
 Jordan index of M^q) are each computed once per matrix in a process.
 """
@@ -17,15 +24,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from typing import Sequence
 
 from .errors import NotInvertibleOverIntegers, NotUnipotent
 from .intpoly import (
     RationalInterval,
     _divide_exact,
+    cauchy_root_bound,
     largest_real_root_interval,
+    sign_variations,
     sqrt_enclosure,
+    sturm_chain,
+    zeros_inside_unit_disk,
 )
 from .numpoly import NumericalPolynomial
 from .record import Record
@@ -306,23 +317,80 @@ def exact_eps(eps) -> Fraction:
     return eps
 
 
+def _graeffe(coeffs: Sequence[int]) -> NumericalPolynomial:
+    """G(y) = p(sqrt y) p(-sqrt y) = E(y)^2 - y O(y)^2 for p(x) = E(x^2) +
+    x O(x^2), lowest degree first: the polynomial of the same degree whose
+    roots are the squared roots of p."""
+    even, odd = coeffs[0::2], coeffs[1::2]
+    out = [0] * len(coeffs)
+    for i, a in enumerate(even):
+        for j, b in enumerate(even):
+            out[i + j] += a * b
+    for i, a in enumerate(odd):
+        for j, b in enumerate(odd):
+            out[i + j + 1] -= a * b
+    return NumericalPolynomial(tuple(out))
+
+
+def _real_roots_dominate(p: NumericalPolynomial, lo: Fraction) -> bool:
+    """Whether every root of p of modulus above r is real, where
+    r = isqrt(floor(lo 4^16)) / 2^16, so that r^2 <= lo.
+
+    The Schur-Cohn count of the zeros of b^n p((a/b) z) in the unit disk
+    gives the roots of modulus below r = a/b; a regular count also proves
+    that none has modulus r. A Sturm chain on p counts the distinct real
+    roots beyond -r and r. The two agree only when all roots of modulus
+    above r are real and simple. False when lo <= 0 or the Schur-Cohn
+    recursion is singular.
+    """
+    if lo <= 0:
+        return False
+    a, b = isqrt(lo.numerator * 4**16 // lo.denominator), 2**16
+    coeffs = p.numerators
+    n = len(coeffs) - 1
+    inside = zeros_inside_unit_disk([c * a**i * b ** (n - i) for i, c in enumerate(coeffs)])
+    if inside is None:
+        return False
+    chain = sturm_chain(p)
+    r, far = Fraction(a, b), cauchy_root_bound(coeffs) + 1
+    real_beyond = (
+        sign_variations(chain, -far) - sign_variations(chain, -r)
+        + sign_variations(chain, r) - sign_variations(chain, far)
+    )
+    return real_beyond == n - inside
+
+
 def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
     """Exact rational interval of width <= eps containing the spectral radius.
 
-    The characteristic polynomial of the Kronecker square M (x) M has the
-    pairwise eigenvalue products as roots, so its largest real root is the
-    squared spectral radius; it is computed from the power sums of M, not
-    from the n^2 x n^2 matrix. Integer Sturm isolation plus an
-    integer-square-root enclosure then brackets the radius itself.
+    The squared radius rho^2 is the largest real root of the characteristic
+    polynomial K of the Kronecker square M (x) M, whose roots are the
+    pairwise eigenvalue products. When rho is attained at a real eigenvalue,
+    rho^2 is also the largest real root of the degree-n Graeffe polynomial
+    G(y) = p(sqrt y) p(-sqrt y) of p = det(xI - M), and the integer Sturm
+    bisection on G, started from K's Cauchy bound, makes every decision that
+    the bisection on K makes. That hypothesis is then certified exactly from
+    the lower end of G's interval (``_real_roots_dominate``). If G has no
+    real root, its interval does not lie above 0 or the certificate fails,
+    the same bisection runs on the square-free part of K (built from the
+    power sums of M, not from the n^2 x n^2 matrix). Either way an
+    integer-square-root enclosure then brackets the radius itself, and the
+    bytes are those of the Kronecker route.
     """
     eps = exact_eps(eps)
-    coeffs = char_poly(matrix).numerators
-    squared = NumericalPolynomial(tuple(_kronecker_square_char_poly(coeffs)))
+    p = char_poly(matrix)
+    kronecker = _kronecker_square_char_poly(p.numerators)
+    start = cauchy_root_bound(kronecker) + 1
     # sqrt(b) - sqrt(a) <= sqrt(b - a) <= eps/2 (1/2 when eps >= 1), and the
     # integer square roots move the two ends by less than 4/slack <= eps/2
     width = eps * eps / 4 if eps < 1 else Fraction(1, 4)
     slack = max(8, int(8 / eps) + 1)
-    iv = largest_real_root_interval(squared, width)
+    try:
+        iv = largest_real_root_interval(_graeffe(p.numerators), width, start)
+    except ValueError:  # no eigenvalue is real or purely imaginary
+        iv = None
+    if iv is None or not _real_roots_dominate(p, iv.lo):
+        iv = largest_real_root_interval(NumericalPolynomial(tuple(kronecker)), width, start)
     clipped = RationalInterval(max(iv.lo, Fraction(0)), max(iv.hi, Fraction(0)))
     enclosure = sqrt_enclosure(clipped, slack)
     if enclosure.width > eps:

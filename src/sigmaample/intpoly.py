@@ -6,8 +6,10 @@ primitive polynomial remainder sequence and an exact integer quotient, a
 Sturm chain is a list of primitive integer polynomials, each a positive
 multiple of the classical rational member, and a chain is evaluated at a
 rational a/b homogenised, b^d p(a/b), so neither floating point nor a
-``Fraction`` enters any sign count. The polynomial type itself is
-``numpoly.NumericalPolynomial``, which builds on the list helpers below.
+``Fraction`` enters any sign count. The zeros inside the unit disk are
+counted by the Schur-Cohn recursion on integer lists in the same way. The
+polynomial type itself is ``numpoly.NumericalPolynomial``, which builds on
+the list helpers below.
 """
 from __future__ import annotations
 
@@ -202,16 +204,20 @@ def root_cells(p: NumericalPolynomial, top: int) -> list[int]:
     return cells
 
 
-def largest_real_root_interval(p: NumericalPolynomial, width: Fraction) -> RationalInterval:
-    """Interval of width <= ``width`` around the largest real root of p.
+def largest_real_root_interval(
+    p: NumericalPolynomial, width: Fraction, start: Fraction
+) -> RationalInterval:
+    """Interval of width <= ``width`` around the largest real root of p,
+    bisected from [-start, start], which must hold every real root of p.
 
-    Raises ValueError if p has no real root.
+    Each step asks whether the largest root lies above the midpoint, so two
+    polynomials with the same largest real root get the same interval from
+    the same start. Raises ValueError if p has no real root.
     """
     if width <= 0:
         raise ValueError("width must be positive")
     chain = sturm_chain(p)
-    bound = cauchy_root_bound(p.numerators)
-    lo, hi = -bound - 1, bound + 1
+    lo, hi = -start, start
     at_hi = sign_variations(chain, hi)
     if sign_variations(chain, lo) == at_hi:
         raise ValueError("polynomial has no real roots")
@@ -223,6 +229,38 @@ def largest_real_root_interval(p: NumericalPolynomial, width: Fraction) -> Ratio
         else:
             hi, at_hi = mid, at_mid
     return RationalInterval(lo, hi)
+
+
+def zeros_inside_unit_disk(coeffs: Sequence[int]) -> int | None:
+    """Number of zeros of the integer polynomial in the open unit disk, or
+    None when the Schur-Cohn recursion is singular.
+
+    The recursion (Henrici, Applied and Computational Complex Analysis,
+    vol. 1, section 6.8) maps f of degree d to T f = f(0) f - a_d f*, with
+    f*(z) = z^d f(1/z), and divides out the content. On the unit circle
+    |f*| = |f|, so by Rouche T f has as many zeros inside as f when
+    delta = T f(0) = f(0)^2 - a_d^2 is positive, and as many as f*, d minus
+    those of f, when it is negative. Unrolled down to a constant, the count
+    is the sum of deg T^(k-1) f - deg T^k f over the steps k at which the
+    product of the signs of delta_1 .. delta_k is negative. A zero delta,
+    which every zero on the circle eventually forces, is singular.
+    """
+    f = _primitive(_strip(list(coeffs)))
+    if not f:
+        return None
+    count, sign = 0, 1
+    while len(f) > 1:
+        a0, top = f[0], f[-1]
+        delta = a0 * a0 - top * top
+        if not delta:
+            return None
+        g = _strip([a0 * c - top * d for c, d in zip(f, reversed(f))])
+        if delta < 0:
+            sign = -sign
+        if sign < 0:
+            count += len(f) - len(g)
+        f = _primitive(g)
+    return count
 
 
 def sqrt_enclosure(interval: RationalInterval, slack_denom: int) -> RationalInterval:

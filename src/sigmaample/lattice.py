@@ -67,7 +67,7 @@ class DivisorClass(Record):
 def _contract(table: dict, v: Sequence) -> dict:
     """Fill one slot of a form's table with ``v``: each stored index gives up
     one copy of each distinct position ``i`` it holds, with coefficient
-    ``v[i]``. Entries that sum to zero are dropped."""
+    ``v[i]``. Entries that sum to zero, rational or polynomial, are dropped."""
     out: dict = {}
     get = out.get
     for index, value in table.items():
@@ -144,8 +144,10 @@ class SymmetricForm(Record):
         orderings. Coordinates may be ints, Fractions or
         ``NumericalPolynomial``s. The result is a ``Fraction`` for rational
         coordinates (also when every product was an ``int``) and a
-        ``NumericalPolynomial`` for polynomial ones, unless the table empties
-        before a polynomial slot is filled, which gives ``Fraction(0)``.
+        ``NumericalPolynomial`` for polynomial ones, except that a zero
+        result is always ``Fraction(0)``: entries that cancel are dropped,
+        polynomial ones too, so it does not depend on the order of the
+        vectors.
         """
         if len(vectors) != self.arity:
             raise RankMismatch(

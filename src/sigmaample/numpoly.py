@@ -70,6 +70,10 @@ class NumericalPolynomial(Record):
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
+    def __bool__(self) -> bool:
+        """False for the zero polynomial only, as for a zero scalar."""
+        return bool(self.numerators)
+
     @property
     def is_zero(self) -> bool:
         return not self.numerators

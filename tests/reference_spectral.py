@@ -7,6 +7,12 @@ lists, and the spectral radius from Berkowitz on the Kronecker square. They
 share nothing with the package's own versions but ``IntegerMatrix``,
 ``char_poly``, ``mat_pow`` and the interval helpers, so the property tests
 compare two independent routes to each answer.
+
+``kronecker_spectral_radius`` is the package's integer route before the
+Graeffe polynomial and its certificate: the integer Sturm bisection on the
+Kronecker-square polynomial alone, fast enough for rank 8. It keeps the
+Kronecker square as the decision polynomial for every matrix, so comparing
+it with ``intmat.spectral_radius`` tests the route and its certificate.
 """
 from __future__ import annotations
 
@@ -16,8 +22,9 @@ from math import gcd, lcm
 from typing import Sequence
 
 from sigmaample.errors import NotInvertibleOverIntegers
-from sigmaample.intmat import IntegerMatrix, char_poly, mat_pow
+from sigmaample.intmat import IntegerMatrix, _kronecker_square_char_poly, char_poly, mat_pow
 from sigmaample.intpoly import RationalInterval, cauchy_root_bound, sqrt_enclosure
+from sigmaample.intpoly import largest_real_root_interval as integer_largest_real_root_interval
 from sigmaample.numpoly import NumericalPolynomial
 
 
@@ -211,3 +218,16 @@ def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
             return enclosure
         width /= 16
         slack *= 4
+
+
+def kronecker_spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
+    """The integer Sturm bisection on det(xI - M (x) M), built from the power
+    sums of M, from its Cauchy bound, then the integer-square-root enclosure."""
+    eps = Fraction(eps)
+    squared = NumericalPolynomial(tuple(_kronecker_square_char_poly(char_poly(matrix).numerators)))
+    width = eps * eps / 4 if eps < 1 else Fraction(1, 4)
+    slack = max(8, int(8 / eps) + 1)
+    start = cauchy_root_bound(squared.numerators) + 1
+    iv = integer_largest_real_root_interval(squared, width, start)
+    clipped = RationalInterval(max(iv.lo, Fraction(0)), max(iv.hi, Fraction(0)))
+    return sqrt_enclosure(clipped, slack)

@@ -11,6 +11,9 @@ from sigmaample.intmat import (
     IntegerMatrix,
     UnipotentReduction,
     _cyclotomic,
+    _graeffe,
+    _kronecker_square_char_poly,
+    _real_roots_dominate,
     char_poly,
     mat_pow,
     nilpotency_index,
@@ -18,10 +21,11 @@ from sigmaample.intmat import (
     spectral_radius,
     unipotent_reduction,
 )
+from sigmaample.intpoly import cauchy_root_bound, largest_real_root_interval
 from sigmaample.numpoly import NumericalPolynomial
 
 from conftest import unimodular_matrices
-from reference_spectral import _divmod
+from reference_spectral import _divmod, kronecker_spectral_radius
 
 S1 = IntegerMatrix.from_rows([[1, 4], [0, -1]])
 S2 = IntegerMatrix.from_rows([[-1, 0], [4, 1]])
@@ -352,6 +356,62 @@ def test_rank_8_enclosure_endpoints_are_pinned():
         Fraction(4687958587394, 421052631579),
         Fraction(29690404386829, 2666666666667),
     )
+
+
+# --- the certificate of the Graeffe route ---------------------------------
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic polynomial, coefficients lowest first."""
+    n = len(coeffs) - 1
+    rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][n - 1] = -coeffs[i]
+    return IntegerMatrix.from_rows(rows)
+
+
+def _graeffe_lower_end(m, eps):
+    """The lower end of the interval that the Graeffe bisection of
+    ``spectral_radius`` hands to the certificate."""
+    p = char_poly(m)
+    start = cauchy_root_bound(_kronecker_square_char_poly(p.numerators)) + 1
+    return largest_real_root_interval(_graeffe(p.numerators), eps * eps / 4, start).lo
+
+
+def test_graeffe_polynomial_has_the_squared_roots():
+    # p = (x - 2)(x + 3)(x^2 + 1): G = (y - 4)(y - 9)(y + 1)^2 up to sign
+    p = NumericalPolynomial.of(-2, 1) * NumericalPolynomial.of(3, 1) * NumericalPolynomial.of(1, 0, 1)
+    g = NumericalPolynomial.of(-4, 1) * NumericalPolynomial.of(-9, 1) * NumericalPolynomial.of(1, 2, 1)
+    assert _graeffe(p.numerators) == g
+
+
+SALEM4 = (1, -1, -1, -1, 1)  # x^4 - x^3 - x^2 - x + 1, Salem number ~1.72208
+
+
+@pytest.mark.parametrize("factors", [
+    ((5, -2, 1), (-2, 1)),  # 1 +- 2i, modulus sqrt 5, above the real root 2
+    ((4, -2, 1), (-2, 1)),  # 1 +- i sqrt 3, modulus 2, tied with the real root 2
+    (SALEM4, (3, -2, 1)),  # 1 +- i sqrt 2, modulus sqrt 3 ~1.73205, above the Salem number
+])
+def test_certificate_refuses_a_non_real_root_at_the_top(factors):
+    p = NumericalPolynomial.of(1)
+    for f in factors:
+        p = p * NumericalPolynomial(f)
+    m = _companion(p.numerators)
+    eps = Fraction(1, 1000)
+    lo = _graeffe_lower_end(m, eps)
+    assert lo > 0  # G has a positive real root: only the certificate can refuse
+    assert not _real_roots_dominate(char_poly(m), lo)
+    iv = spectral_radius(m, eps)
+    assert iv == kronecker_spectral_radius(m, eps)
+    estimate = max(abs(np.roots([float(c) for c in reversed(p.numerators)])))
+    assert iv.lo <= estimate <= iv.hi
+
+
+def test_certificate_accepts_a_dominant_real_root():
+    eps = Fraction(1, 10**12)
+    for m in (_companion(SALEM4), SALEM8, S1S2):
+        assert _real_roots_dominate(char_poly(m), _graeffe_lower_end(m, eps))
 
 
 def _block_sum(m, identity_size):

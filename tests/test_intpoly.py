@@ -1,7 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sigmaample.intpoly import (
     RationalInterval,
@@ -11,6 +12,7 @@ from sigmaample.intpoly import (
     sqrt_enclosure,
     square_free_part,
     sturm_chain,
+    zeros_inside_unit_disk,
 )
 from sigmaample.numpoly import NumericalPolynomial
 
@@ -91,7 +93,7 @@ def test_sturm_chain_with_degree_gap_under_negative_leading_coefficient():
 def test_largest_real_root_golden_ratio_like():
     # largest root of x^2 - 3x + 1 is (3 + sqrt(5))/2
     p = NumericalPolynomial.of(1, -3, 1)
-    iv = largest_real_root_interval(p, Fraction(1, 10**6))
+    iv = largest_real_root_interval(p, Fraction(1, 10**6), cauchy_root_bound(p.coeffs) + 1)
     assert iv.width <= Fraction(1, 10**6)
     # exact containment: r satisfies 2r - 3 = sqrt(5), so (2x-3)^2 <= 5 at lo
     lo, hi = iv.lo, iv.hi
@@ -101,14 +103,14 @@ def test_largest_real_root_golden_ratio_like():
 def test_largest_real_root_with_repeated_roots():
     # y^4: only root 0, with multiplicity
     p = NumericalPolynomial.of(0, 0, 0, 0, 1)
-    iv = largest_real_root_interval(p, Fraction(1, 100))
+    iv = largest_real_root_interval(p, Fraction(1, 100), Fraction(2))
     assert iv.lo <= 0 <= iv.hi
     assert iv.width <= Fraction(1, 100)
 
 
 def test_no_real_roots_raises():
     with pytest.raises(ValueError):
-        largest_real_root_interval(NumericalPolynomial.of(1, 0, 1), Fraction(1, 10))
+        largest_real_root_interval(NumericalPolynomial.of(1, 0, 1), Fraction(1, 10), Fraction(3))
 
 
 def test_cauchy_bound_dominates_roots():
@@ -139,3 +141,32 @@ def test_square_free_divides_original(coeffs):
     bound_p = cauchy_root_bound(p.coeffs) if p.degree >= 1 else Fraction(1)
     b = max(bound, bound_p) + 1
     assert count_real_roots(chain, -b, b) == count_real_roots(chain_p, -b, b)
+
+
+# --- Schur-Cohn count of zeros in the unit disk ----------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@example([3, -7, 2])  # (2x - 1)(x - 3): one zero inside
+@example([0, 0, 1])  # x^2: a double zero at the centre
+@example([4, 0, 0, 1, 0, 0, 0, 0, 5])
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=9).filter(any))
+def test_zeros_inside_unit_disk_matches_numpy(coeffs):
+    while not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    roots = np.roots(coeffs[::-1]) if len(coeffs) > 1 else np.array([])
+    assume(all(abs(abs(z) - 1) > 1e-6 for z in roots))
+    count = zeros_inside_unit_disk(coeffs)
+    if count is not None:
+        assert count == sum(1 for z in roots if abs(z) < 1)
+
+
+def test_zeros_inside_unit_disk_regular_and_singular_cases():
+    assert zeros_inside_unit_disk([3, -7, 2]) == 1
+    assert zeros_inside_unit_disk([1, 0, 0, 0, 4]) == 4  # 4x^4 + 1: moduli 1/sqrt 2
+    assert zeros_inside_unit_disk([4, 0, 0, 0, 1]) == 0  # x^4 + 4: moduli sqrt 2
+    assert zeros_inside_unit_disk([5]) == 0
+    # a zero on the circle makes the recursion singular
+    assert zeros_inside_unit_disk([3, -4, 1]) is None  # (x - 1)(x - 3)
+    assert zeros_inside_unit_disk([1, 0, 1]) is None  # x^2 + 1
+    assert zeros_inside_unit_disk([0, 0]) is None

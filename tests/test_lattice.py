@@ -143,6 +143,18 @@ def test_evaluate_on_polynomials_samples_rational_evaluation(case):
         assert poly.evaluate(m) == _reference_evaluate(form, at_m)
 
 
+def test_evaluate_drops_cancelled_polynomial_entries_in_either_order():
+    # the zero polynomial is falsy, so a polynomial entry that cancels is
+    # dropped like a rational one and the order of the vectors does not matter
+    form = SymmetricForm.from_dict(2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
+    p = NumericalPolynomial.of(1, 1)
+    first = form.evaluate([(1, -1), (p, p)])
+    second = form.evaluate([(p, p), (1, -1)])
+    assert first == second == 0
+    assert type(first) is type(second) is Fraction
+    assert not ZERO and NumericalPolynomial.of(0, 1)
+
+
 def test_form_invariance_under_validated_actions(entry):
     for action in entry.automorphisms.values():
         assert validate(entry.scheme, action).valid

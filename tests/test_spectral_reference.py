@@ -4,15 +4,19 @@ Every answer of ``intmat`` and ``intpoly`` that feeds a verdict or an
 enclosure is compared with the slow routine it replaced (kept in
 ``reference_spectral``): the reduction power q, the Kronecker-square
 characteristic polynomial, the square-free part, the Sturm sign counts and
-the spectral-radius enclosure bytes.
+the spectral-radius enclosure bytes. The Graeffe route with its
+certificate is compared with the Kronecker-square route alone, on matrices
+that take both branches.
 """
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from hypothesis import example, given, settings, strategies as st
 
 import reference_spectral as ref
 from conftest import unimodular_matrices
+from sigmaample import intmat
 from sigmaample.intmat import (
     IntegerMatrix,
     _kronecker_square_char_poly,
@@ -35,6 +39,7 @@ def _gram(n):
     return g
 
 
+@lru_cache(maxsize=None)
 def _reflections(n, support):
     """x -> x + (x.v) v for the (-2)-vectors v of U + <-2>^(n-2) with
     coordinates in {-1, 0, 1}, at most ``support`` of them nonzero."""
@@ -108,6 +113,35 @@ def test_spectral_radius_enclosures_match_reference(m):
         Fraction(1, 1000), Fraction(1, 10**12), Fraction(1), Fraction(3, 2), Fraction(7)
     ):
         assert spectral_radius(m, eps) == ref.spectral_radius(m, eps)
+
+
+graeffe_inputs = st.one_of(
+    st.integers(2, 8).flatmap(lambda n: unimodular_matrices(n, ops=2 * n)),
+    st.integers(4, 8).flatmap(lambda n: reflection_products(n, support=3)),
+)
+
+
+def test_graeffe_route_matches_kronecker_route_on_both_branches(monkeypatch):
+    certified = []
+    calls = []
+    original = intmat._real_roots_dominate
+
+    def spy(p, lo):
+        certified.append(original(p, lo))
+        return certified[-1]
+
+    monkeypatch.setattr(intmat, "_real_roots_dominate", spy)
+
+    @settings(max_examples=120, deadline=None)
+    @given(graeffe_inputs)
+    def check(m):
+        for eps in (Fraction(1, 1000), Fraction(1, 10**12)):
+            calls.append(m)
+            assert spectral_radius(m, eps) == ref.kronecker_spectral_radius(m, eps)
+
+    check()
+    # a call either passes the certificate or falls back to the Kronecker chain
+    assert 0 < certified.count(True) < len(calls)
 
 
 # --- square-free parts and Sturm chains ------------------------------------

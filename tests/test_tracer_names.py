@@ -51,8 +51,8 @@ def test_counter_hooks_run_on_the_current_api(tracer):
         assert rec.originals[label] is not None, label
     p = NumericalPolynomial.of(-2, 0, 1)
     assert p.coeffs == (Fraction(-2), Fraction(0), Fraction(1))
-    width = Fraction(1, 64)
-    tracer._hook_bisection(rec, (p, width), largest_real_root_interval(p, width))
+    width, start = Fraction(1, 64), Fraction(4)
+    tracer._hook_bisection(rec, (p, width, start), largest_real_root_interval(p, width, start))
     ps = [p, NumericalPolynomial.of(-3, 1)]
     tracer._hook_scan(rec, (ps,), exists_common_positive(ps))
     assert rec.counters["intpoly.bisection_steps"] > 0
