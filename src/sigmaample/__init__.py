@@ -16,7 +16,6 @@ from .engine import (
     GrowthReport,
     SigmaAmpleVerdict,
     classify,
-    delta_symbolic,
     euler_char_series,
     gk_profile,
     growth_report,

@@ -149,7 +149,11 @@ def _conditions(oracle: AmplenessOracle, coords: Sequence) -> list:
 
 
 def is_ample(oracle: AmplenessOracle, divisor: DivisorClass) -> bool:
-    return all(v > 0 for v in _conditions(oracle, divisor.coords))
+    """Whether every condition is positive on the class. Each condition is
+    homogeneous of positive degree in the coordinates, so its sign is the
+    same at the integer numerators over their common denominator, and those
+    are what it is evaluated at."""
+    return all(v > 0 for v in _conditions(oracle, divisor.over_common_denominator()[1]))
 
 
 def symbolic_constraints(

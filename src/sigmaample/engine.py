@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add, sub
 
 from .ampleness import AmplenessOracle, is_ample, is_ample_symbolic
 from .errors import (
@@ -35,8 +36,8 @@ from .errors import (
 from .intmat import (
     IntegerMatrix,
     UnipotentReduction,
+    _square,
     exact_eps,
-    nilpotency_index,
     spectral_radius,
     unipotent_reduction,
 )
@@ -46,7 +47,7 @@ from .lattice import (
     SchemeDescriptor,
     validate,
 )
-from .numpoly import ZERO, NumericalPolynomial, binomial_basis
+from .numpoly import ZERO, NumericalPolynomial, _reduced, binomial_basis
 from .record import Record
 
 DEFAULT_EPS = Fraction(1, 1000)
@@ -150,53 +151,41 @@ def classify(matrix: IntegerMatrix, eps: Fraction = DEFAULT_EPS) -> Classificati
         eps /= 4
 
 
-def _numerators(divisor: DivisorClass) -> tuple[int, tuple[int, ...]]:
-    """The common denominator of the coordinates and their numerators over it."""
-    denom = lcm(*(c.denominator for c in divisor.coords))
-    return denom, tuple(c.numerator * (denom // c.denominator) for c in divisor.coords)
-
-
-def nilpotent_steps(matrix: IntegerMatrix, divisor: DivisorClass) -> list[DivisorClass]:
-    """[N^0 D, ..., N^k D] for unipotent matrix with nilpotent part N."""
-    return _nilpotent_steps(matrix, nilpotency_index(matrix), divisor)
-
-
-def _nilpotent_steps(
+def _nilpotent_numerators(
     unipotent: IntegerMatrix, k: int, divisor: DivisorClass
-) -> list[DivisorClass]:
-    """N^0 D .. N^k D, iterated on integer numerators over the common
-    denominator of D (N v = M v - v keeps that denominator)."""
-    denom, current = _numerators(divisor)
-    steps = [divisor]
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The common denominator d of D and the integer numerators over d of
+    N^0 D .. N^k D (N v = M v - v keeps that denominator)."""
+    denom, current = divisor.over_common_denominator()
+    steps = [current]
     for _ in range(k):
-        current = tuple(
-            sum(a * x for a, x in zip(row, current)) - current[i]
-            for i, row in enumerate(unipotent.rows)
-        )
-        steps.append(DivisorClass(tuple(Fraction(c, denom) for c in current)))
-    return steps
-
-
-def delta_symbolic(
-    matrix: IntegerMatrix, divisor: DivisorClass
-) -> tuple[NumericalPolynomial, ...]:
-    """Coordinates of the m-th partial sum as polynomials: sum C(m, i+1) N^i D.
-
-    Requires a unipotent matrix; evaluating at any integer m >= 0 agrees with
-    the directly accumulated sum D + PD + ... + P^(m-1)D.
-    """
-    return _delta_symbolic(matrix, nilpotency_index(matrix), divisor)
+        current = tuple(map(sub, unipotent.column_action(current), current))
+        steps.append(current)
+    return denom, steps
 
 
 def _delta_symbolic(
     unipotent: IntegerMatrix, k: int, divisor: DivisorClass
 ) -> tuple[NumericalPolynomial, ...]:
-    out = [ZERO] * divisor.rank
-    for i, step in enumerate(_nilpotent_steps(unipotent, k, divisor)):
-        basis = binomial_basis(i + 1)
-        for coord, c in enumerate(step.coords):
-            if c:
-                out[coord] = out[coord] + c * basis
+    """Coordinates of the m-th partial sum under a unipotent matrix with
+    Jordan index k, as polynomials in m: sum C(m, i+1) N^i D.
+
+    All in integers: with v_i the numerators of N^i D over d, C(m, i+1) =
+    b_i / c_i and L the lcm of the c_i, a coordinate is the sum of
+    v_i (L / c_i) b_i over L d, reduced once.
+    """
+    denom, steps = _nilpotent_numerators(unipotent, k, divisor)
+    bases = [binomial_basis(i + 1) for i in range(k + 1)]
+    common = lcm(*(b.denominator for b in bases))
+    scaled = [[c * (common // b.denominator) for c in b.numerators] for b in bases]
+    out = []
+    for column in zip(*steps):
+        nums = [0] * (k + 2)
+        for x, basis in zip(column, scaled):
+            if x:
+                for j, c in enumerate(basis):
+                    nums[j] += x * c
+        out.append(_reduced(nums, common * denom))
     return tuple(out)
 
 
@@ -206,11 +195,13 @@ def partial_sum(matrix: IntegerMatrix, divisor: DivisorClass, m: int) -> Divisor
     The matrix is integral, so every image keeps the denominator of D and
     the sum runs over integer numerators. The sum is built by doubling on the
     bits of m, lowest first, in O(log m) matrix products: with T = S(2^j) and
-    B = P^(2^j), S(2^j + r) = T + B S(r) and S(2^(j+1)) = T + B T.
+    B = P^(2^j), S(2^j + r) = T + B S(r) and S(2^(j+1)) = T + B T. The
+    squares B are formed once per matrix in a process and shared with
+    ``mat_pow``, so only the matrix-vector products are paid per call.
     """
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
-    denom, block = _numerators(divisor)
+    denom, block = divisor.over_common_denominator()
     total, power = (0,) * divisor.rank, matrix
     while m:
         if m & 1:
@@ -218,12 +209,12 @@ def partial_sum(matrix: IntegerMatrix, divisor: DivisorClass, m: int) -> Divisor
         m >>= 1
         if m:
             block = _vector_sum(block, power.column_action(block))
-            power = power * power
+            power = _square(power)
     return DivisorClass(tuple(Fraction(t, denom) for t in total))
 
 
 def _vector_sum(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _reduced_family(
@@ -337,10 +328,10 @@ def euler_char_series(
         factorial.append(factorial[-1] * j)
     if divisor.rank != action.matrix.size:
         raise RankMismatch(f"rank {divisor.rank} vs matrix size {action.matrix.size}")
-    denom, current = _numerators(divisor)
+    denom, current = divisor.over_common_denominator()
     total = (0,) * divisor.rank
     for _ in range(m_max):
-        total = tuple(a + b for a, b in zip(total, current))
+        total = _vector_sum(total, current)
         current = action.matrix.column_action(current)
         chi = Fraction(0)
         for comp in scheme.components:

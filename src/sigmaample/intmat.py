@@ -16,7 +16,8 @@ not, the same bisection runs on the characteristic polynomial of the
 Kronecker square M (x) M, whose real roots include every squared eigenvalue
 modulus; that polynomial is built from the power sums of M by Newton's
 identities, never from the n^2 x n^2 matrix itself, and its Cauchy bound
-starts both bisections. The characteristic polynomial and the
+starts both bisections. The characteristic polynomial, the squares
+M^(2^j) that matrix powers and partial sums by doubling read, and the
 reduction of a quasi-unipotent matrix to its unipotent power (q, M^q and the
 Jordan index of M^q) are each computed once per matrix in a process.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import NotInvertibleOverIntegers, NotUnipotent
@@ -59,6 +61,15 @@ class IntegerMatrix(Record):
         super().__init__(rows)
 
     @classmethod
+    def _built(cls, rows: tuple[tuple[int, ...], ...]) -> "IntegerMatrix":
+        """A matrix from rows that this class's own operators built: square,
+        of the operands' size and with ``int`` entries by construction, so
+        none of them is checked again."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
         return cls(tuple(tuple(row) for row in rows))
 
@@ -76,27 +87,24 @@ class IntegerMatrix(Record):
 
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_size(other)
-        return IntegerMatrix(
+        return IntegerMatrix._built(
             tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_size(other)
-        return IntegerMatrix(
+        return IntegerMatrix._built(
             tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return IntegerMatrix._built(tuple(tuple(-a for a in row) for row in self.rows))
 
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_size(other)
         cols = tuple(zip(*other.rows))
-        return IntegerMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+        return IntegerMatrix._built(
+            tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows)
         )
 
     def _check_size(self, other: "IntegerMatrix") -> None:
@@ -107,7 +115,7 @@ class IntegerMatrix(Record):
         """Matrix times column vector; accepts int or Fraction entries."""
         if len(coords) != self.size:
             raise ValueError(f"vector length {len(coords)} does not match size {self.size}")
-        return tuple(sum(a * c for a, c in zip(row, coords)) for row in self.rows)
+        return tuple([sum(map(mul, row, coords)) for row in self.rows])
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(tuple(zip(*self.rows)))
@@ -135,6 +143,14 @@ class IntegerMatrix(Record):
         return acc if coeffs[0] == -1 else -acc
 
 
+@lru_cache(maxsize=4096)
+def _square(matrix: IntegerMatrix) -> IntegerMatrix:
+    """M * M, formed once per matrix in a process, so that the squares
+    M^(2^j) of a matrix are too, however many powers and partial sums by
+    doubling read them."""
+    return matrix * matrix
+
+
 def mat_pow(matrix: IntegerMatrix, exponent: int) -> IntegerMatrix:
     """Exact matrix power by repeated squaring; negative powers via the inverse."""
     if exponent < 0:
@@ -142,15 +158,14 @@ def mat_pow(matrix: IntegerMatrix, exponent: int) -> IntegerMatrix:
         exponent = -exponent
     else:
         base = matrix
-    result = IntegerMatrix.identity(matrix.size)
+    result = None
     while exponent:
         if exponent & 1:
-            result = result * base
-        base_needed = exponent > 1
-        if base_needed:
-            base = base * base
+            result = base if result is None else result * base
         exponent >>= 1
-    return result
+        if exponent:
+            base = _square(base)
+    return IntegerMatrix.identity(matrix.size) if result is None else result
 
 
 @lru_cache(maxsize=4096)
@@ -161,28 +176,23 @@ def char_poly(matrix: IntegerMatrix) -> NumericalPolynomial:
     matrix in a process; the determinant, the inverse, quasi-unipotence and
     the spectral radius all read it.
     """
-    n = matrix.size
     a = matrix.rows
     # coefficients of det(xI - leading principal submatrix), highest first
     coeffs = [1]
-    for t in range(n):
-        row = a[t][:t]
-        col = [a[i][t] for i in range(t)]
-        diag = a[t][t]
+    for t, current in enumerate(a):
+        block = [r[:t] for r in a[:t]]
+        row = current[:t]
         # first column of the Toeplitz transform:
         # 1, -a_tt, -(R S), -(R A S), ..., -(R A^(t-1) S)
-        q = [1, -diag]
-        vec = col
-        for _ in range(t):
-            q.append(-sum(r * v for r, v in zip(row, vec)))
-            vec = [sum(a[i][j] * vec[j] for j in range(t)) for i in range(t)]
-        new = [0] * (t + 2)
-        for i in range(t + 2):
-            acc = 0
-            for j in range(max(0, i - len(q) + 1), min(i, t) + 1):
-                acc += q[i - j] * coeffs[j]
-            new[i] = acc
-        coeffs = new
+        q = [1, -current[t]]
+        vec = [r[t] for r in a[:t]]
+        for k in range(t):
+            if k:
+                vec = [sum(map(mul, r, vec)) for r in block]
+            q.append(-sum(map(mul, row, vec)))
+        # the Toeplitz product: new[i] = sum over j <= min(i, t) of q[i - j] coeffs[j]
+        rq = q[::-1]
+        coeffs = [sum(map(mul, rq[t + 1 - i :], coeffs)) for i in range(t + 2)]
     return NumericalPolynomial(tuple(reversed(coeffs)))
 
 
@@ -246,12 +256,13 @@ def nilpotency_index(matrix: IntegerMatrix) -> int:
     """Least k >= 0 with (M - I)^(k+1) = 0; M must be unipotent."""
     n = matrix.size
     nil = matrix - IntegerMatrix.identity(n)
-    power = IntegerMatrix.identity(n)
-    for k in range(n):
+    power, k = nil, 0
+    while not power.is_zero:
+        k += 1
+        if k == n:
+            raise NotUnipotent("matrix is not unipotent")
         power = power * nil
-        if power.is_zero:
-            return k
-    raise NotUnipotent("matrix is not unipotent")
+    return k
 
 
 class UnipotentReduction(Record):

@@ -212,23 +212,31 @@ def largest_real_root_interval(
 
     Each step asks whether the largest root lies above the midpoint, so two
     polynomials with the same largest real root get the same interval from
-    the same start. Raises ValueError if p has no real root.
+    the same start. The ends are integers lo and hi over one denominator
+    den, the start's denominator times 2^j after j steps, so the midpoint is
+    lo + hi over 2 den and a ``Fraction`` is built only for each sign count
+    and for the returned ends. Raises ValueError if p has no real root.
     """
+    width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
+    start = Fraction(start)
     chain = sturm_chain(p)
-    lo, hi = -start, start
-    at_hi = sign_variations(chain, hi)
-    if sign_variations(chain, lo) == at_hi:
+    hi, den = start.numerator, start.denominator
+    lo = -hi
+    at_hi = sign_variations(chain, start)
+    if sign_variations(chain, -start) == at_hi:
         raise ValueError("polynomial has no real roots")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        at_mid = sign_variations(chain, mid)
+    # hi - lo > width, over the common denominator
+    while (hi - lo) * width.denominator > width.numerator * den:
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        at_mid = sign_variations(chain, Fraction(mid, den))
         if at_mid > at_hi:
             lo = mid
         else:
             hi, at_hi = mid, at_mid
-    return RationalInterval(lo, hi)
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def zeros_inside_unit_disk(coeffs: Sequence[int]) -> int | None:

@@ -16,6 +16,7 @@ integral form is checked in integer arithmetic throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import RankMismatch
@@ -45,6 +46,12 @@ class DivisorClass(Record):
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
+
+    def over_common_denominator(self) -> tuple[int, tuple[int, ...]]:
+        """The least common denominator d of the coordinates and the integer
+        numerators over it, so that coords = numerators / d."""
+        denom = lcm(*(c.denominator for c in self.coords))
+        return denom, tuple(c.numerator * (denom // c.denominator) for c in self.coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if self.rank != other.rank:

@@ -19,6 +19,7 @@ the field path on their ``ValueError``. ``lattice.validate`` checks the actions.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -90,23 +91,33 @@ def _checked(path: str, build: Callable, *args) -> Any:
         raise _fail(path, str(exc)) from None
 
 
-def parse_rational(text: Any, path: str) -> Fraction:
+_PLAIN_INTEGER = re.compile("-?[0-9]+")
+
+
+def _parse_number(text: Any, path: str) -> int | Fraction:
+    """The value of a numeric payload entry. A plain ASCII integer string,
+    which most entries are, is read by ``int``; any other string by
+    ``Fraction``, whose complaints (the digit limit included) are the same."""
     if isinstance(text, bool):
         raise _fail(path, "expected a numeric string")
     if isinstance(text, int):
-        return Fraction(text)
+        return text
     if isinstance(text, str):
         if "e" in text or "E" in text:
             raise _fail(path, f"bad rational {text!r}: exponent notation is not accepted")
         try:
-            return Fraction(text)
+            return int(text) if _PLAIN_INTEGER.fullmatch(text) else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise _fail(path, f"bad rational {text!r}: {exc}") from None
     raise _fail(path, f"expected a numeric string, got {type(text).__name__}")
 
 
+def parse_rational(text: Any, path: str) -> Fraction:
+    return Fraction(_parse_number(text, path))
+
+
 def parse_integer(text: Any, path: str) -> int:
-    value = parse_rational(text, path)
+    value = _parse_number(text, path)
     if value.denominator != 1:
         raise _fail(path, f"expected an integer, got {value}")
     return int(value)

@@ -3,6 +3,7 @@ import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,10 +42,32 @@ def random_divisors(rank, count, seed=0, span=9):
     return out
 
 
+def nilpotent_steps(matrix, divisor):
+    """[N^0 D, ..., N^k D] for a unipotent matrix with nilpotent part N."""
+    from sigmaample.engine import _nilpotent_numerators
+    from sigmaample.intmat import nilpotency_index
+    from sigmaample.lattice import DivisorClass
+
+    denom, steps = _nilpotent_numerators(matrix, nilpotency_index(matrix), divisor)
+    return [DivisorClass(tuple(Fraction(c, denom) for c in step)) for step in steps]
+
+
+def delta_symbolic(matrix, divisor):
+    """Coordinates of the m-th partial sum as polynomials: sum C(m, i+1) N^i D.
+
+    Requires a unipotent matrix (NotUnipotent otherwise); evaluating at any
+    integer m >= 0 agrees with the directly accumulated sum
+    D + PD + ... + P^(m-1)D.
+    """
+    from sigmaample.engine import _delta_symbolic
+    from sigmaample.intmat import nilpotency_index
+
+    return _delta_symbolic(matrix, nilpotency_index(matrix), divisor)
+
+
 def power_symbolic(matrix, divisor):
     """Coordinates of the m-th image under a unipotent matrix, as
     polynomials in m: sum C(m, i) N^i D."""
-    from sigmaample.engine import nilpotent_steps
     from sigmaample.numpoly import ZERO, binomial_basis
 
     out = [ZERO] * divisor.rank

@@ -17,7 +17,7 @@ from sigmaample.cli import main
 from sigmaample.intmat import mat_pow, quasi_unipotence
 from sigmaample.lattice import AutomorphismAction, DivisorClass, apply, validate
 
-from conftest import random_divisors
+from conftest import delta_symbolic, nilpotent_steps, random_divisors
 
 RADIUS_TARGET = Fraction(139282, 10000)  # 13.9282
 RADIUS_SLACK = Fraction(1, 1000)  # the +-0.001 window around the target
@@ -174,7 +174,7 @@ def test_criterion_5_even_index_and_vanishing():
                 for comp in sf.scheme.components:
                     cutoff = k * (comp.dim - 1)
                     for d in random_divisors(sf.scheme.rank, 100, seed=101):
-                        steps = engine.nilpotent_steps(unipotent, d)
+                        steps = nilpotent_steps(unipotent, d)
                         for combo in product(range(k + 1), repeat=comp.dim):
                             if sum(combo) > cutoff:
                                 if comp.top_form.evaluate(
@@ -268,7 +268,7 @@ def test_criterion_8_symbolic_direct_agreement():
                     continue  # symbolic form requires the unipotent reduction
                 unipotent = mat_pow(action.matrix, q)
                 for divisor in sf.divisors.values():
-                    family = engine.delta_symbolic(unipotent, divisor)
+                    family = delta_symbolic(unipotent, divisor)
                     for m in range(0, 26):
                         symbolic = DivisorClass.of(*(p.evaluate(m) for p in family))
                         direct = engine.partial_sum(unipotent, divisor, m)

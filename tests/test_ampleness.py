@@ -10,12 +10,12 @@ from sigmaample.ampleness import (
     is_ample_symbolic,
     symbolic_constraints,
 )
-from sigmaample.engine import delta_symbolic, partial_sum
+from sigmaample.engine import partial_sum
 from sigmaample.errors import RankMismatch
 from sigmaample.lattice import DivisorClass, apply
 from sigmaample.numpoly import NumericalPolynomial, binomial_basis
 
-from conftest import random_divisors
+from conftest import delta_symbolic, random_divisors
 
 M = binomial_basis(1)
 ZERO = NumericalPolynomial(())

@@ -16,7 +16,7 @@ from sigmaample.lattice import (
 )
 from sigmaample.numpoly import ZERO, binomial_basis
 
-from conftest import power_symbolic, random_divisors, unimodular_matrices
+from conftest import delta_symbolic, power_symbolic, random_divisors, unimodular_matrices
 
 
 # --- classification ---------------------------------------------------------
@@ -56,26 +56,26 @@ def test_classify_swap(abelian):
 
 
 def test_delta_symbolic_identity_action():
-    family = engine.delta_symbolic(IntegerMatrix.identity(2), DivisorClass.of(3, -1))
+    family = delta_symbolic(IntegerMatrix.identity(2), DivisorClass.of(3, -1))
     m = binomial_basis(1)
     assert family == (3 * m, -1 * m)
 
 
 def test_delta_symbolic_single_jordan_block():
     p = IntegerMatrix.from_rows([[1, 1], [0, 1]])
-    family = engine.delta_symbolic(p, DivisorClass.of(0, 1))
+    family = delta_symbolic(p, DivisorClass.of(0, 1))
     assert family == (binomial_basis(2), binomial_basis(1))
 
 
 def test_delta_symbolic_requires_unipotent(wehler):
     with pytest.raises(NotUnipotent):
-        engine.delta_symbolic(wehler.action("s1").matrix, wehler.divisor("H1"))
+        delta_symbolic(wehler.action("s1").matrix, wehler.divisor("H1"))
 
 
 def test_delta_symbolic_agrees_with_direct_sum(abelian):
     shear = abelian.action("shear").matrix
     d = abelian.divisor("D111")
-    family = engine.delta_symbolic(shear, d)
+    family = delta_symbolic(shear, d)
     direct2 = engine.partial_sum(shear, d, 2)
     assert direct2 == DivisorClass.of(4, 4, 0)
     for m in range(0, 26):
@@ -251,7 +251,7 @@ def test_gk_profile_error_order(wehler):
 def _components_at_direct_power(sf, action, divisor, power):
     """Self-intersection polynomials of the partial sums taken at the given
     step, built from the matrix power and the summed divisor directly."""
-    family = engine.delta_symbolic(
+    family = delta_symbolic(
         mat_pow(action.matrix, power), engine.partial_sum(action.matrix, divisor, power)
     )
     return [ZERO + comp.top_form.evaluate([family] * comp.dim) for comp in sf.scheme.components]
@@ -367,11 +367,15 @@ def test_growth_exponential_branch(wehler):
 
 
 def _count_reduction_work(monkeypatch):
-    """Clear the reduction cache and count the matrix powers and Jordan-index
-    computations made from here on, wherever they are called from."""
+    """Clear the reduction and square caches and count the matrix powers,
+    the Jordan-index computations and the squares M * M formed from here on,
+    wherever they are called from. ``calls["squares"]`` counts the products
+    of a matrix object with itself, ``calls["squared"]`` the distinct
+    matrices squared."""
     intmat.unipotent_reduction.cache_clear()
-    calls = {"mat_pow": 0, "nilpotency_index": 0}
-    for name in calls:
+    intmat._square.cache_clear()
+    calls = {"mat_pow": 0, "nilpotency_index": 0, "squares": 0, "squared": 0}
+    for name in ("mat_pow", "nilpotency_index"):
 
         def counted(*args, _name=name, _original=getattr(intmat, name)):
             calls[_name] += 1
@@ -380,6 +384,16 @@ def _count_reduction_work(monkeypatch):
         for module in (intmat, engine):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+    squared = set()
+
+    def product(left, right, _original=IntegerMatrix.__mul__):
+        if left is right:
+            squared.add(left)
+            calls["squares"] += 1
+            calls["squared"] = len(squared)
+        return _original(left, right)
+
+    monkeypatch.setattr(IntegerMatrix, "__mul__", product)
     return calls
 
 
@@ -389,7 +403,8 @@ def test_growth_reduces_a_quasi_unipotent_action_once(abelian, monkeypatch):
         abelian.scheme, abelian.action("shear"), abelian.oracle(), abelian.divisor("D111")
     )
     assert report == engine.GrowthReport(5, None, (), None)
-    assert calls == {"mat_pow": 1, "nilpotency_index": 1}
+    # q = 1; the one square is (M - I)^2 in the Jordan index
+    assert calls == {"mat_pow": 1, "nilpotency_index": 1, "squares": 1, "squared": 1}
 
 
 def test_sigma_ample_batch_reduces_each_action_once(wehler, monkeypatch):
@@ -400,7 +415,30 @@ def test_sigma_ample_batch_reduces_each_action_once(wehler, monkeypatch):
         for d in ("H1", "H2", "H1plusH2", "minusH1")
     ]
     assert {v.unipotent_power for v in verdicts} == {2}
-    assert calls == {"mat_pow": 2, "nilpotency_index": 2}
+    assert calls == {"mat_pow": 2, "nilpotency_index": 2, "squares": 2, "squared": 2}
+
+
+def test_sigma_ample_batch_forms_each_square_once(wehler, monkeypatch):
+    """M^q and the q-fold partial sum of every divisor read the same squares:
+    four divisors over one action with q = 2 square the matrix once, not
+    once for M^2 and once more per divisor."""
+    calls = _count_reduction_work(monkeypatch)
+    verdicts = [
+        engine.is_sigma_ample(wehler.scheme, wehler.action("s1"), wehler.oracle(), wehler.divisor(d))
+        for d in ("H1", "H2", "H1plusH2", "minusH1")
+    ]
+    assert {v.unipotent_power for v in verdicts} == {2}
+    assert calls == {"mat_pow": 1, "nilpotency_index": 1, "squares": 1, "squared": 1}
+
+
+def test_partial_sums_at_many_indices_form_each_square_once(abelian, monkeypatch):
+    calls = _count_reduction_work(monkeypatch)
+    shear = abelian.action("shear").matrix
+    for m in (5, 17, 40, 64):
+        for name in ("D111", "minusD"):
+            engine.partial_sum(shear, abelian.divisor(name), m)
+    # the squares M^(2^j), j = 1 .. 6, read by m = 64
+    assert calls["squares"] == calls["squared"] == 6
 
 
 def test_growth_requires_ample(wehler):

