@@ -53,6 +53,7 @@ from .schemefile import (
     SchemeFile,
     format_rational,
     parse_scheme_file,
+    rational_from_text,
     scheme_file_to_document,
 )
 
@@ -318,6 +319,16 @@ def _answer_batch(args) -> dict:
     return doc
 
 
+def _eps(text: str) -> Fraction:
+    """--eps read by the scheme files' rule for rationals, so exponent
+    notation such as 1e-20000 is refused before it can set a bisection's
+    length; every complaint is one argparse error line."""
+    try:
+        return rational_from_text(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}") from None
+
+
 # The options a query command may take after INPUT, in declaration order.
 _OPTIONS = {
     "auto": {"action": "append", "required": True, "help": "automorphism name (repeatable)"},
@@ -325,7 +336,7 @@ _OPTIONS = {
     "oracle": {"default": None, "help": "oracle name"},
     "mmax": {"type": int, "default": 12, "help": "series length"},
     "eps": {
-        "type": Fraction,
+        "type": _eps,
         "default": Fraction(1, 1000),
         "help": "spectral radius enclosure width (P/Q)",
     },

@@ -5,38 +5,32 @@ characteristic polynomial, computed by the division-free Berkowitz
 recursion: the determinant is its constant term up to sign, inverses of
 determinant +-1 follow from Cayley-Hamilton, and quasi-unipotence is read
 off it by trial division with cyclotomic polynomials (Kronecker's theorem),
-so no matrix is raised to a large power. Spectral radii come from integer
-Sturm bisection on the degree-n Graeffe polynomial G(y) = p(sqrt y)
-p(-sqrt y) of the characteristic polynomial p, whose real roots above 0 are
-the squared real eigenvalues. Its answer is certified exactly per matrix:
-a Schur-Cohn count of the roots of p inside a circle just below the
-bisection's lower end and a Sturm count of the real roots outside it must
-agree, so that the radius is attained at a real eigenvalue. When they do
-not, the same bisection runs on the characteristic polynomial of the
-Kronecker square M (x) M, whose real roots include every squared eigenvalue
-modulus; that polynomial is built from the power sums of M by Newton's
-identities, never from the n^2 x n^2 matrix itself, and its Cauchy bound
-starts both bisections. The characteristic polynomial, the squares
-M^(2^j) that matrix powers and partial sums by doubling read, and the
-reduction of a quasi-unipotent matrix to its unipotent power (q, M^q and the
-Jordan index of M^q) are each computed once per matrix in a process.
+so no matrix is raised to a large power. The spectral radius is bisected
+itself over [0, S], S the Cauchy bound of the characteristic polynomial p
+rounded up to an odd integer, on the Sturm chain of p; a Schur-Cohn count
+certifies that answer, and when it fails the characteristic polynomial of
+the Kronecker square M (x) M, built from the power sums of M by Newton's
+identities rather than from the n^2 x n^2 matrix, answers in the same loop.
+The characteristic polynomial, the squares M^(2^j) that matrix powers and
+partial sums by doubling read, and the reduction of a quasi-unipotent matrix
+to its unipotent power (q, M^q and the Jordan index of M^q) are each
+computed once per matrix in a process.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .errors import NotInvertibleOverIntegers, NotUnipotent
 from .intpoly import (
     RationalInterval,
+    _bisect,
     _divide_exact,
     cauchy_root_bound,
-    largest_real_root_interval,
     sign_variations,
-    sqrt_enclosure,
     sturm_chain,
     zeros_inside_unit_disk,
 )
@@ -328,82 +322,52 @@ def exact_eps(eps) -> Fraction:
     return eps
 
 
-def _graeffe(coeffs: Sequence[int]) -> NumericalPolynomial:
-    """G(y) = p(sqrt y) p(-sqrt y) = E(y)^2 - y O(y)^2 for p(x) = E(x^2) +
-    x O(x^2), lowest degree first: the polynomial of the same degree whose
-    roots are the squared roots of p."""
-    even, odd = coeffs[0::2], coeffs[1::2]
-    out = [0] * len(coeffs)
-    for i, a in enumerate(even):
-        for j, b in enumerate(even):
-            out[i + j] += a * b
-    for i, a in enumerate(odd):
-        for j, b in enumerate(odd):
-            out[i + j + 1] -= a * b
-    return NumericalPolynomial(tuple(out))
-
-
-def _real_roots_dominate(p: NumericalPolynomial, lo: Fraction) -> bool:
-    """Whether every root of p of modulus above r is real, where
-    r = isqrt(floor(lo 4^16)) / 2^16, so that r^2 <= lo.
+def _real_roots_dominate(p: NumericalPolynomial, r: Fraction, real_beyond: int) -> bool:
+    """Whether every root of p of modulus above r >= 0 is real, given the
+    number of distinct real roots of p of modulus above r.
 
     The Schur-Cohn count of the zeros of b^n p((a/b) z) in the unit disk
     gives the roots of modulus below r = a/b; a regular count also proves
-    that none has modulus r. A Sturm chain on p counts the distinct real
-    roots beyond -r and r. The two agree only when all roots of modulus
-    above r are real and simple. False when lo <= 0 or the Schur-Cohn
+    that none has modulus r. It agrees with the real count only when all
+    roots of modulus above r are real and simple. False when the Schur-Cohn
     recursion is singular.
     """
-    if lo <= 0:
-        return False
-    a, b = isqrt(lo.numerator * 4**16 // lo.denominator), 2**16
+    a, b = r.numerator, r.denominator
     coeffs = p.numerators
     n = len(coeffs) - 1
     inside = zeros_inside_unit_disk([c * a**i * b ** (n - i) for i, c in enumerate(coeffs)])
-    if inside is None:
-        return False
-    chain = sturm_chain(p)
-    r, far = Fraction(a, b), cauchy_root_bound(coeffs) + 1
-    real_beyond = (
-        sign_variations(chain, -far) - sign_variations(chain, -r)
-        + sign_variations(chain, r) - sign_variations(chain, far)
-    )
-    return real_beyond == n - inside
+    return inside == n - real_beyond
 
 
 def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
     """Exact rational interval of width <= eps containing the spectral radius.
 
-    The squared radius rho^2 is the largest real root of the characteristic
-    polynomial K of the Kronecker square M (x) M, whose roots are the
-    pairwise eigenvalue products. When rho is attained at a real eigenvalue,
-    rho^2 is also the largest real root of the degree-n Graeffe polynomial
-    G(y) = p(sqrt y) p(-sqrt y) of p = det(xI - M), and the integer Sturm
-    bisection on G, started from K's Cauchy bound, makes every decision that
-    the bisection on K makes. That hypothesis is then certified exactly from
-    the lower end of G's interval (``_real_roots_dominate``). If G has no
-    real root, its interval does not lie above 0 or the certificate fails,
-    the same bisection runs on the square-free part of K (built from the
-    power sums of M, not from the n^2 x n^2 matrix). Either way an
-    integer-square-root enclosure then brackets the radius itself, and the
-    bytes are those of the Kronecker route.
+    rho is bisected over [0, S], S the Cauchy bound of p = det(xI - M)
+    rounded up to an odd integer, so the ends are consecutive multiples of
+    S/2^j for the least j with S/2^j <= eps. No midpoint is an integer, so
+    none is a rational root of p or of K = det(xI - M (x) M), and rho lies
+    strictly inside the interval unless it is 0. Each step asks whether p
+    has a real root of modulus above the midpoint x,
+    [V(-S) - V(-x)] + [V(x) - V(S)] > 0 on p's Sturm chain; that finds rho
+    when rho is attained at a real eigenvalue, which
+    ``_real_roots_dominate`` certifies at the lower end. Otherwise, or when
+    p has no real root, each step asks whether K, whose largest real root is
+    rho^2, has a real root above x^2. Both questions agree when the
+    certificate holds, so both routes give the same interval.
     """
     eps = exact_eps(eps)
     p = char_poly(matrix)
-    kronecker = _kronecker_square_char_poly(p.numerators)
-    start = cauchy_root_bound(kronecker) + 1
-    # sqrt(b) - sqrt(a) <= sqrt(b - a) <= eps/2 (1/2 when eps >= 1), and the
-    # integer square roots move the two ends by less than 4/slack <= eps/2
-    width = eps * eps / 4 if eps < 1 else Fraction(1, 4)
-    slack = max(8, int(8 / eps) + 1)
-    try:
-        iv = largest_real_root_interval(_graeffe(p.numerators), width, start)
-    except ValueError:  # no eigenvalue is real or purely imaginary
-        iv = None
-    if iv is None or not _real_roots_dominate(p, iv.lo):
-        iv = largest_real_root_interval(NumericalPolynomial(tuple(kronecker)), width, start)
-    clipped = RationalInterval(max(iv.lo, Fraction(0)), max(iv.hi, Fraction(0)))
-    enclosure = sqrt_enclosure(clipped, slack)
-    if enclosure.width > eps:
-        raise AssertionError(f"radius enclosure of width {enclosure.width} exceeds eps {eps}")
-    return enclosure
+    top = int(cauchy_root_bound(p.numerators)) | 1
+    chain = sturm_chain(p)
+    real = sign_variations(chain, -top) - sign_variations(chain, top)
+
+    def real_beyond(x: Fraction) -> int:
+        return real - sign_variations(chain, -x) + sign_variations(chain, x)
+
+    if real:
+        iv = _bisect(lambda x: real_beyond(x) > 0, 0, top, 1, eps)
+        if _real_roots_dominate(p, iv.lo, real_beyond(iv.lo)):
+            return iv
+    kronecker = sturm_chain(NumericalPolynomial(tuple(_kronecker_square_char_poly(p.numerators))))
+    at_top = sign_variations(kronecker, top * top)
+    return _bisect(lambda x: sign_variations(kronecker, x * x) > at_top, 0, top, 1, eps)

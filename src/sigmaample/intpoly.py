@@ -7,14 +7,17 @@ Sturm chain is a list of primitive integer polynomials, each a positive
 multiple of the classical rational member, and a chain is evaluated at a
 rational a/b homogenised, b^d p(a/b), so neither floating point nor a
 ``Fraction`` enters any sign count. The zeros inside the unit disk are
-counted by the Schur-Cohn recursion on integer lists in the same way. The
-polynomial type itself is ``numpoly.NumericalPolynomial``, which builds on
-the list helpers below.
+counted by the Schur-Cohn recursion on integer lists in the same way. One
+dyadic bisection loop, ``_bisect``, halves a rational interval on integer
+ends over a power-of-two denominator, asking one question per midpoint; the
+spectral radius in ``intmat`` and ``largest_real_root_interval`` both run
+on it. The polynomial type itself is ``numpoly.NumericalPolynomial``, which
+builds on the list helpers below.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
 from .record import Record
@@ -204,39 +207,51 @@ def root_cells(p: NumericalPolynomial, top: int) -> list[int]:
     return cells
 
 
+def _bisect(above, lo: int, hi: int, den: int, width: Fraction) -> RationalInterval:
+    """[lo/den, hi/den] halved until its width is at most ``width``: the
+    upper half is kept when ``above(x)`` holds at the midpoint x, else the
+    lower half.
+
+    The ends stay integers over one denominator, which doubles with each
+    step, so the midpoint is lo + hi over 2 den and a ``Fraction`` is built
+    only for each question and for the returned ends. The ends are
+    therefore consecutive multiples of (hi - lo)/(den 2^j) after j steps.
+    """
+    while (hi - lo) * width.denominator > width.numerator * den:
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        if above(Fraction(mid, den)):
+            lo = mid
+        else:
+            hi = mid
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+
+
 def largest_real_root_interval(
     p: NumericalPolynomial, width: Fraction, start: Fraction
 ) -> RationalInterval:
     """Interval of width <= ``width`` around the largest real root of p,
     bisected from [-start, start], which must hold every real root of p.
 
-    Each step asks whether the largest root lies above the midpoint, so two
-    polynomials with the same largest real root get the same interval from
-    the same start. The ends are integers lo and hi over one denominator
-    den, the start's denominator times 2^j after j steps, so the midpoint is
-    lo + hi over 2 den and a ``Fraction`` is built only for each sign count
-    and for the returned ends. Raises ValueError if p has no real root.
+    Each step asks whether p has a real root above the midpoint, that is
+    whether the Sturm count there exceeds the count at the start. Raises
+    ValueError if p has no real root. Nothing in the package calls it: the
+    spectral radius runs ``_bisect`` on the radius itself. It is kept as the
+    public form of that loop for the benchmark's per-layer tracer
+    (``perfbench/tracer.py``) and the tests that call it.
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     start = Fraction(start)
     chain = sturm_chain(p)
-    hi, den = start.numerator, start.denominator
-    lo = -hi
-    at_hi = sign_variations(chain, start)
-    if sign_variations(chain, -start) == at_hi:
+    at_start = sign_variations(chain, start)
+    if sign_variations(chain, -start) == at_start:
         raise ValueError("polynomial has no real roots")
-    # hi - lo > width, over the common denominator
-    while (hi - lo) * width.denominator > width.numerator * den:
-        mid = lo + hi
-        lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        at_mid = sign_variations(chain, Fraction(mid, den))
-        if at_mid > at_hi:
-            lo = mid
-        else:
-            hi, at_hi = mid, at_mid
-    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+    return _bisect(
+        lambda x: sign_variations(chain, x) > at_start,
+        -start.numerator, start.numerator, start.denominator, width,
+    )
 
 
 def zeros_inside_unit_disk(coeffs: Sequence[int]) -> int | None:
@@ -270,18 +285,3 @@ def zeros_inside_unit_disk(coeffs: Sequence[int]) -> int | None:
         f = _primitive(g)
     return count
 
-
-def sqrt_enclosure(interval: RationalInterval, slack_denom: int) -> RationalInterval:
-    """Rational enclosure of the square roots of a nonnegative interval.
-
-    Endpoint error beyond the exact square roots is at most 2/slack_denom.
-    """
-    if interval.lo < 0:
-        raise ValueError("interval must be nonnegative")
-    m = slack_denom
-    a, b = interval.lo, interval.hi
-    lo = Fraction(isqrt((a.numerator * m * m) // a.denominator), m)
-    hi_scaled = b.numerator * m * m
-    hi_int = -(-hi_scaled // b.denominator)  # ceil
-    hi = Fraction(isqrt(hi_int) + 1, m)
-    return RationalInterval(lo, hi)

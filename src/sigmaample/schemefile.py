@@ -94,19 +94,27 @@ def _checked(path: str, build: Callable, *args) -> Any:
 _PLAIN_INTEGER = re.compile("-?[0-9]+")
 
 
+def rational_from_text(text: str) -> Fraction:
+    """A decimal or "p/q" string as a ``Fraction``. Exponent notation raises
+    ValueError before ``Fraction`` sees it, since "1e999999999" would expand
+    into a billion-digit integer; other complaints (the digit limit
+    included) are ``Fraction``'s own ValueError or ZeroDivisionError."""
+    if "e" in text or "E" in text:
+        raise ValueError("exponent notation is not accepted")
+    return Fraction(text)
+
+
 def _parse_number(text: Any, path: str) -> int | Fraction:
     """The value of a numeric payload entry. A plain ASCII integer string,
     which most entries are, is read by ``int``; any other string by
-    ``Fraction``, whose complaints (the digit limit included) are the same."""
+    ``rational_from_text``, whose complaints are the same."""
     if isinstance(text, bool):
         raise _fail(path, "expected a numeric string")
     if isinstance(text, int):
         return text
     if isinstance(text, str):
-        if "e" in text or "E" in text:
-            raise _fail(path, f"bad rational {text!r}: exponent notation is not accepted")
         try:
-            return int(text) if _PLAIN_INTEGER.fullmatch(text) else Fraction(text)
+            return int(text) if _PLAIN_INTEGER.fullmatch(text) else rational_from_text(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise _fail(path, f"bad rational {text!r}: {exc}") from None
     raise _fail(path, f"expected a numeric string, got {type(text).__name__}")

@@ -8,11 +8,15 @@ share nothing with the package's own versions but ``IntegerMatrix``,
 ``char_poly``, ``mat_pow`` and the interval helpers, so the property tests
 compare two independent routes to each answer.
 
-``kronecker_spectral_radius`` is the package's integer route before the
-Graeffe polynomial and its certificate: the integer Sturm bisection on the
-Kronecker-square polynomial alone, fast enough for rank 8. It keeps the
-Kronecker square as the decision polynomial for every matrix, so comparing
-it with ``intmat.spectral_radius`` tests the route and its certificate.
+Both radius routines bisect the radius rho itself over [0, S], S the Cauchy
+bound of det(xI - M) rounded up to an odd integer, with ``Fraction``
+midpoints, and at each midpoint x ask whether the Kronecker-square
+polynomial has a real root above x^2. ``spectral_radius`` asks it of
+Berkowitz on the explicit n^2 x n^2 matrix M (x) M with ``Fraction`` Sturm
+chains; ``kronecker_spectral_radius``, fast enough for rank 8, asks it of
+the power-sum polynomial with the package's integer Sturm chain. Neither
+uses the characteristic polynomial's own Sturm chain or its certificate, so
+comparing them with ``intmat.spectral_radius`` tests that route.
 """
 from __future__ import annotations
 
@@ -23,8 +27,9 @@ from typing import Sequence
 
 from sigmaample.errors import NotInvertibleOverIntegers
 from sigmaample.intmat import IntegerMatrix, _kronecker_square_char_poly, char_poly, mat_pow
-from sigmaample.intpoly import RationalInterval, cauchy_root_bound, sqrt_enclosure
-from sigmaample.intpoly import largest_real_root_interval as integer_largest_real_root_interval
+from sigmaample.intpoly import RationalInterval
+from sigmaample.intpoly import sign_variations as integer_sign_variations
+from sigmaample.intpoly import sturm_chain as integer_sturm_chain
 from sigmaample.numpoly import NumericalPolynomial
 
 
@@ -174,21 +179,6 @@ def sign_variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def largest_real_root_interval(p: NumericalPolynomial, width: Fraction) -> RationalInterval:
-    chain = sturm_chain(p)
-    bound = cauchy_root_bound(p.coeffs)
-    lo, hi = -bound - 1, bound + 1
-    if sign_variations(chain, lo) - sign_variations(chain, hi) == 0:
-        raise ValueError("polynomial has no real roots")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if sign_variations(chain, mid) - sign_variations(chain, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return RationalInterval(lo, hi)
-
-
 # --- spectral radius from the Kronecker square -----------------------------
 
 
@@ -203,31 +193,37 @@ def kronecker(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(tuple(rows))
 
 
+def _radius_by_bisection(matrix: IntegerMatrix, eps: Fraction, above) -> RationalInterval:
+    """rho bisected over [0, S] with ``Fraction`` midpoints, S = 1 + max|c_i|
+    over det(xI - M) = x^n + ... + c_0, rounded up to an odd integer;
+    ``above(x, top)`` says whether rho > x, given S."""
+    coeffs = char_poly(matrix).coeffs
+    top = int(1 + max(abs(c) for c in coeffs[:-1])) | 1
+    lo, hi = Fraction(0), Fraction(top)
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        if above(mid, top):
+            lo = mid
+        else:
+            hi = mid
+    return RationalInterval(lo, hi)
+
+
 def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
-    """Berkowitz on M (x) M, then Fraction Sturm bisection and the
-    integer-square-root enclosure."""
-    eps = Fraction(eps)
-    squared = char_poly(kronecker(matrix, matrix))
-    width = eps * eps / 4 if eps < 1 else Fraction(1, 4)
-    slack = max(8, int(8 / eps) + 1)
-    while True:
-        iv = largest_real_root_interval(squared, width)
-        clipped = RationalInterval(max(iv.lo, Fraction(0)), max(iv.hi, Fraction(0)))
-        enclosure = sqrt_enclosure(clipped, slack)
-        if enclosure.width <= eps:
-            return enclosure
-        width /= 16
-        slack *= 4
+    """Berkowitz on M (x) M, then ``Fraction`` Sturm counts at x^2 and S^2."""
+    chain = sturm_chain(char_poly(kronecker(matrix, matrix)))
+    return _radius_by_bisection(
+        matrix, Fraction(eps),
+        lambda x, top: sign_variations(chain, x * x) > sign_variations(chain, Fraction(top * top)),
+    )
 
 
 def kronecker_spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
-    """The integer Sturm bisection on det(xI - M (x) M), built from the power
-    sums of M, from its Cauchy bound, then the integer-square-root enclosure."""
-    eps = Fraction(eps)
-    squared = NumericalPolynomial(tuple(_kronecker_square_char_poly(char_poly(matrix).numerators)))
-    width = eps * eps / 4 if eps < 1 else Fraction(1, 4)
-    slack = max(8, int(8 / eps) + 1)
-    start = cauchy_root_bound(squared.numerators) + 1
-    iv = integer_largest_real_root_interval(squared, width, start)
-    clipped = RationalInterval(max(iv.lo, Fraction(0)), max(iv.hi, Fraction(0)))
-    return sqrt_enclosure(clipped, slack)
+    """Integer Sturm counts at x^2 and S^2 on det(xI - M (x) M), built from
+    the power sums of M."""
+    squared = _kronecker_square_char_poly(char_poly(matrix).numerators)
+    chain = integer_sturm_chain(NumericalPolynomial(tuple(squared)))
+    return _radius_by_bisection(
+        matrix, Fraction(eps),
+        lambda x, top: integer_sign_variations(chain, x * x) > integer_sign_variations(chain, top * top),
+    )

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,11 +65,12 @@ def test_eps_flag_tightens_radius(capsys):
 @pytest.mark.parametrize(
     "eps_args, lo, hi",
     [
-        ((), "111439/8001", "15920/1143"),
+        # cells of the grid k 15/2^j (S = 1 + 14 = 15) for j = 14 and 44
+        ((), "228195/16384", "114105/8192"),
         (
             ("--eps", "1/1000000000000"),
-            "111425625842218/8000000000001",
-            "111425625842219/8000000000001",
+            "245027542491435/17592186044416",
+            "122513771245725/8796093022208",
         ),
     ],
 )
@@ -76,6 +78,8 @@ def test_radius_enclosure_endpoints_are_pinned(capsys, eps_args, lo, hi):
     _, doc, _ = run_json(capsys, "classify", "wehler_k3", "--auto", "s1s2", *eps_args)
     (result,) = doc["results"]
     assert result["spectral_radius"] == {"lo": lo, "hi": hi}
+    # exact containment of 7 + 4 sqrt 3: (x - 7)^2 against 48 at both ends
+    assert 7 < Fraction(lo) and (Fraction(lo) - 7) ** 2 < 48 < (Fraction(hi) - 7) ** 2
 
 
 @pytest.mark.parametrize(
@@ -90,6 +94,24 @@ def test_malformed_eps_is_parse_error(capsys, argv):
         main(argv + ["--eps", "abc"])
     assert exc.value.code == 2
     assert "--eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["1e-20000", "1e-999999999", "1E-5", "1/0"])
+def test_eps_in_exponent_notation_or_over_zero_is_parse_error(capsys, eps):
+    # exponent notation would set a 20000-digit or billion-digit bisection
+    # target, so it is refused before Fraction reads it, as in scheme files
+    argv = ["classify", "wehler_k3", "--auto", "s1s2", "--eps", eps]
+    done = run_bounded("-m", "sigmaample.cli", *argv)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines()[-1] == (
+        f"sigmaample classify: error: argument --eps: bad rational {eps!r}: "
+        + ("Fraction(1, 0)" if eps == "1/0" else "exponent notation is not accepted")
+    )
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and time.perf_counter() - started < 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -5,14 +5,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from sigmaample import intmat
 from sigmaample.engine import classify
 from sigmaample.errors import NotInvertibleOverIntegers, NotUnipotent
 from sigmaample.intmat import (
     IntegerMatrix,
     UnipotentReduction,
     _cyclotomic,
-    _graeffe,
-    _kronecker_square_char_poly,
     _real_roots_dominate,
     char_poly,
     mat_pow,
@@ -21,7 +20,7 @@ from sigmaample.intmat import (
     spectral_radius,
     unipotent_reduction,
 )
-from sigmaample.intpoly import cauchy_root_bound, largest_real_root_interval
+from sigmaample.intpoly import cauchy_root_bound
 from sigmaample.numpoly import NumericalPolynomial
 
 from conftest import unimodular_matrices
@@ -323,6 +322,19 @@ def test_spectral_radius_complex_dominant_pair():
     assert iv.lo**2 <= 3 <= iv.hi**2
 
 
+def _assert_grid_cell(iv, matrix, eps):
+    """iv's ends are consecutive multiples of S/2^j, for S the Cauchy bound
+    of det(xI - M) rounded up to an odd integer and the least j with
+    S/2^j <= eps."""
+    top = int(cauchy_root_bound(char_poly(matrix).numerators)) | 1
+    j = 0
+    while Fraction(top, 2**j) > eps:
+        j += 1
+    step = Fraction(top, 2**j)
+    assert iv.width == step
+    assert (iv.lo / step).denominator == 1
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_spectral_radius_contains_float_estimate(rows):
@@ -330,6 +342,7 @@ def test_spectral_radius_contains_float_estimate(rows):
     iv = spectral_radius(m, Fraction(1, 1000))
     estimate = max(abs(x) for x in np.linalg.eigvals(np.array(rows, dtype=float)))
     assert float(iv.lo) - 1e-6 <= estimate <= float(iv.hi) + 1e-6
+    _assert_grid_cell(iv, m, Fraction(1, 1000))
     bound = 1 + max(abs(c) for row in rows for c in row) * 3
     assert iv.hi <= bound + 1
 
@@ -349,16 +362,31 @@ SALEM8 = IntegerMatrix.from_rows([
 
 
 def test_rank_8_enclosure_endpoints_are_pinned():
-    # endpoints of the Berkowitz-on-the-Kronecker-square, Fraction-Sturm
-    # implementation; the integer one must reproduce them exactly
+    # the cell of the grid k 55/2^46 (S = 1 + 54 = 55) that holds the
+    # largest real root of x^6 - 12x^5 + 11x^4 - 16x^3 + 11x^2 - 12x + 1, the
+    # factor of p beside (x - 1)^2, ~11.13390164506 (sympy's real_roots)
     iv = spectral_radius(SALEM8, Fraction(1, 10**12))
     assert (iv.lo, iv.hi) == (
-        Fraction(4687958587394, 421052631579),
-        Fraction(29690404386829, 2666666666667),
+        Fraction(783478676560415, 70368744177664),
+        Fraction(391739338280235, 35184372088832),
     )
+    x = sympy.symbols("x")
+    rho = max(sympy.real_roots(sympy.Matrix(SALEM8.rows).charpoly(x).as_expr()), key=abs)
+    assert sympy.Rational(iv.lo.numerator, iv.lo.denominator) < rho
+    assert rho < sympy.Rational(iv.hi.numerator, iv.hi.denominator)
 
 
-# --- the certificate of the Graeffe route ---------------------------------
+@pytest.mark.parametrize("rows, rho", [([[-3]], 3), ([[-2, 0], [0, 1]], 2), ([[2]], 2)])
+@pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 1000)])
+def test_enclosure_is_one_cell_of_the_odd_dyadic_grid(rows, rho, eps):
+    m = IntegerMatrix.from_rows(rows)
+    iv = spectral_radius(m, eps)
+    _assert_grid_cell(iv, m, eps)
+    # an integer eigenvalue is never a grid point, so it lies strictly inside
+    assert iv.lo < rho < iv.hi
+
+
+# --- the certificate of the route on p's own Sturm chain ------------------
 
 
 def _companion(coeffs):
@@ -370,19 +398,16 @@ def _companion(coeffs):
     return IntegerMatrix.from_rows(rows)
 
 
-def _graeffe_lower_end(m, eps):
-    """The lower end of the interval that the Graeffe bisection of
-    ``spectral_radius`` hands to the certificate."""
-    p = char_poly(m)
-    start = cauchy_root_bound(_kronecker_square_char_poly(p.numerators)) + 1
-    return largest_real_root_interval(_graeffe(p.numerators), eps * eps / 4, start).lo
+def _certificate_calls(monkeypatch):
+    """A list that records (lower end, verdict) for each certificate call."""
+    calls = []
 
+    def spy(p, lo, real_beyond):
+        calls.append((lo, _real_roots_dominate(p, lo, real_beyond)))
+        return calls[-1][1]
 
-def test_graeffe_polynomial_has_the_squared_roots():
-    # p = (x - 2)(x + 3)(x^2 + 1): G = (y - 4)(y - 9)(y + 1)^2 up to sign
-    p = NumericalPolynomial.of(-2, 1) * NumericalPolynomial.of(3, 1) * NumericalPolynomial.of(1, 0, 1)
-    g = NumericalPolynomial.of(-4, 1) * NumericalPolynomial.of(-9, 1) * NumericalPolynomial.of(1, 2, 1)
-    assert _graeffe(p.numerators) == g
+    monkeypatch.setattr(intmat, "_real_roots_dominate", spy)
+    return calls
 
 
 SALEM4 = (1, -1, -1, -1, 1)  # x^4 - x^3 - x^2 - x + 1, Salem number ~1.72208
@@ -393,25 +418,30 @@ SALEM4 = (1, -1, -1, -1, 1)  # x^4 - x^3 - x^2 - x + 1, Salem number ~1.72208
     ((4, -2, 1), (-2, 1)),  # 1 +- i sqrt 3, modulus 2, tied with the real root 2
     (SALEM4, (3, -2, 1)),  # 1 +- i sqrt 2, modulus sqrt 3 ~1.73205, above the Salem number
 ])
-def test_certificate_refuses_a_non_real_root_at_the_top(factors):
+def test_certificate_refuses_a_non_real_root_at_the_top(factors, monkeypatch):
     p = NumericalPolynomial.of(1)
     for f in factors:
         p = p * NumericalPolynomial(f)
     m = _companion(p.numerators)
     eps = Fraction(1, 1000)
-    lo = _graeffe_lower_end(m, eps)
-    assert lo > 0  # G has a positive real root: only the certificate can refuse
-    assert not _real_roots_dominate(char_poly(m), lo)
+    calls = _certificate_calls(monkeypatch)
     iv = spectral_radius(m, eps)
+    # p has a nonzero real root, so the bisection on its chain ran and only
+    # the certificate at its lower end can refuse it
+    ((lo, verdict),) = calls
+    assert lo > 0 and not verdict
     assert iv == kronecker_spectral_radius(m, eps)
     estimate = max(abs(np.roots([float(c) for c in reversed(p.numerators)])))
     assert iv.lo <= estimate <= iv.hi
 
 
-def test_certificate_accepts_a_dominant_real_root():
+def test_certificate_accepts_a_dominant_real_root(monkeypatch):
     eps = Fraction(1, 10**12)
+    calls = _certificate_calls(monkeypatch)
     for m in (_companion(SALEM4), SALEM8, S1S2):
-        assert _real_roots_dominate(char_poly(m), _graeffe_lower_end(m, eps))
+        iv = spectral_radius(m, eps)
+        assert calls[-1] == (iv.lo, True)
+    assert len(calls) == 3
 
 
 def _block_sum(m, identity_size):
@@ -427,4 +457,10 @@ def test_classify_wehler_plus_identity_at_ranks_12_and_16(identity_size):
     # the power test raised this to the 720720-th power at rank 12
     cls = classify(_block_sum(S1S2, identity_size))
     assert not cls.quasi_unipotent
-    assert (cls.radius.lo, cls.radius.hi) == (Fraction(111439, 8001), Fraction(15920, 1143))
+    # 7 + 4 sqrt 3 on the grid of S/2^j, S = 3949 at rank 12, 54055 at rank 16
+    assert (cls.radius.lo, cls.radius.hi) == {
+        10: (Fraction(58417557, 4194304), Fraction(29210753, 2097152)),
+        14: (Fraction(934665005, 67108864), Fraction(233679765, 16777216)),
+    }[identity_size]
+    lo, hi = cls.radius.lo, cls.radius.hi
+    assert 7 < lo and (lo - 7) ** 2 < 48 < (hi - 7) ** 2

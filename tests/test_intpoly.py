@@ -9,7 +9,6 @@ from sigmaample.intpoly import (
     cauchy_root_bound,
     largest_real_root_interval,
     sign_variations,
-    sqrt_enclosure,
     square_free_part,
     sturm_chain,
     zeros_inside_unit_disk,
@@ -116,13 +115,6 @@ def test_no_real_roots_raises():
 def test_cauchy_bound_dominates_roots():
     p = NumericalPolynomial.of(-6, 11, -6, 1)  # roots 1, 2, 3
     assert cauchy_root_bound(p.coeffs) >= 3
-
-
-def test_sqrt_enclosure():
-    iv = RationalInterval(Fraction(2), Fraction(2))
-    enc = sqrt_enclosure(iv, 10**6)
-    assert enc.lo**2 <= 2 <= enc.hi**2
-    assert enc.width <= Fraction(3, 10**6)
 
 
 @given(st.lists(st.integers(-30, 30), min_size=1, max_size=6))

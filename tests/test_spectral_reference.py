@@ -4,9 +4,9 @@ Every answer of ``intmat`` and ``intpoly`` that feeds a verdict or an
 enclosure is compared with the slow routine it replaced (kept in
 ``reference_spectral``): the reduction power q, the Kronecker-square
 characteristic polynomial, the square-free part, the Sturm sign counts and
-the spectral-radius enclosure bytes. The Graeffe route with its
-certificate is compared with the Kronecker-square route alone, on matrices
-that take both branches.
+the spectral-radius enclosure bytes. The certified route on the
+characteristic polynomial's own Sturm chain is compared with the
+Kronecker-square route alone, on matrices that take both branches.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -115,25 +115,25 @@ def test_spectral_radius_enclosures_match_reference(m):
         assert spectral_radius(m, eps) == ref.spectral_radius(m, eps)
 
 
-graeffe_inputs = st.one_of(
+route_inputs = st.one_of(
     st.integers(2, 8).flatmap(lambda n: unimodular_matrices(n, ops=2 * n)),
     st.integers(4, 8).flatmap(lambda n: reflection_products(n, support=3)),
 )
 
 
-def test_graeffe_route_matches_kronecker_route_on_both_branches(monkeypatch):
+def test_certified_route_matches_kronecker_route_on_both_branches(monkeypatch):
     certified = []
     calls = []
     original = intmat._real_roots_dominate
 
-    def spy(p, lo):
-        certified.append(original(p, lo))
+    def spy(*args):
+        certified.append(original(*args))
         return certified[-1]
 
     monkeypatch.setattr(intmat, "_real_roots_dominate", spy)
 
     @settings(max_examples=120, deadline=None)
-    @given(graeffe_inputs)
+    @given(route_inputs)
     def check(m):
         for eps in (Fraction(1, 1000), Fraction(1, 10**12)):
             calls.append(m)
