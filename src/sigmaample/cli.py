@@ -4,12 +4,13 @@ Subcommands: validate, classify, sigma-ample, gkdim, growth, chi, catalog.
 Inputs are scheme description files (JSON) or builtin catalog names; the
 positional INPUT tries the filesystem first, then the catalog. Reports go to
 stdout, text by default or canonical JSON with --format structured;
-diagnostics go to stderr. Exit codes: 0 success, 2 parse or validation
-error, 3 unknown name, 4 precondition failure.
+diagnostics go to stderr, one ``error:`` line per failure. Exit codes: 0
+success, 2 parse or validation error (an unreadable INPUT file included), 3
+unknown name, 4 precondition failure, 1 for a stdout closed early.
 
 The query commands (classify, sigma-ample, gkdim, growth, chi) share one
-batch loop. It loads and validates INPUT and resolves --oracle (for the
-commands that take it) before any query runs, then answers each
+batch loop. It loads INPUT, validates its actions and resolves --oracle
+(for the commands that take it) before any query runs, then answers each
 (--auto, --divisor) pair in input order (--auto alone for classify) and
 wraps the results in one {command, input, [oracle], results} document.
 Each query command has a ``cmd_<name>(args, sf, oracle, aname, dname)``
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,17 +36,7 @@ from typing import Sequence
 from . import engine
 from .ampleness import action_stability_report, oracle_report
 from .catalog import catalog_entry, catalog_names
-from .errors import (
-    InvalidSchemeData,
-    MissingToddData,
-    NotAmple,
-    NotInvertibleOverIntegers,
-    NotQuasiUnipotent,
-    NotUnipotent,
-    RankMismatch,
-    SchemeParseError,
-    UnknownName,
-)
+from .errors import InvalidSchemeData, SchemeParseError, SigmaAmpleError, UnknownName
 from .intmat import char_poly
 from .lattice import scheme_consistency_report
 from .lattice import validate as validate_action
@@ -62,32 +54,31 @@ EXIT_PARSE = 2
 EXIT_UNKNOWN_NAME = 3
 EXIT_PRECONDITION = 4
 
-_PRECONDITION_ERRORS = (
-    NotAmple,
-    MissingToddData,
-    NotUnipotent,
-    NotQuasiUnipotent,
-    NotInvertibleOverIntegers,
-    RankMismatch,
-    ValueError,
-)
+# The exit status of each failure main reports, first match wins: a library
+# error, or a ValueError from an engine check.
+_EXIT_STATUS = {
+    SchemeParseError: EXIT_PARSE,
+    InvalidSchemeData: EXIT_PARSE,
+    UnknownName: EXIT_UNKNOWN_NAME,
+    SigmaAmpleError: EXIT_PRECONDITION,
+    ValueError: EXIT_PRECONDITION,
+}
 
 
-def load_input(name_or_path: str, enforce_valid: bool = True) -> SchemeFile:
-    """Resolve INPUT: an existing file path first, then a catalog name."""
+def load_input(name_or_path: str) -> SchemeFile:
+    """Resolve and read INPUT: an existing file path first, then a catalog
+    name. A file that cannot be read or decoded is a SchemeParseError. The
+    actions are not validated here."""
     path = Path(name_or_path)
-    if path.is_file():
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemeParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
-        sf = parse_scheme_file(text)
-    else:
-        sf = catalog_entry(name_or_path)
-    if enforce_valid:
-        for action in sf.automorphisms.values():
-            engine.require_valid(sf.scheme, action)
-    return sf
+    if not path.is_file():
+        return catalog_entry(name_or_path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemeParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise SchemeParseError(f"cannot read {name_or_path}: {exc.strerror or exc}") from None
+    return parse_scheme_file(text)
 
 
 def _interval_json(iv) -> dict:
@@ -104,7 +95,7 @@ def _report_json(report) -> dict:
 
 
 def cmd_validate(args) -> tuple[dict, int]:
-    sf = load_input(args.input, enforce_valid=False)
+    sf = load_input(args.input)
     reports = {
         name: validate_action(sf.scheme, action) for name, action in sf.automorphisms.items()
     }
@@ -292,6 +283,8 @@ def _text_chi(r) -> str:
 def cmd_catalog(args) -> tuple[dict, int]:
     if args.action == "list":
         return {"command": "catalog", "entries": catalog_names()}, EXIT_OK
+    if args.name is None:
+        raise UnknownName("catalog show requires an entry name")
     sf = catalog_entry(args.name)
     return {
         "command": "catalog",
@@ -307,8 +300,11 @@ def _text_catalog(doc) -> str:
 
 
 def _answer_batch(args) -> dict:
-    """Load INPUT and resolve the oracle, then answer the queries in input order."""
+    """Load INPUT, validate its actions and resolve the oracle, then answer
+    the queries in input order."""
     sf = load_input(args.input)
+    for action in sf.automorphisms.values():
+        engine.require_valid(sf.scheme, action)
     doc = {"command": args.command, "input": args.input}
     oracle = None
     if "oracle" in args:
@@ -334,10 +330,10 @@ _OPTIONS = {
     "auto": {"action": "append", "required": True, "help": "automorphism name (repeatable)"},
     "divisor": {"action": "append", "required": True, "help": "divisor name (repeatable)"},
     "oracle": {"default": None, "help": "oracle name"},
-    "mmax": {"type": int, "default": 12, "help": "series length"},
+    "mmax": {"type": int, "default": engine.DEFAULT_MMAX, "help": "series length"},
     "eps": {
         "type": _eps,
-        "default": Fraction(1, 1000),
+        "default": engine.DEFAULT_EPS,
         "help": "spectral radius enclosure width (P/Q)",
     },
 }
@@ -398,21 +394,12 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
-    if args.command == "catalog" and args.action == "show" and args.name is None:
-        print("error: catalog show requires an entry name", file=sys.stderr)
-        return EXIT_UNKNOWN_NAME
     batch = "auto" in args
     try:
         doc, code = (_answer_batch(args), EXIT_OK) if batch else args.func(args)
-    except (SchemeParseError, InvalidSchemeData) as exc:
+    except tuple(_EXIT_STATUS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnknownName as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_NAME
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next(status for kind, status in _EXIT_STATUS.items() if isinstance(exc, kind))
     if args.format == "structured":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -421,7 +408,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (| head): point it at devnull, so that the
+        # flush at exit cannot fail again, and end with 1 and no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -51,6 +51,7 @@ from .numpoly import ZERO, NumericalPolynomial, _reduced, binomial_basis
 from .record import Record
 
 DEFAULT_EPS = Fraction(1, 1000)
+DEFAULT_MMAX = 12
 
 
 class Classification(Record):
@@ -244,6 +245,8 @@ def is_sigma_ample(
     on the partial sum computed from the matrix alone.
     """
     require_valid(scheme, action)
+    if divisor.rank != action.matrix.size:
+        raise RankMismatch(f"rank {divisor.rank} vs matrix size {action.matrix.size}")
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
         return SigmaAmpleVerdict(None, None, ())
@@ -351,7 +354,7 @@ def growth_report(
     action: AutomorphismAction,
     oracle: AmplenessOracle,
     divisor: DivisorClass,
-    m_max: int = 12,
+    m_max: int = DEFAULT_MMAX,
     eps: Fraction = DEFAULT_EPS,
 ) -> GrowthReport:
     """Polynomial growth data for quasi-unipotent actions, exponential

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from sigmaample import engine, intmat
 from sigmaample.cli import entry, main
 from sigmaample.schemefile import serialize_scheme_file
 from sigmaample.catalog import catalog_entry
+from sigmaample.errors import InvalidSchemeData, SchemeParseError, SigmaAmpleError, UnknownName
 from conftest import child_env, run_bounded
 
 
@@ -364,6 +366,71 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: byte {text.index(chr(0xe9))}: not UTF-8 (invalid continuation byte)\n"
+
+
+def test_unreadable_file_exits_2(tmp_path, monkeypatch, capsys):
+    # a raising read_text, since a chmod 000 file stays readable to root
+    path = tmp_path / "locked.json"
+    path.write_text(serialize_scheme_file(catalog_entry("wehler_k3")), encoding="utf-8")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    for argv in (["validate", str(path)], ["classify", str(path), "--auto", "s1"]):
+        assert run(capsys, *argv) == (2, "", f"error: cannot read {path}: Permission denied\n")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the read end is closed before the child starts, so its first flush of
+    # stdout fails with EPIPE whatever the timing
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sigmaample.cli", "catalog", "show", "wehler_k3"],
+            stdout=w, stderr=subprocess.PIPE, text=True, timeout=10, env=child_env(),
+        )
+    finally:
+        os.close(w)
+    # nothing on stderr: no Traceback, no "Exception ignored ... BrokenPipeError"
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_catalog_show_without_a_name_is_unknown_name(capsys):
+    assert run(capsys, "catalog", "show") == (3, "", "error: catalog show requires an entry name\n")
+
+
+def _subclasses(kind):
+    for sub in kind.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class _FreshError(SigmaAmpleError):
+    """A library error that no table names."""
+
+
+# every library error, _FreshError among them, and ValueError
+_FAILURES = [SigmaAmpleError, *_subclasses(SigmaAmpleError), ValueError]
+
+
+@pytest.mark.parametrize("kind", _FAILURES, ids=lambda kind: kind.__name__)
+def test_exit_status_of_each_failure(kind, monkeypatch, capsys):
+    from sigmaample import cli
+
+    def fail(*args, **kwargs):
+        raise kind("refused here")
+
+    if issubclass(kind, (SchemeParseError, InvalidSchemeData)):
+        expected = 2
+    elif issubclass(kind, UnknownName):
+        expected = 3
+    else:
+        expected = 4
+    monkeypatch.setattr(cli, "cmd_chi", fail)
+    argv = ["chi", "wehler_k3", "--auto", "id", "--divisor", "H1"]
+    assert run(capsys, *argv) == (expected, "", "error: refused here\n")
 
 
 def test_console_script_runs_cli_entry(tmp_path, monkeypatch, capsys):

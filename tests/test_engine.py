@@ -129,6 +129,20 @@ def test_sigma_ample_zero_class(wehler):
     assert verdict.reason == "no-ample-partial-sum"
 
 
+def test_sigma_ample_checks_the_divisor_rank(wehler):
+    # after validation, on both branches: id and s1 are quasi-unipotent (and
+    # would fail in column_action), s1s2 is not (and would return a verdict)
+    from sigmaample.errors import InvalidSchemeData, RankMismatch
+
+    bogus = AutomorphismAction("bogus", IntegerMatrix.from_rows([[1, 1], [0, 1]]))
+    for divisor in (DivisorClass.of(1, 0, 0), DivisorClass.of(1)):
+        with pytest.raises(InvalidSchemeData):
+            engine.is_sigma_ample(wehler.scheme, bogus, wehler.oracle(), divisor)
+        for name in ("id", "s1", "s1s2"):
+            with pytest.raises(RankMismatch, match=f"rank {divisor.rank} vs matrix size 2"):
+                engine.is_sigma_ample(wehler.scheme, wehler.action(name), wehler.oracle(), divisor)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_verdict_family_is_the_reduced_partial_sums(data):
