@@ -152,44 +152,6 @@ def classify(matrix: IntegerMatrix, eps: Fraction = DEFAULT_EPS) -> Classificati
         eps /= 4
 
 
-def _nilpotent_numerators(
-    unipotent: IntegerMatrix, k: int, divisor: DivisorClass
-) -> tuple[int, list[tuple[int, ...]]]:
-    """The common denominator d of D and the integer numerators over d of
-    N^0 D .. N^k D (N v = M v - v keeps that denominator)."""
-    denom, current = divisor.over_common_denominator()
-    steps = [current]
-    for _ in range(k):
-        current = tuple(map(sub, unipotent.column_action(current), current))
-        steps.append(current)
-    return denom, steps
-
-
-def _delta_symbolic(
-    unipotent: IntegerMatrix, k: int, divisor: DivisorClass
-) -> tuple[NumericalPolynomial, ...]:
-    """Coordinates of the m-th partial sum under a unipotent matrix with
-    Jordan index k, as polynomials in m: sum C(m, i+1) N^i D.
-
-    All in integers: with v_i the numerators of N^i D over d, C(m, i+1) =
-    b_i / c_i and L the lcm of the c_i, a coordinate is the sum of
-    v_i (L / c_i) b_i over L d, reduced once.
-    """
-    denom, steps = _nilpotent_numerators(unipotent, k, divisor)
-    bases = [binomial_basis(i + 1) for i in range(k + 1)]
-    common = lcm(*(b.denominator for b in bases))
-    scaled = [[c * (common // b.denominator) for c in b.numerators] for b in bases]
-    out = []
-    for column in zip(*steps):
-        nums = [0] * (k + 2)
-        for x, basis in zip(column, scaled):
-            if x:
-                for j, c in enumerate(basis):
-                    nums[j] += x * c
-        out.append(_reduced(nums, common * denom))
-    return tuple(out)
-
-
 def partial_sum(matrix: IntegerMatrix, divisor: DivisorClass, m: int) -> DivisorClass:
     """D + PD + ... + P^(m-1)D (any matrix, m >= 0), from the matrix alone.
 
@@ -219,14 +181,39 @@ def _vector_sum(a: tuple, b: tuple) -> tuple:
 
 
 def _reduced_family(
-    matrix: IntegerMatrix, reduction: UnipotentReduction, divisor: DivisorClass
+    matrix: IntegerMatrix, reduction: UnipotentReduction, divisor: DivisorClass, step: int = 1
 ) -> tuple[DivisorClass, tuple[NumericalPolynomial, ...]]:
     """The q-fold partial sum D' of the divisor and the reduced partial sums
-    D' + P^q D' + ... as polynomials in m."""
+    at the given step, D' + P^q D' + ... + P^(q(step*m-1)) D', as polynomials
+    in m: sum C(step*m, i+1) N^i D' with N = P^q - I and i up to k.
+
+    All in integers: with v_i the numerators of N^i D' over d (N v = P^q v - v
+    keeps that denominator), C(step*m, i+1) = b_i / c_i (b_i's m^j numerator
+    is C(m, i+1)'s times step**j) and L the lcm of the c_i, a coordinate is
+    the sum of v_i (L / c_i) b_i over L d, reduced once.
+    """
     reduced_divisor = partial_sum(matrix, divisor, reduction.power)
-    return reduced_divisor, _delta_symbolic(
-        reduction.matrix, reduction.jordan_index, reduced_divisor
-    )
+    unipotent, k = reduction.matrix, reduction.jordan_index
+    denom, current = reduced_divisor.over_common_denominator()
+    steps = [current]
+    for _ in range(k):
+        current = tuple(map(sub, unipotent.column_action(current), current))
+        steps.append(current)
+    bases = [binomial_basis(i + 1) for i in range(k + 1)]
+    common = lcm(*(b.denominator for b in bases))
+    scaled = [
+        [c * (common // b.denominator) * step**j for j, c in enumerate(b.numerators)]
+        for b in bases
+    ]
+    family = []
+    for column in zip(*steps):
+        nums = [0] * (k + 2)
+        for x, basis in zip(column, scaled):
+            if x:
+                for j, c in enumerate(basis):
+                    nums[j] += x * c
+        family.append(_reduced(nums, common * denom))
+    return reduced_divisor, tuple(family)
 
 
 def is_sigma_ample(
@@ -270,29 +257,24 @@ def gk_profile(
 
     A non-ample input is first replaced by an ample partial sum when one
     exists (taking a Veronese step changes neither the growth degree nor the
-    dimension); otherwise NotAmple. The family at the step q*w is the reduced
-    family with m replaced by w*m, where w is 1 for an ample class (which
-    needs no witness search) and the sigma-ample witness otherwise. Per
-    component, the top form evaluated on the reduced partial-sum family is
-    the self-intersection polynomial, and the dimension is one more than the
-    largest degree over components.
+    dimension); otherwise NotAmple. The family is the reduced family at the
+    step w, so its partial sums are taken at multiples of q*w, where w is 1
+    for an ample class (which needs no witness search) and the sigma-ample
+    witness otherwise. Per component, the top form evaluated on that family
+    is the self-intersection polynomial, and the dimension is one more than
+    the largest degree over components.
     """
     require_valid(scheme, action)
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
-    if is_ample(oracle, divisor):
-        w = 1
-        family = _reduced_family(action.matrix, reduction, divisor)[1]
-    else:
+    w = 1
+    if not is_ample(oracle, divisor):
         verdict = is_sigma_ample(scheme, action, oracle, divisor)
         if not verdict.sigma_ample:
             raise NotAmple("divisor is neither ample nor sigma-ample; no growth data exists")
         w = verdict.witness
-        family = tuple(
-            NumericalPolynomial(tuple(c * w**i for i, c in enumerate(p.coeffs)))
-            for p in verdict.family
-        )
+    family = _reduced_family(action.matrix, reduction, divisor, w)[1]
     expansions = []
     best: int | None = None
     for comp in scheme.components:

@@ -43,10 +43,6 @@ class DivisorClass(Record):
     def rank(self) -> int:
         return len(self.coords)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def over_common_denominator(self) -> tuple[int, tuple[int, ...]]:
         """The least common denominator d of the coordinates and the integer
         numerators over it, so that coords = numerators / d."""
@@ -135,10 +131,6 @@ class SymmetricForm(Record):
     @property
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for _, v in self.values)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.values
 
     def value_at(self, index: Sequence[int]) -> Fraction:
         return Fraction(self._table.get(tuple(sorted(index)), 0))

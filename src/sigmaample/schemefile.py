@@ -9,12 +9,13 @@ field path or line/column with every complaint; serialization is canonical,
 so parse(serialize(x)) == x and equal inputs give byte-identical documents.
 
 Each input condition is checked once. This reader checks the JSON shape:
-types, required keys, names unique within a section, numeric strings, sizes
-against the rank, oracle kinds and component references. The constructors
-check the rest: ``SymmetricForm`` the multi-indices (length, range, order,
-duplicates), ``ComponentDescriptor`` the dimension and the Todd data,
-``SchemeDescriptor`` the ranks, each oracle its invariants; ``_checked`` puts
-the field path on their ``ValueError``. ``lattice.validate`` checks the actions.
+types, required keys, no key outside each object's set, names unique within
+a section, numeric strings, sizes against the rank, oracle kinds and
+component references. The constructors check the rest: ``SymmetricForm``
+the multi-indices (length, range, order, duplicates), ``ComponentDescriptor``
+the dimension and the Todd data, ``SchemeDescriptor`` the ranks, each oracle
+its invariants; ``_checked`` puts the field path on their ``ValueError``.
+``lattice.validate`` checks the actions.
 """
 from __future__ import annotations
 
@@ -75,11 +76,16 @@ def _expect(obj: Any, kind: type, path: str) -> Any:
     return obj
 
 
-def _require(obj: Any, path: str, keys: tuple[str, ...]) -> dict:
+def _require(obj: Any, path: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """The object at ``path`` as a dict that has every key of ``keys`` and no
+    key outside ``keys`` and ``optional``."""
     obj = _expect(obj, dict, path)
     for key in keys:
         if key not in obj:
             raise _fail(path, f"missing key {key!r}")
+    for key in obj:
+        if key not in keys and key not in optional:
+            raise _fail(path, f"unknown key {key!r}")
     return obj
 
 
@@ -192,6 +198,7 @@ def _parse_action(obj: dict, rank: int, path: str) -> AutomorphismAction:
 
 
 def _read_polyhedral(data: dict, scheme: SchemeDescriptor, path: str) -> PolyhedralCone:
+    _require(data, path, (), ("facets",))
     facets = tuple(
         tuple(parse_integer(c, f"{path}.facets[{i}]") for c in _expect(f, list, f"{path}.facets[{i}]"))
         for i, f in enumerate(_expect(data.get("facets"), list, f"{path}.facets"))
@@ -200,6 +207,7 @@ def _read_polyhedral(data: dict, scheme: SchemeDescriptor, path: str) -> Polyhed
 
 
 def _read_surface(data: dict, scheme: SchemeDescriptor, path: str) -> SurfacePositiveCone:
+    _require(data, path, (), ("component", "reference_ample", "obstructions"))
     name = _expect(data.get("component"), str, f"{path}.component")
     component = next((c for c in scheme.components if c.name == name), None)
     if component is None:
@@ -238,14 +246,19 @@ def _parse_oracle(obj: dict, scheme: SchemeDescriptor, path: str) -> AmplenessOr
 
 
 def _named_section(
-    doc: dict, section: str, keys: tuple[str, ...], parse: Callable[[dict, str], Any]
+    doc: dict,
+    section: str,
+    keys: tuple[str, ...],
+    parse: Callable[[dict, str], Any],
+    optional: tuple[str, ...] = (),
 ) -> dict[str, Any]:
     """Parse the list ``doc[section]`` of named entries into a name -> value
-    dict; each entry needs a string name, unique in the section, and ``keys``."""
+    dict; each entry needs a string name, unique in the section, and ``keys``,
+    and may carry ``optional`` but no other key."""
     parsed: dict[str, Any] = {}
     for i, entry in enumerate(_expect(doc.get(section, []), list, section)):
         path = f"{section}[{i}]"
-        entry = _require(entry, path, ("name", *keys))
+        entry = _require(entry, path, ("name", *keys), optional)
         name = _expect(entry["name"], str, f"{path}.name")
         if name in parsed:
             raise _fail(f"{path}.name", f"duplicate {section[:-1]} name {name!r}")
@@ -262,10 +275,12 @@ def parse_scheme_file(text: str) -> SchemeFile:
     except (ValueError, RecursionError) as exc:
         # nested past the decoder's recursion limit, or an integer past the digit limit
         raise _fail("document", f"cannot decode JSON: {exc}") from None
-    doc = _require(doc, "document", ("rank", "components"))
+    doc = _require(
+        doc, "document", ("rank", "components"), ("oracles", "automorphisms", "divisors", "euler_char")
+    )
     rank = _expect(doc["rank"], int, "rank")
     components = _named_section(
-        doc, "components", ("dim", "top_form"), lambda e, p: _parse_component(e, rank, p)
+        doc, "components", ("dim", "top_form"), lambda e, p: _parse_component(e, rank, p), ("todd",)
     )
     euler = doc.get("euler_char")
     euler_char = None if euler is None else parse_rational(euler, "euler_char")
@@ -273,7 +288,9 @@ def parse_scheme_file(text: str) -> SchemeFile:
     return SchemeFile(
         scheme,
         _named_section(doc, "oracles", ("kind", "data"), lambda e, p: _parse_oracle(e, scheme, p)),
-        _named_section(doc, "automorphisms", ("matrix",), lambda e, p: _parse_action(e, rank, p)),
+        _named_section(
+            doc, "automorphisms", ("matrix",), lambda e, p: _parse_action(e, rank, p), ("todd_invariant",)
+        ),
         _named_section(
             doc, "divisors", ("coords",), lambda e, p: _parse_coords(e["coords"], rank, f"{p}.coords")
         ),

@@ -43,12 +43,16 @@ def random_divisors(rank, count, seed=0, span=9):
 
 
 def nilpotent_steps(matrix, divisor):
-    """[N^0 D, ..., N^k D] for a unipotent matrix with nilpotent part N."""
-    from sigmaample.engine import _nilpotent_numerators
+    """[N^0 D, ..., N^k D] for a unipotent matrix with nilpotent part N,
+    stepped on the integer numerators of D over their common denominator."""
     from sigmaample.intmat import nilpotency_index
     from sigmaample.lattice import DivisorClass
 
-    denom, steps = _nilpotent_numerators(matrix, nilpotency_index(matrix), divisor)
+    denom, current = divisor.over_common_denominator()
+    steps = [current]
+    for _ in range(nilpotency_index(matrix)):
+        current = tuple(a - b for a, b in zip(matrix.column_action(current), current))
+        steps.append(current)
     return [DivisorClass(tuple(Fraction(c, denom) for c in step)) for step in steps]
 
 
@@ -57,12 +61,13 @@ def delta_symbolic(matrix, divisor):
 
     Requires a unipotent matrix (NotUnipotent otherwise); evaluating at any
     integer m >= 0 agrees with the directly accumulated sum
-    D + PD + ... + P^(m-1)D.
+    D + PD + ... + P^(m-1)D. This is the engine's reduced family with q = 1.
     """
-    from sigmaample.engine import _delta_symbolic
-    from sigmaample.intmat import nilpotency_index
+    from sigmaample.engine import _reduced_family
+    from sigmaample.intmat import UnipotentReduction, nilpotency_index
 
-    return _delta_symbolic(matrix, nilpotency_index(matrix), divisor)
+    reduction = UnipotentReduction(1, matrix, nilpotency_index(matrix))
+    return _reduced_family(matrix, reduction, divisor)[1]
 
 
 def power_symbolic(matrix, divisor):

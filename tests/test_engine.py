@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 from sigmaample import engine, intmat
 from sigmaample.ampleness import is_ample
 from sigmaample.catalog import catalog_entry, catalog_names
-from sigmaample.errors import MissingToddData, NotAmple, NotQuasiUnipotent, NotUnipotent
+from sigmaample.errors import (
+    MissingToddData,
+    NotAmple,
+    NotQuasiUnipotent,
+    NotUnipotent,
+    RankMismatch,
+)
 from sigmaample.intmat import IntegerMatrix, mat_pow, quasi_unipotence
 from sigmaample.lattice import (
     AutomorphismAction,
@@ -38,6 +44,21 @@ def test_classify_wehler_composite(wehler):
     # encloses 7 + 4 sqrt(3)
     assert (cls.radius.hi - 7) ** 2 >= 48
     assert cls.radius.lo <= 7 or (cls.radius.lo - 7) ** 2 <= 48
+
+
+def test_classify_tightens_a_loose_enclosure_until_it_clears_one(wehler, monkeypatch):
+    calls = []
+    radius = engine.spectral_radius
+
+    def recording(matrix, eps):
+        result = radius(matrix, eps)
+        calls.append((eps, result.lo, result.hi))
+        return result
+
+    monkeypatch.setattr(engine, "spectral_radius", recording)
+    cls = engine.classify(wehler.action("s1s2").matrix, eps=20)
+    assert calls == [(20, 0, 15), (5, Fraction(45, 4), 15)]
+    assert (cls.radius.lo, cls.radius.hi) == (Fraction(45, 4), 15)
 
 
 def test_classify_shear(abelian):
@@ -333,6 +354,11 @@ def test_chi_series_requires_todd(wehler):
     )
     with pytest.raises(MissingToddData):
         engine.euler_char_series(stripped, wehler.action("id"), wehler.divisor("H1"), 2)
+
+
+def test_chi_series_checks_the_divisor_rank(wehler):
+    with pytest.raises(RankMismatch, match="rank 3 vs matrix size 2"):
+        engine.euler_char_series(wehler.scheme, wehler.action("id"), DivisorClass.of(1, 0, 0), 2)
 
 
 def test_chi_series_works_for_non_quasi_unipotent(wehler):

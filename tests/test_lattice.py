@@ -37,6 +37,14 @@ def test_intersect_arity_checked(wehler):
         intersect(comp, [wehler.divisor("H1")])
 
 
+def test_evaluate_checks_arity_and_vector_length(wehler):
+    form = wehler.scheme.components[0].top_form
+    with pytest.raises(RankMismatch, match="form of arity 2 applied to 3 vectors"):
+        form.evaluate([(1, 0)] * 3)
+    with pytest.raises(RankMismatch, match="vector length 3 vs rank 2"):
+        form.evaluate([(1, 0), (1, 0, 0)])
+
+
 def test_apply_examples(wehler, abelian):
     s1 = wehler.action("s1")
     assert apply(s1, wehler.divisor("H1")) == DivisorClass.of(1, 0)

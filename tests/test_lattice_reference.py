@@ -2,8 +2,10 @@
 
 ``SymmetricForm.evaluate`` fills one slot at a time of a table with integral
 values held as ``int``; ``validate`` fills the slots with the integer columns
-of the matrix, sharing filled prefixes; ``nilpotent_steps`` and
-``euler_char_series`` iterate on integer numerators. Each is compared with
+of the matrix, sharing filled prefixes; ``nilpotent_steps`` (the conftest
+helper; the engine's family builder steps the same way and is checked through
+``delta_symbolic`` in ``test_intmat_reference``) and ``euler_char_series``
+iterate on integer numerators. Each is compared with
 the routine it replaced (kept in ``reference_lattice``, which lists every
 index ordering): the values, the whole ``ValidationReport`` (failing-tuple
 order and detail strings included), the step lists and the Euler

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sigmaample.ampleness import SurfacePositiveCone, is_ample
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import SchemeParseError, UnknownName
 from sigmaample.cli import main
+from sigmaample.lattice import DivisorClass
 from sigmaample.schemefile import (
     parse_integer,
     parse_rational,
@@ -171,6 +173,91 @@ def test_unknown_oracle_kind_rejected():
     doc = _doc(oracles=[{"name": "o", "kind": "mystery", "data": {}}])
     with pytest.raises(SchemeParseError):
         parse_scheme_file(json.dumps(doc))
+
+
+# object kind, the mutation of MINIMAL, and the path and key the message names
+UNKNOWN_KEYS = [
+    ("document", _replace("extra", value=1), "document", "extra"),
+    ("component", _replace("components", 0, "tod", value=None), "components[0]", "tod"),
+    ("oracle", _replace("oracles", 0, "kinds", value=[]), "oracles[0]", "kinds"),
+    ("polyhedral_data", _replace("oracles", 0, value={
+        "name": "cone", "kind": "polyhedral",
+        "data": {"facets": [["1", "0"], ["0", "1"]], "facet": []}}),
+     "oracles[0].data", "facet"),
+    ("surface_data", _replace("oracles", 0, "data", "obstructoins", value=[["1", "0"]]),
+     "oracles[0].data", "obstructoins"),
+    ("automorphism", _replace("automorphisms", 0, "todd_invarient", value=True),
+     "automorphisms[0]", "todd_invarient"),
+    ("divisor", _replace("divisors", 0, "coord", value=["1", "0"]), "divisors[0]", "coord"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, path, key", [case[1:] for case in UNKNOWN_KEYS], ids=[case[0] for case in UNKNOWN_KEYS]
+)
+def test_unknown_key_is_a_parse_error(mutate, path, key):
+    doc = _doc()
+    mutate(doc)
+    with pytest.raises(SchemeParseError) as err:
+        parse_scheme_file(json.dumps(doc))
+    assert str(err.value) == f"{path}: unknown key {key!r}"
+
+
+def _rename(*path, to):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[to] = node.pop(path[-1])
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_rename("automorphisms", 1, "todd_invariant", to="todd_invarient"),
+         "automorphisms[1]: unknown key 'todd_invarient'"),
+        (_replace("oracles", 0, "data", "obstructoins", value=[]),
+         "oracles[0].data: unknown key 'obstructoins'"),
+        (_replace("comment", value="extra"), "document: unknown key 'comment'"),
+    ],
+    ids=["renamed_todd_invariant", "misspelled_obstructions", "extra_top_level_key"],
+)
+def test_validate_refuses_a_catalog_document_with_an_unknown_key(mutate, message, tmp_path, capsys):
+    doc = json.loads(serialize_scheme_file(catalog_entry("wehler_k3")))
+    assert doc["automorphisms"][1]["name"] == "s1"
+    mutate(doc)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_surface_obstructions_are_read_and_reported(capsys, tmp_path):
+    # U + <-2>: (e.f) = 1 and (g.g) = -2; A = (2, 2, -1) and C = (0, 0, 1)
+    doc = {
+        "rank": 3,
+        "components": [{"name": "X", "dim": 2, "top_form": [
+            {"index": [0, 1], "value": "1"}, {"index": [2, 2], "value": "-2"}]}],
+        "oracles": [{"name": "cone", "kind": "surface_positive_cone", "data": {
+            "component": "X", "reference_ample": ["2", "2", "-1"], "obstructions": [["0", "0", "1"]]}}],
+        "divisors": [{"name": "D", "coords": ["2", "2", "1"]}],
+    }
+    sf = parse_scheme_file(json.dumps(doc))
+    oracle = sf.oracle("cone")
+    assert oracle.obstructions == (DivisorClass.of(0, 0, 1),)
+    d = sf.divisor("D")
+    assert not is_ample(oracle, d)
+    assert is_ample(SurfacePositiveCone(oracle.component, oracle.reference_ample), d)
+    path = tmp_path / "obstructed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["--format", "structured", "validate", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["valid"] is True
+    (checks,) = [entry["checks"] for entry in report["oracles"]]
+    assert {"name": "obstruction[0]", "passed": True, "detail": "(A.C)=2"} in checks
 
 
 def test_arbitrary_size_integers_survive():
@@ -356,3 +443,35 @@ def test_mutated_documents_parse_or_raise_parse_error(doc):
     text = serialize_scheme_file(sf)
     assert parse_scheme_file(text) == sf
     assert serialize_scheme_file(parse_scheme_file(text)) == text
+
+
+# keys that no object of the format has
+STRAY_KEYS = ["todd_invarient", "obstructoins", "extra", "Rank", ""]
+
+
+@st.composite
+def documents_with_a_stray_key(draw):
+    """A catalog document in which one object has a key renamed to, or a
+    value added under, a key that no object of the format has."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(CATALOG_DOCUMENTS))))
+    objects = []
+    for path in _subtree_paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if isinstance(node, dict):
+            objects.append(node)
+    node = draw(st.sampled_from(objects))
+    stray = draw(st.sampled_from(STRAY_KEYS))
+    if node and draw(st.booleans()):
+        node[stray] = node.pop(draw(st.sampled_from(sorted(node))))
+    else:
+        node[stray] = draw(JSON_ATOMS)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents_with_a_stray_key())
+def test_documents_with_a_stray_key_raise_parse_error(doc):
+    with pytest.raises(SchemeParseError):
+        parse_scheme_file(json.dumps(doc))
