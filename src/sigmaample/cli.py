@@ -7,6 +7,10 @@ stdout, text by default or canonical JSON with --format structured;
 diagnostics go to stderr, one ``error:`` line per failure. Exit codes: 0
 success, 2 parse or validation error (an unreadable INPUT file included), 3
 unknown name, 4 precondition failure, 1 for a stdout closed early.
+``entry`` (the console script and ``python -m``) flushes stdout and stderr
+and then ends the process with ``os._exit``, so atexit hooks, subprocess
+coverage among them, do not run there; in-process callers use ``main``,
+which returns the status.
 
 The query commands (classify, sigma-ample, gkdim, growth, chi) share one
 batch loop. It loads INPUT, validates its actions and resolves --oracle
@@ -412,11 +416,14 @@ def entry() -> None:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout (| head): point it at devnull, so that the
-        # flush at exit cannot fail again, and end with 1 and no traceback
+        # the reader closed stdout (| head): point it at devnull, so that no
+        # later flush can fail again, and end with 1 and no traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
-    sys.exit(code)
+        code = 1
+    if sys.stderr is not None:  # None when the process started with fd 2 closed
+        sys.stderr.flush()
+    # every byte is out: skip the interpreter's teardown, which writes nothing
+    os._exit(code)
 
 
 if __name__ == "__main__":

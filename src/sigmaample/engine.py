@@ -180,25 +180,35 @@ def _vector_sum(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
 
 
-def _reduced_family(
-    matrix: IntegerMatrix, reduction: UnipotentReduction, divisor: DivisorClass, step: int = 1
-) -> tuple[DivisorClass, tuple[NumericalPolynomial, ...]]:
-    """The q-fold partial sum D' of the divisor and the reduced partial sums
-    at the given step, D' + P^q D' + ... + P^(q(step*m-1)) D', as polynomials
-    in m: sum C(step*m, i+1) N^i D' with N = P^q - I and i up to k.
-
-    All in integers: with v_i the numerators of N^i D' over d (N v = P^q v - v
-    keeps that denominator), C(step*m, i+1) = b_i / c_i (b_i's m^j numerator
-    is C(m, i+1)'s times step**j) and L the lcm of the c_i, a coordinate is
-    the sum of v_i (L / c_i) b_i over L d, reduced once.
-    """
+def _nilpotent_steps(
+    matrix: IntegerMatrix, reduction: UnipotentReduction, divisor: DivisorClass
+) -> tuple[DivisorClass, int, list[tuple[int, ...]]]:
+    """The q-fold partial sum D' of the divisor, the common denominator d of
+    its coordinates, and the numerators over d of N^i D' for i = 0 .. k, with
+    N = P^q - I (N v = P^q v - v keeps the denominator)."""
     reduced_divisor = partial_sum(matrix, divisor, reduction.power)
-    unipotent, k = reduction.matrix, reduction.jordan_index
+    unipotent = reduction.matrix
     denom, current = reduced_divisor.over_common_denominator()
     steps = [current]
-    for _ in range(k):
+    for _ in range(reduction.jordan_index):
         current = tuple(map(sub, unipotent.column_action(current), current))
         steps.append(current)
+    return reduced_divisor, denom, steps
+
+
+def _reduced_family(
+    denom: int, steps: list[tuple[int, ...]], step: int = 1
+) -> tuple[NumericalPolynomial, ...]:
+    """The reduced partial sums at the given step from the nilpotent steps
+    of ``_nilpotent_steps``, D' + P^q D' + ... + P^(q(step*m-1)) D', as
+    polynomials in m: sum C(step*m, i+1) N^i D' with i up to k.
+
+    All in integers: with v_i the numerators of N^i D' over d,
+    C(step*m, i+1) = b_i / c_i (b_i's m^j numerator is C(m, i+1)'s times
+    step**j) and L the lcm of the c_i, a coordinate is the sum of
+    v_i (L / c_i) b_i over L d, reduced once.
+    """
+    k = len(steps) - 1
     bases = [binomial_basis(i + 1) for i in range(k + 1)]
     common = lcm(*(b.denominator for b in bases))
     scaled = [
@@ -213,7 +223,24 @@ def _reduced_family(
                 for j, c in enumerate(basis):
                     nums[j] += x * c
         family.append(_reduced(nums, common * denom))
-    return reduced_divisor, tuple(family)
+    return tuple(family)
+
+
+def _witness(
+    oracle: AmplenessOracle,
+    reduction: UnipotentReduction,
+    reduced_divisor: DivisorClass,
+    family: tuple[NumericalPolynomial, ...],
+) -> int | None:
+    """The least m with an ample member of the reduced family at step 1, or
+    None; a witness is checked once more on the partial sum of D' under P^q
+    computed from the matrix alone."""
+    witness = is_ample_symbolic(oracle, family)
+    if witness is not None:
+        concrete = partial_sum(reduction.matrix, reduced_divisor, witness)
+        if not is_ample(oracle, concrete):
+            raise AssertionError("symbolic witness failed the concrete ampleness check")
+    return witness
 
 
 def is_sigma_ample(
@@ -237,13 +264,11 @@ def is_sigma_ample(
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
         return SigmaAmpleVerdict(None, None, ())
-    reduced_divisor, family = _reduced_family(action.matrix, reduction, divisor)
-    witness = is_ample_symbolic(oracle, family)
-    if witness is not None:
-        concrete = partial_sum(reduction.matrix, reduced_divisor, witness)
-        if not is_ample(oracle, concrete):
-            raise AssertionError("symbolic witness failed the concrete ampleness check")
-    return SigmaAmpleVerdict(reduction.power, witness, family)
+    reduced_divisor, denom, steps = _nilpotent_steps(action.matrix, reduction, divisor)
+    family = _reduced_family(denom, steps)
+    return SigmaAmpleVerdict(
+        reduction.power, _witness(oracle, reduction, reduced_divisor, family), family
+    )
 
 
 def gk_profile(
@@ -268,13 +293,14 @@ def gk_profile(
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
+    ample = is_ample(oracle, divisor)
+    reduced_divisor, denom, steps = _nilpotent_steps(action.matrix, reduction, divisor)
     w = 1
-    if not is_ample(oracle, divisor):
-        verdict = is_sigma_ample(scheme, action, oracle, divisor)
-        if not verdict.sigma_ample:
+    if not ample:
+        w = _witness(oracle, reduction, reduced_divisor, _reduced_family(denom, steps))
+        if w is None:
             raise NotAmple("divisor is neither ample nor sigma-ample; no growth data exists")
-        w = verdict.witness
-    family = _reduced_family(action.matrix, reduction, divisor, w)[1]
+    family = _reduced_family(denom, steps, w)
     expansions = []
     best: int | None = None
     for comp in scheme.components:

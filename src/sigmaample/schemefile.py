@@ -198,21 +198,21 @@ def _parse_action(obj: dict, rank: int, path: str) -> AutomorphismAction:
 
 
 def _read_polyhedral(data: dict, scheme: SchemeDescriptor, path: str) -> PolyhedralCone:
-    _require(data, path, (), ("facets",))
+    _require(data, path, ("facets",))
     facets = tuple(
         tuple(parse_integer(c, f"{path}.facets[{i}]") for c in _expect(f, list, f"{path}.facets[{i}]"))
-        for i, f in enumerate(_expect(data.get("facets"), list, f"{path}.facets"))
+        for i, f in enumerate(_expect(data["facets"], list, f"{path}.facets"))
     )
     return _checked(path, PolyhedralCone, scheme.rank, facets)
 
 
 def _read_surface(data: dict, scheme: SchemeDescriptor, path: str) -> SurfacePositiveCone:
-    _require(data, path, (), ("component", "reference_ample", "obstructions"))
-    name = _expect(data.get("component"), str, f"{path}.component")
+    _require(data, path, ("component", "reference_ample"), ("obstructions",))
+    name = _expect(data["component"], str, f"{path}.component")
     component = next((c for c in scheme.components if c.name == name), None)
     if component is None:
         raise _fail(f"{path}.component", f"no component named {name!r}")
-    reference = _parse_coords(data.get("reference_ample"), scheme.rank, f"{path}.reference_ample")
+    reference = _parse_coords(data["reference_ample"], scheme.rank, f"{path}.reference_ample")
     obstructions = tuple(
         _parse_coords(c, scheme.rank, f"{path}.obstructions[{i}]")
         for i, c in enumerate(_expect(data.get("obstructions", []), list, f"{path}.obstructions"))

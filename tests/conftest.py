@@ -63,11 +63,12 @@ def delta_symbolic(matrix, divisor):
     integer m >= 0 agrees with the directly accumulated sum
     D + PD + ... + P^(m-1)D. This is the engine's reduced family with q = 1.
     """
-    from sigmaample.engine import _reduced_family
+    from sigmaample.engine import _nilpotent_steps, _reduced_family
     from sigmaample.intmat import UnipotentReduction, nilpotency_index
 
     reduction = UnipotentReduction(1, matrix, nilpotency_index(matrix))
-    return _reduced_family(matrix, reduction, divisor)[1]
+    _, denom, steps = _nilpotent_steps(matrix, reduction, divisor)
+    return _reduced_family(denom, steps)
 
 
 def power_symbolic(matrix, divisor):

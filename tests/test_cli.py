@@ -12,7 +12,7 @@ import pytest
 
 import sigmaample
 from sigmaample import engine, intmat
-from sigmaample.cli import entry, main
+from sigmaample.cli import main
 from sigmaample.schemefile import serialize_scheme_file
 from sigmaample.catalog import catalog_entry
 from sigmaample.errors import InvalidSchemeData, SchemeParseError, SigmaAmpleError, UnknownName
@@ -262,14 +262,16 @@ def test_validate_catalog(capsys):
     assert doc["valid"] is True
 
 
-def test_validate_rejects_doubled_identity(tmp_path, capsys):
-    sf = catalog_entry("wehler_k3")
-    text = serialize_scheme_file(sf)
-    doc = json.loads(text)
+def _invalid_file(tmp_path) -> str:
+    doc = json.loads(serialize_scheme_file(catalog_entry("wehler_k3")))
     doc["automorphisms"].append({"name": "double", "matrix": [["2", "0"], ["0", "2"]]})
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, _ = run(capsys, "--format", "structured", "validate", str(path))
+    return str(path)
+
+
+def test_validate_rejects_doubled_identity(tmp_path, capsys):
+    code, out, _ = run(capsys, "--format", "structured", "validate", _invalid_file(tmp_path))
     assert code == 2
     report = json.loads(out)
     assert report["valid"] is False
@@ -279,12 +281,7 @@ def test_validate_rejects_doubled_identity(tmp_path, capsys):
 
 
 def test_other_commands_refuse_invalid_files(tmp_path, capsys):
-    sf = catalog_entry("wehler_k3")
-    doc = json.loads(serialize_scheme_file(sf))
-    doc["automorphisms"].append({"name": "double", "matrix": [["2", "0"], ["0", "2"]]})
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run(capsys, "classify", str(path), "--auto", "s1")
+    code, _, err = run(capsys, "classify", _invalid_file(tmp_path), "--auto", "s1")
     assert code == 2
     assert "double" in err
 
@@ -433,17 +430,56 @@ def test_exit_status_of_each_failure(kind, monkeypatch, capsys):
     assert run(capsys, *argv) == (expected, "", "error: refused here\n")
 
 
-def test_console_script_runs_cli_entry(tmp_path, monkeypatch, capsys):
+def _run_entry(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``entry()`` in a child, as the console script runs it: it ends its
+    process with ``os._exit``, so it cannot run inside the test process. The
+    child's stdout is block-buffered, as a console script's is, so bytes that
+    are not flushed before the exit are lost."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-c", "from sigmaample.cli import entry; entry()", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+    )
+
+
+def test_console_script_runs_cli_entry(tmp_path):
     pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
     assert 'sigmaample = "sigmaample.cli:entry"' in pyproject
     broken = tmp_path / "broken.json"
     broken.write_text('{"rank": 2,,}', encoding="utf-8")
+    err = ""
     for argv, expected in ((["validate", "wehler_k3"], 0), (["validate", str(broken)], 2)):
-        monkeypatch.setattr(sys, "argv", ["sigmaample", *argv])
-        with pytest.raises(SystemExit) as exited:
-            entry()
-        assert exited.value.code == expected
-    assert capsys.readouterr().err == "error: line 1 column 12: Expecting property name enclosed in double quotes\n"
+        done = _run_entry(argv)
+        assert done.returncode == expected
+        err += done.stderr
+    assert err == "error: line 1 column 12: Expecting property name enclosed in double quotes\n"
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "pipe"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "structured", "catalog", "show", "wehler_k3"],
+        ["sigma-ample", "abelian_square", "--auto", "shear", "--auto", "swap",
+         "--divisor", "D111", "--divisor", "fiber1", "--divisor", "minusD"],
+        ["--format", "structured", "validate", "INVALID"],
+        ["gkdim", "wehler_k3", "--auto", "s1s2", "--divisor", "H1"],
+    ],
+    ids=["catalog-show", "sigma-ample-batch", "exit-2", "exit-4"],
+)
+def test_entry_flushes_every_byte_before_it_exits(argv, to_file, tmp_path, capsys):
+    argv = [_invalid_file(tmp_path) if a == "INVALID" else a for a in argv]
+    expected = run(capsys, *argv)
+    if to_file:
+        with open(tmp_path / "stdout", "w+", encoding="utf-8") as out:
+            done = _run_entry(argv, stdout=out)
+            out.seek(0)
+            stdout = out.read()
+    else:
+        done = _run_entry(argv)
+        stdout = done.stdout
+    assert (done.returncode, stdout, done.stderr) == expected
 
 
 def test_unknown_input_name(capsys):

@@ -203,6 +203,40 @@ def test_unknown_key_is_a_parse_error(mutate, path, key):
     assert str(err.value) == f"{path}: unknown key {key!r}"
 
 
+def _oracle(kind, **data):
+    return [{"name": "cone", "kind": kind, "data": data}]
+
+
+# oracle kind and the data that lacks a required key, and the key named
+MISSING_DATA_KEYS = [
+    ("polyhedral_empty", _oracle("polyhedral"), "facets"),
+    ("surface_empty", _oracle("surface_positive_cone"), "component"),
+    ("surface_component", _oracle("surface_positive_cone", reference_ample=["1", "1"]), "component"),
+    ("surface_reference", _oracle("surface_positive_cone", component="X", obstructions=[]),
+     "reference_ample"),
+]
+
+
+@pytest.mark.parametrize(
+    "oracles, key", [case[1:] for case in MISSING_DATA_KEYS], ids=[case[0] for case in MISSING_DATA_KEYS]
+)
+def test_missing_oracle_data_key_is_named(oracles, key, tmp_path, capsys):
+    text = json.dumps(_doc(oracles=oracles))
+    with pytest.raises(SchemeParseError) as err:
+        parse_scheme_file(text)
+    assert str(err.value) == f"oracles[0].data: missing key {key!r}"
+    path = tmp_path / "missing.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err.value}\n")
+
+
+def test_surface_obstructions_are_optional():
+    doc = _doc(oracles=_oracle("surface_positive_cone", component="X", reference_ample=["1", "1"]))
+    assert parse_scheme_file(json.dumps(doc)).oracle("cone").obstructions == ()
+
+
 def _rename(*path, to):
     def mutate(doc):
         node = doc
