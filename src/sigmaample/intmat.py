@@ -7,10 +7,10 @@ determinant +-1 follow from Cayley-Hamilton, and quasi-unipotence is read
 off it by trial division with cyclotomic polynomials (Kronecker's theorem),
 so no matrix is raised to a large power. The spectral radius is bisected
 itself over [0, S], S the Cauchy bound of the characteristic polynomial p
-rounded up to an odd integer, on the Sturm chain of p; a Schur-Cohn count
-certifies that answer, and when it fails the characteristic polynomial of
-the Kronecker square M (x) M, built from the power sums of M by Newton's
-identities rather than from the n^2 x n^2 matrix, answers in the same loop.
+rounded up to an odd integer, on the Sturm chain of p; the count of the
+roots of p beyond the lower end certifies that answer, and when it fails
+the same count at each midpoint answers in the same loop. No point of the
+grid is the modulus of a root, so the count is never singular.
 The characteristic polynomial, the squares M^(2^j) that matrix powers and
 partial sums by doubling read, and the reduction of a quasi-unipotent matrix
 to its unipotent power (q, M^q and the Jordan index of M^q) are each
@@ -32,7 +32,7 @@ from .intpoly import (
     cauchy_root_bound,
     sign_variations,
     sturm_chain,
-    zeros_inside_unit_disk,
+    zeros_outside_unit_circle,
 )
 from .numpoly import NumericalPolynomial
 from .record import Record
@@ -284,33 +284,6 @@ def unipotent_reduction(matrix: IntegerMatrix) -> UnipotentReduction | None:
     return UnipotentReduction(q, reduced, k)
 
 
-def _kronecker_square_char_poly(coeffs: Sequence[int]) -> list[int]:
-    """det(xI - M (x) M) from det(xI - M), both lowest degree first.
-
-    Newton's identities turn the monic coefficients into the power sums
-    s_k = tr M^k for k <= n^2; the power sums of M (x) M are s_k^2, and
-    Newton's identities run backwards (every division by k exact) turn them
-    into the coefficients of the degree-n^2 polynomial.
-    """
-    n = len(coeffs) - 1
-    size = n * n
-    e = coeffs[::-1]  # e[k]: coefficient of x^(n-k)
-    s = [0] * (size + 1)
-    for k in range(1, size + 1):
-        acc = k * e[k] if k <= n else 0
-        for i in range(1, min(k - 1, n) + 1):
-            acc += e[i] * s[k - i]
-        s[k] = -acc
-    squares = [v * v for v in s]
-    out = [1] + [0] * size
-    for k in range(1, size + 1):
-        acc = squares[k]
-        for i in range(1, k):
-            acc += out[i] * squares[k - i]
-        out[k] = -(acc // k)
-    return out[::-1]
-
-
 def exact_eps(eps) -> Fraction:
     """A tolerance as a positive ``Fraction``; a float is refused, since its
     binary value would enter the decision."""
@@ -322,21 +295,25 @@ def exact_eps(eps) -> Fraction:
     return eps
 
 
-def _real_roots_dominate(p: NumericalPolynomial, r: Fraction, real_beyond: int) -> bool:
-    """Whether every root of p of modulus above r >= 0 is real, given the
-    number of distinct real roots of p of modulus above r.
-
-    The Schur-Cohn count of the zeros of b^n p((a/b) z) in the unit disk
-    gives the roots of modulus below r = a/b; a regular count also proves
-    that none has modulus r. It agrees with the real count only when all
-    roots of modulus above r are real and simple. False when the Schur-Cohn
-    recursion is singular.
-    """
+def _roots_beyond(p: NumericalPolynomial, r: Fraction) -> int:
+    """Number of roots of p, with multiplicity, of modulus above r = a/b > 0:
+    the zeros of b^n p((a/b) z) outside the unit circle. No root of p may
+    have modulus r."""
     a, b = r.numerator, r.denominator
     coeffs = p.numerators
     n = len(coeffs) - 1
-    inside = zeros_inside_unit_disk([c * a**i * b ** (n - i) for i, c in enumerate(coeffs)])
-    return inside == n - real_beyond
+    return zeros_outside_unit_circle([c * a**i * b ** (n - i) for i, c in enumerate(coeffs)])
+
+
+def _real_roots_dominate(p: NumericalPolynomial, r: Fraction, real_beyond: int) -> bool:
+    """Whether every root of p of modulus above r > 0 is real, given the
+    number of distinct real roots of p of modulus above r, none of modulus r.
+
+    The roots of modulus above r, counted with multiplicity, number at least
+    the distinct real ones, and as many only when all of them are real and
+    simple.
+    """
+    return _roots_beyond(p, r) == real_beyond
 
 
 def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
@@ -344,16 +321,19 @@ def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
 
     rho is bisected over [0, S], S the Cauchy bound of p = det(xI - M)
     rounded up to an odd integer, so the ends are consecutive multiples of
-    S/2^j for the least j with S/2^j <= eps. No midpoint is an integer, so
-    none is a rational root of p or of K = det(xI - M (x) M), and rho lies
-    strictly inside the interval unless it is 0. Each step asks whether p
-    has a real root of modulus above the midpoint x,
+    S/2^j for the least j with S/2^j <= eps. Every question is asked at a
+    point x > 0 of the form m/2^j, m odd and j >= 1, so x^2 is not an
+    integer, and no root alpha of p has modulus x: alpha times its
+    conjugate would be x^2, a rational algebraic integer that is not an
+    integer. So rho lies strictly inside the interval unless it is 0, and
+    the root count of ``_roots_beyond`` never meets a root on its circle.
+    Each step first asks whether p has a real root of modulus above x,
     [V(-S) - V(-x)] + [V(x) - V(S)] > 0 on p's Sturm chain; that finds rho
     when rho is attained at a real eigenvalue, which
-    ``_real_roots_dominate`` certifies at the lower end. Otherwise, or when
-    p has no real root, each step asks whether K, whose largest real root is
-    rho^2, has a real root above x^2. Both questions agree when the
-    certificate holds, so both routes give the same interval.
+    ``_real_roots_dominate`` certifies at a positive lower end. Otherwise,
+    or when p has no real root, each step asks whether p has any root of
+    modulus above x. Both questions agree when the certificate holds, so
+    both routes give the same interval.
     """
     eps = exact_eps(eps)
     p = char_poly(matrix)
@@ -366,8 +346,7 @@ def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
 
     if real:
         iv = _bisect(lambda x: real_beyond(x) > 0, 0, top, 1, eps)
-        if _real_roots_dominate(p, iv.lo, real_beyond(iv.lo)):
+        # at lo = 0 there is no circle to count on; the fallback finds the same cell
+        if iv.lo and _real_roots_dominate(p, iv.lo, real_beyond(iv.lo)):
             return iv
-    kronecker = sturm_chain(NumericalPolynomial(tuple(_kronecker_square_char_poly(p.numerators))))
-    at_top = sign_variations(kronecker, top * top)
-    return _bisect(lambda x: sign_variations(kronecker, x * x) > at_top, 0, top, 1, eps)
+    return _bisect(lambda x: _roots_beyond(p, x) > 0, 0, top, 1, eps)

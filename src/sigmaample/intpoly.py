@@ -6,8 +6,9 @@ primitive polynomial remainder sequence and an exact integer quotient, a
 Sturm chain is a list of primitive integer polynomials, each a positive
 multiple of the classical rational member, and a chain is evaluated at a
 rational a/b homogenised, b^d p(a/b), so neither floating point nor a
-``Fraction`` enters any sign count. The zeros inside the unit disk are
-counted by the Schur-Cohn recursion on integer lists in the same way. One
+``Fraction`` enters any sign count. The zeros outside the unit circle are
+counted in the same way, by a Routh-Hurwitz count on the Cayley transform
+whose Cauchy index comes from the remainder sequence Sturm chains use. One
 dyadic bisection loop, ``_bisect``, halves a rational interval on integer
 ends over a power-of-two denominator, asking one question per midpoint; the
 spectral radius in ``intmat`` and ``largest_real_root_interval`` both run
@@ -133,19 +134,15 @@ def cauchy_root_bound(coeffs: Sequence) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in cs[:-1])) / Fraction(abs(cs[-1]))
 
 
-def sturm_chain(p: NumericalPolynomial) -> list[list[int]]:
-    """Sturm chain of the square-free part of p, as primitive integer lists.
-
-    Each member after the derivative is the negated pseudo-remainder of the
-    two before it, with the sign of lc^(delta+1) taken out and divided by its
-    content: a positive multiple of the rational Sturm member, so every sign
-    count is the same.
+def _remainder_sequence(f0: list[int], f1: list[int]) -> list[list[int]]:
+    """f0, f1 and, until a remainder vanishes, the negated pseudo-remainder
+    of the two members before, with the sign of lc^(delta+1) taken out and
+    divided by its content: each member a positive multiple of the rational
+    Sturm member, so every sign count is the same. Just [f0] when f1 is zero.
     """
-    first = square_free_part(p)
-    chain = [first]
-    d = _primitive([i * first[i] for i in range(1, len(first))])
-    if d:
-        chain.append(d)
+    chain = [f0]
+    if f1:
+        chain.append(f1)
         while True:
             num, den = chain[-2], chain[-1]
             r = _prem(num, den)
@@ -155,6 +152,13 @@ def sturm_chain(p: NumericalPolynomial) -> list[list[int]]:
                 r = [-c for c in r]
             chain.append(_primitive(r))
     return chain
+
+
+def sturm_chain(p: NumericalPolynomial) -> list[list[int]]:
+    """Sturm chain of the square-free part of p, as primitive integer lists:
+    the remainder sequence of that part and its derivative."""
+    first = square_free_part(p)
+    return _remainder_sequence(first, _primitive([i * first[i] for i in range(1, len(first))]))
 
 
 def sign_variations(chain: Sequence[Sequence[int]], x) -> int:
@@ -254,34 +258,49 @@ def largest_real_root_interval(
     )
 
 
-def zeros_inside_unit_disk(coeffs: Sequence[int]) -> int | None:
-    """Number of zeros of the integer polynomial in the open unit disk, or
-    None when the Schur-Cohn recursion is singular.
+def _taylor_shift(cs: Sequence[int], t: int) -> list[int]:
+    """The coefficient list of p(x + t), by repeated synthetic division."""
+    cs = list(cs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += t * cs[j + 1]
+    return cs
 
-    The recursion (Henrici, Applied and Computational Complex Analysis,
-    vol. 1, section 6.8) maps f of degree d to T f = f(0) f - a_d f*, with
-    f*(z) = z^d f(1/z), and divides out the content. On the unit circle
-    |f*| = |f|, so by Rouche T f has as many zeros inside as f when
-    delta = T f(0) = f(0)^2 - a_d^2 is positive, and as many as f*, d minus
-    those of f, when it is negative. Unrolled down to a constant, the count
-    is the sum of deg T^(k-1) f - deg T^k f over the steps k at which the
-    product of the signs of delta_1 .. delta_k is negative. A zero delta,
-    which every zero on the circle eventually forces, is singular.
+
+def _variations_at_infinity(chain: Sequence[Sequence[int]], sign: int) -> int:
+    """Sign changes along the chain at +infinity (sign 1) or -infinity
+    (sign -1), read from leading coefficients and degrees."""
+    signs = [(1 if cs[-1] > 0 else -1) * sign ** (len(cs) - 1) for cs in chain]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def zeros_outside_unit_circle(coeffs: Sequence[int]) -> int:
+    """Number of zeros, with multiplicity, of the nonzero integer polynomial
+    f of modulus above 1. f must have no zero of modulus 1; that is not
+    checked, and the answer is meaningless for such an f.
+
+    The Cayley transform z = (1 + w)/(1 - w) sends the outside of the unit
+    circle to the right half-plane, so the count is the number n_R of zeros
+    with positive real part of g(w) = (1 - w)^n f((1 + w)/(1 - w)): f(x - 1),
+    coefficient k times 2^k, reversed to degree n, shifted to p(x + 1), odd
+    coefficients negated. g has degree n, since f(-1) is not 0. With
+    g(iy) = U(y) + i V(y), the Routh-Hurwitz theorem (Gantmacher, The Theory
+    of Matrices, vol. 2, ch. XV) gives n_L - n_R from the Cauchy index of
+    V/U (n even) or U/V (n odd) over the real line: the sign changes at
+    -infinity minus those at +infinity along the remainder sequence of
+    (U, V) or (V, U). No zero of g lies on the imaginary axis, so U and V
+    have no common real root and no case is singular.
     """
-    f = _primitive(_strip(list(coeffs)))
+    f = _strip(list(coeffs))
     if not f:
-        return None
-    count, sign = 0, 1
-    while len(f) > 1:
-        a0, top = f[0], f[-1]
-        delta = a0 * a0 - top * top
-        if not delta:
-            return None
-        g = _strip([a0 * c - top * d for c, d in zip(f, reversed(f))])
-        if delta < 0:
-            sign = -sign
-        if sign < 0:
-            count += len(f) - len(g)
-        f = _primitive(g)
-    return count
-
+        raise ValueError("zero polynomial has no zero count")
+    n = len(f) - 1
+    g = [c << k for k, c in enumerate(_taylor_shift(f, -1))]
+    g = [-c if k % 2 else c for k, c in enumerate(_taylor_shift(g[::-1], 1))]
+    # i^k is 1, i, -1, -i as k is 0, 1, 2, 3 mod 4
+    u = _primitive(_strip([c * (1, 0, -1, 0)[k % 4] for k, c in enumerate(g)]))
+    v = _primitive(_strip([c * (0, 1, 0, -1)[k % 4] for k, c in enumerate(g)]))
+    chain = _remainder_sequence(v, u) if n % 2 else _remainder_sequence(u, v)
+    index = _variations_at_infinity(chain, -1) - _variations_at_infinity(chain, 1)
+    # n_L - n_R is index for odd n and -index for even n, and n_L + n_R = n
+    return (n - index if n % 2 else n + index) // 2

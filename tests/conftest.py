@@ -110,9 +110,13 @@ def unimodular_matrices(size: int, ops: int = 6, magnitude: int = 3):
 
 def child_env() -> dict:
     """Environment in which a child imports the same package as this
-    process, PYTHONPATH or not."""
+    process, PYTHONPATH or not. PYTHONUNBUFFERED is dropped, so the child's
+    stdout is block-buffered whenever it is not a terminal, as a console
+    script's is, whatever the caller's shell sets."""
     src = str(Path(sigmaample.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def _limit_memory() -> None:

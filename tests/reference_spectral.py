@@ -13,10 +13,11 @@ bound of det(xI - M) rounded up to an odd integer, with ``Fraction``
 midpoints, and at each midpoint x ask whether the Kronecker-square
 polynomial has a real root above x^2. ``spectral_radius`` asks it of
 Berkowitz on the explicit n^2 x n^2 matrix M (x) M with ``Fraction`` Sturm
-chains; ``kronecker_spectral_radius``, fast enough for rank 8, asks it of
-the power-sum polynomial with the package's integer Sturm chain. Neither
-uses the characteristic polynomial's own Sturm chain or its certificate, so
-comparing them with ``intmat.spectral_radius`` tests that route.
+chains; ``kronecker_spectral_radius``, fast enough for rank 12, asks it of
+the power-sum polynomial built here by Newton's identities, with the
+package's integer Sturm chain. Neither uses the characteristic polynomial's
+own Sturm chain, its certificate or its root count outside a circle, so
+comparing them with ``intmat.spectral_radius`` tests both of its routes.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from sigmaample.errors import NotInvertibleOverIntegers
-from sigmaample.intmat import IntegerMatrix, _kronecker_square_char_poly, char_poly, mat_pow
+from sigmaample.intmat import IntegerMatrix, char_poly, mat_pow
 from sigmaample.intpoly import RationalInterval
 from sigmaample.intpoly import sign_variations as integer_sign_variations
 from sigmaample.intpoly import sturm_chain as integer_sturm_chain
@@ -191,6 +192,33 @@ def kronecker(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
                 tuple(a.rows[i][j] * b.rows[p][q] for j in range(na) for q in range(nb))
             )
     return IntegerMatrix(tuple(rows))
+
+
+def _kronecker_square_char_poly(coeffs: Sequence[int]) -> list[int]:
+    """det(xI - M (x) M) from det(xI - M), both lowest degree first.
+
+    Newton's identities turn the monic coefficients into the power sums
+    s_k = tr M^k for k <= n^2; the power sums of M (x) M are s_k^2, and
+    Newton's identities run backwards (every division by k exact) turn them
+    into the coefficients of the degree-n^2 polynomial.
+    """
+    n = len(coeffs) - 1
+    size = n * n
+    e = coeffs[::-1]  # e[k]: coefficient of x^(n-k)
+    s = [0] * (size + 1)
+    for k in range(1, size + 1):
+        acc = k * e[k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            acc += e[i] * s[k - i]
+        s[k] = -acc
+    squares = [v * v for v in s]
+    out = [1] + [0] * size
+    for k in range(1, size + 1):
+        acc = squares[k]
+        for i in range(1, k):
+            acc += out[i] * squares[k - i]
+        out[k] = -(acc // k)
+    return out[::-1]
 
 
 def _radius_by_bisection(matrix: IntegerMatrix, eps: Fraction, above) -> RationalInterval:

@@ -433,13 +433,12 @@ def test_exit_status_of_each_failure(kind, monkeypatch, capsys):
 def _run_entry(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``entry()`` in a child, as the console script runs it: it ends its
     process with ``os._exit``, so it cannot run inside the test process. The
-    child's stdout is block-buffered, as a console script's is, so bytes that
-    are not flushed before the exit are lost."""
-    env = child_env()
-    env.pop("PYTHONUNBUFFERED", None)
+    child's stdout is block-buffered, as a console script's is
+    (``child_env`` drops PYTHONUNBUFFERED), so bytes that are not flushed
+    before the exit are lost."""
     return subprocess.run(
         [sys.executable, "-c", "from sigmaample.cli import entry; entry()", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30, env=child_env(),
     )
 
 
@@ -633,6 +632,33 @@ def test_file_without_oracles_says_so(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err == "error: the input defines no oracle\n"
+
+
+def test_classify_a_complex_dominant_pair(tmp_path, capsys, monkeypatch):
+    # the companion matrix of x^4 + x^3 - 2x^2 - 2x + 1: its largest real
+    # root is ~1.28879, below the pair of modulus ~1.41161, so the
+    # certificate on p's own Sturm chain refuses and the count of roots
+    # beyond each midpoint finds the radius
+    doc = {
+        "rank": 4,
+        "components": [{"name": "X", "dim": 2, "top_form": []}],
+        "oracles": [{"name": "ample", "kind": "polyhedral", "data": {"facets": [["1", "0", "0", "0"]]}}],
+        "automorphisms": [{"name": "c", "matrix": [
+            ["0", "0", "0", "-1"], ["1", "0", "0", "2"], ["0", "1", "0", "2"], ["0", "0", "1", "-1"],
+        ]}],
+        "divisors": [],
+    }
+    path = tmp_path / "companion.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    verdicts = []
+    certificate = intmat._real_roots_dominate
+    monkeypatch.setattr(
+        intmat, "_real_roots_dominate", lambda *args: verdicts.append(certificate(*args)) or verdicts[-1]
+    )
+    assert run(capsys, "validate", str(path))[0] == 0
+    code, out, err = run_json(capsys, "classify", str(path), "--auto", "c")
+    assert (code, err, verdicts) == (0, "", [False])
+    assert out["results"][0]["spectral_radius"] == {"lo": "5781/4096", "hi": "723/512"}
 
 
 def test_cross_process_byte_determinism():

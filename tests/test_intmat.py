@@ -444,6 +444,40 @@ def test_certificate_accepts_a_dominant_real_root(monkeypatch):
     assert len(calls) == 3
 
 
+def _transvections(n, steps):
+    """I times I + c E_ij for each (i, j, c) in turn: column j gains c
+    times column i."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in steps:
+        for row in rows:
+            row[j] += c * row[i]
+    return IntegerMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("n, steps", [
+    (10, [(6, 4, -1), (4, 0, 2), (7, 6, -1), (2, 5, -1), (5, 7, -1),
+          (6, 7, -1), (7, 8, 1), (7, 1, -2), (0, 7, -1), (3, 1, -1)]),
+    (10, [(7, 2, 2), (3, 0, 2), (1, 0, -1), (1, 3, 2), (6, 4, -1),
+          (0, 9, 2), (8, 7, 2), (3, 7, 2), (9, 1, -2)]),
+    (12, [(7, 11, -1), (5, 11, 2), (11, 1, -1), (0, 5, -2), (3, 8, 2),
+          (4, 10, 1), (3, 5, -2), (1, 0, -2), (3, 11, -2)]),
+    (12, [(7, 6, -1), (8, 2, -1), (2, 7, -2), (3, 7, -2), (6, 10, 2), (11, 2, -2),
+          (5, 11, 2), (3, 9, -2), (9, 11, -1), (7, 9, 2), (10, 9, -1)]),
+])
+def test_fallback_route_matches_kronecker_route_at_ranks_10_and_12(n, steps, monkeypatch):
+    m = _transvections(n, steps)
+    eps = Fraction(1, 1000)
+    calls = _certificate_calls(monkeypatch)
+    iv = spectral_radius(m, eps)
+    # the certificate refused the bisection on p's chain, or it never ran
+    assert not any(verdict for _, verdict in calls)
+    assert iv == kronecker_spectral_radius(m, eps)
+    assert quasi_unipotence(m) is None and iv.lo > 1
+    p = char_poly(m).numerators
+    estimate = max(abs(np.roots([float(c) for c in reversed(p)])))
+    assert iv.lo <= estimate <= iv.hi
+
+
 def _block_sum(m, identity_size):
     n = m.size + identity_size
     rows = [[int(i == j) for j in range(n)] for i in range(n)]

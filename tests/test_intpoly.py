@@ -11,7 +11,7 @@ from sigmaample.intpoly import (
     sign_variations,
     square_free_part,
     sturm_chain,
-    zeros_inside_unit_disk,
+    zeros_outside_unit_circle,
 )
 from sigmaample.numpoly import NumericalPolynomial
 
@@ -135,30 +135,42 @@ def test_square_free_divides_original(coeffs):
     assert count_real_roots(chain, -b, b) == count_real_roots(chain_p, -b, b)
 
 
-# --- Schur-Cohn count of zeros in the unit disk ----------------------------
+# --- Routh-Hurwitz count of zeros outside the unit circle -----------------
 
 
 @settings(max_examples=400, deadline=None)
-@example([3, -7, 2])  # (2x - 1)(x - 3): one zero inside
+@example([3, -7, 2])  # (2x - 1)(x - 3): one zero outside
 @example([0, 0, 1])  # x^2: a double zero at the centre
+@example([1, 3, 3, 1])  # (x + 1)^3: a triple zero on the circle, excluded
 @example([4, 0, 0, 1, 0, 0, 0, 0, 5])
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=9).filter(any))
-def test_zeros_inside_unit_disk_matches_numpy(coeffs):
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=10).filter(any))
+def test_zeros_outside_unit_circle_matches_numpy(coeffs):
     while not coeffs[-1]:
         coeffs = coeffs[:-1]
+    # numpy spreads a triple root by ~1e-5 but finds simple ones to near
+    # machine precision, so the circle is tested on the square-free part
+    simple = square_free_part(NumericalPolynomial(tuple(coeffs)))
+    assume(all(abs(abs(z) - 1) > 1e-6 for z in np.roots(simple[::-1])))
     roots = np.roots(coeffs[::-1]) if len(coeffs) > 1 else np.array([])
-    assume(all(abs(abs(z) - 1) > 1e-6 for z in roots))
-    count = zeros_inside_unit_disk(coeffs)
-    if count is not None:
-        assert count == sum(1 for z in roots if abs(z) < 1)
+    assert zeros_outside_unit_circle(coeffs) == sum(1 for z in roots if abs(z) > 1)
 
 
-def test_zeros_inside_unit_disk_regular_and_singular_cases():
-    assert zeros_inside_unit_disk([3, -7, 2]) == 1
-    assert zeros_inside_unit_disk([1, 0, 0, 0, 4]) == 4  # 4x^4 + 1: moduli 1/sqrt 2
-    assert zeros_inside_unit_disk([4, 0, 0, 0, 1]) == 0  # x^4 + 4: moduli sqrt 2
-    assert zeros_inside_unit_disk([5]) == 0
-    # a zero on the circle makes the recursion singular
-    assert zeros_inside_unit_disk([3, -4, 1]) is None  # (x - 1)(x - 3)
-    assert zeros_inside_unit_disk([1, 0, 1]) is None  # x^2 + 1
-    assert zeros_inside_unit_disk([0, 0]) is None
+@pytest.mark.parametrize("coeffs, outside", [
+    ([-2, -3, 2], 1),  # zeros -1/2 and 2
+    ([-3, -3, 3], 1),  # 3(x^2 - x - 1): the golden ratio and -1/(golden ratio)
+    ([2, -5, 2], 1),  # zeros 1/2 and 2, mirrored in the circle
+    ([0, 0, 1], 0),
+    ([5], 0),
+    ([1, 0, 0, 0, 4], 0),  # 4x^4 + 1: moduli 1/sqrt 2
+    ([4, 0, 0, 0, 1], 4),  # x^4 + 4: moduli sqrt 2
+    ([-8, 12, -6, 1], 3),  # (x - 2)^3
+    ([4, 0, 0, 0, 0, 0, 0, 0, 1], 8),  # x^8 + 4: moduli 4^(1/8)
+])
+def test_zeros_outside_unit_circle_cases(coeffs, outside):
+    assert zeros_outside_unit_circle(coeffs) == outside
+
+
+@pytest.mark.parametrize("coeffs", [[], [0, 0]])
+def test_zeros_outside_unit_circle_refuses_the_zero_polynomial(coeffs):
+    with pytest.raises(ValueError):
+        zeros_outside_unit_circle(coeffs)

@@ -17,13 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_spectral as ref
 from conftest import unimodular_matrices
 from sigmaample import intmat
-from sigmaample.intmat import (
-    IntegerMatrix,
-    _kronecker_square_char_poly,
-    char_poly,
-    quasi_unipotence,
-    spectral_radius,
-)
+from sigmaample.intmat import IntegerMatrix, char_poly, quasi_unipotence, spectral_radius
 from sigmaample.intpoly import sign_variations, square_free_part, sturm_chain
 from sigmaample.numpoly import NumericalPolynomial
 
@@ -71,7 +65,7 @@ reflection_products_8 = reflection_products(8, support=2)
 
 
 def _kronecker_poly(m):
-    return _kronecker_square_char_poly([int(c) for c in char_poly(m).coeffs])
+    return ref._kronecker_square_char_poly([int(c) for c in char_poly(m).coeffs])
 
 
 def test_kronecker_sizes_and_values():
@@ -140,7 +134,7 @@ def test_certified_route_matches_kronecker_route_on_both_branches(monkeypatch):
             assert spectral_radius(m, eps) == ref.kronecker_spectral_radius(m, eps)
 
     check()
-    # a call either passes the certificate or falls back to the Kronecker chain
+    # a call either passes the certificate or falls back to the root count
     assert 0 < certified.count(True) < len(calls)
 
 
