@@ -9,25 +9,26 @@ listed obstruction curve. Real ample cones on surfaces can have irrational
 boundary, which the sign conditions capture exactly; whether the obstruction
 list is complete is the caller's geometric assertion.
 
-Symbolic variants substitute a one-parameter polynomial family of classes and
-reduce existence of an ample member to exact sign analysis.
+Each oracle states its conditions once, as forms in the class, read both at
+rational coordinates and, for a family sum_j C(m, j) v_j / d of classes, as
+polynomials in m from each form's table on the integer vectors v_j; the
+symbolic variant reduces existence of an ample member to exact sign analysis.
 """
 from __future__ import annotations
 
 from math import gcd
 from typing import Sequence, Union
 
-from .errors import RankMismatch
 from .lattice import (
     AutomorphismAction,
     CheckResult,
     ComponentDescriptor,
     DivisorClass,
+    SymmetricForm,
     ValidationReport,
     apply,
-    intersect,
 )
-from .numpoly import ZERO, NumericalPolynomial, exists_common_positive
+from .numpoly import NumericalPolynomial, exists_common_positive, symmetric_binomial_sum
 from .record import Record
 
 
@@ -36,10 +37,21 @@ def _normalize_functional(f: Sequence[int]) -> tuple[int, ...]:
     return tuple(c // g for c in f) if g else tuple(f)
 
 
-class PolyhedralCone(Record):
+class _FormConditions:
+    """D is ample when T(D, ..., D) / d > 0 for each pair (T, d) in ``_forms``."""
+
+    __slots__ = ()
+
+    def conditions(self, coords: Sequence) -> list:
+        """The conditions at rational coordinates of D."""
+        values = [form.evaluate([coords] * form.arity) for form, _ in self._forms]
+        return [v if den == 1 else v / den for v, (_, den) in zip(values, self._forms)]
+
+
+class PolyhedralCone(_FormConditions, Record):
     """Ample cone cut out by finitely many integer facet functionals."""
 
-    __slots__ = ("rank", "facets")
+    __slots__ = ("rank", "facets", "_forms")
     kind = "polyhedral"
 
     def __init__(self, rank: int, facets: tuple[tuple[int, ...], ...]) -> None:
@@ -52,11 +64,10 @@ class PolyhedralCone(Record):
             if all(c == 0 for c in f):
                 raise ValueError("zero functional is not a facet")
         super().__init__(rank, facets)
-
-    def conditions(self, coords: Sequence) -> list:
-        """The facet functionals applied to the coordinates (zero entries
-        skipped, so a polynomial coordinate is multiplied only where needed)."""
-        return [sum(f * c for f, c in zip(facet, coords) if f) for facet in self.facets]
+        object.__setattr__(self, "_forms", tuple(
+            (SymmetricForm.from_dict(rank, 1, {(i,): c for i, c in enumerate(f) if c}), 1)
+            for f in facets
+        ))
 
     def invariant_checks(self) -> list[CheckResult]:
         """The cone has at least one facet."""
@@ -73,14 +84,14 @@ class PolyhedralCone(Record):
         return [CheckResult("facet_set_stable", ok, detail)]
 
 
-class SurfacePositiveCone(Record):
+class SurfacePositiveCone(_FormConditions, Record):
     """Sign-condition oracle on a two-dimensional component.
 
     ample(D) iff (D.D) > 0, (D.A) > 0, and (D.C) > 0 for each obstruction C.
     The reference class must itself pass: (A.A) > 0 and (A.C) > 0.
     """
 
-    __slots__ = ("component", "reference_ample", "obstructions")
+    __slots__ = ("component", "reference_ample", "obstructions", "_forms")
     kind = "surface_positive_cone"
 
     def __init__(
@@ -92,35 +103,29 @@ class SurfacePositiveCone(Record):
         if component.dim != 2:
             raise ValueError("surface positive cone needs a dimension-2 component")
         obstructions = tuple(obstructions)
-        a = reference_ample
-        if intersect(component, [a, a]) <= 0:
-            raise ValueError("reference class must have positive self-intersection")
-        for c in obstructions:
-            if intersect(component, [a, c]) <= 0:
-                raise ValueError("reference class must pair positively with obstructions")
         super().__init__(component, reference_ample, obstructions)
+        # (D.D), (D.A) and each (D.C)
+        form = component.top_form
+        fixed = (c.over_common_denominator() for c in (reference_ample, *obstructions))
+        object.__setattr__(self, "_forms", ((form, 1),) + tuple(
+            (form.filled(nums), den) for den, nums in fixed
+        ))
+        self_int, _, *pairings = self.conditions(reference_ample.coords)
+        if self_int <= 0:
+            raise ValueError("reference class must have positive self-intersection")
+        if any(v <= 0 for v in pairings):
+            raise ValueError("reference class must pair positively with obstructions")
 
     @property
     def rank(self) -> int:
         return self.component.top_form.rank
 
-    def conditions(self, coords: Sequence) -> list:
-        """(D.D), (D.A) and each (D.C), for D with the given coordinates."""
-        form = self.component.top_form
-        return [form.evaluate([coords, coords])] + [
-            form.evaluate([coords, c.coords])
-            for c in (self.reference_ample, *self.obstructions)
-        ]
-
     def invariant_checks(self) -> list[CheckResult]:
         """(A.A) > 0 and (A.C) > 0 for each obstruction C."""
-        a = self.reference_ample
-        self_int = intersect(self.component, [a, a])
-        checks = [CheckResult("reference_positive", self_int > 0, f"(A.A)={self_int}")]
-        for k, c in enumerate(self.obstructions):
-            v = intersect(self.component, [a, c])
-            checks.append(CheckResult(f"obstruction[{k}]", v > 0, f"(A.C)={v}"))
-        return checks
+        self_int, _, *pairings = self.conditions(self.reference_ample.coords)
+        return [CheckResult("reference_positive", self_int > 0, f"(A.A)={self_int}")] + [
+            CheckResult(f"obstruction[{k}]", v > 0, f"(A.C)={v}") for k, v in enumerate(pairings)
+        ]
 
     def stability_checks(self, action: AutomorphismAction) -> list[CheckResult]:
         """The reference class stays ample and the obstruction set is permuted."""
@@ -142,32 +147,30 @@ class SurfacePositiveCone(Record):
 AmplenessOracle = Union[PolyhedralCone, SurfacePositiveCone]
 
 
-def _conditions(oracle: AmplenessOracle, coords: Sequence) -> list:
-    if oracle.rank != len(coords):
-        raise RankMismatch(f"oracle rank {oracle.rank} vs divisor rank {len(coords)}")
-    return oracle.conditions(coords)
-
-
 def is_ample(oracle: AmplenessOracle, divisor: DivisorClass) -> bool:
     """Whether every condition is positive on the class. Each condition is
     homogeneous of positive degree in the coordinates, so its sign is the
     same at the integer numerators over their common denominator, and those
     are what it is evaluated at."""
-    return all(v > 0 for v in _conditions(oracle, divisor.over_common_denominator()[1]))
+    return all(v > 0 for v in oracle.conditions(divisor.over_common_denominator()[1]))
 
 
 def symbolic_constraints(
-    oracle: AmplenessOracle, family: Sequence[NumericalPolynomial]
+    oracle: AmplenessOracle, denom: int, vectors: Sequence[Sequence[int]]
 ) -> list[NumericalPolynomial]:
-    """One polynomial in m per oracle inequality, for a polynomial family."""
-    return [ZERO + v for v in _conditions(oracle, family)]
+    """Each condition T(D, ..., D) / d on F(m) = sum_j C(m, j) v_j / denom, for
+    integer vectors v_j: T's table on the v_j summed over d * denom^arity."""
+    return [
+        symmetric_binomial_sum(form.step_table(vectors), den * denom**form.arity)
+        for form, den in oracle._forms
+    ]
 
 
 def is_ample_symbolic(
-    oracle: AmplenessOracle, family: Sequence[NumericalPolynomial]
+    oracle: AmplenessOracle, denom: int, vectors: Sequence[Sequence[int]]
 ) -> int | None:
-    """Minimal positive integer m making the family member ample, or None."""
-    return exists_common_positive(symbolic_constraints(oracle, family))
+    """Minimal positive integer m making sum_j C(m, j) v_j / denom ample, or None."""
+    return exists_common_positive(symbolic_constraints(oracle, denom, vectors))
 
 
 def oracle_report(oracle: AmplenessOracle, rank: int) -> ValidationReport:

@@ -10,19 +10,18 @@ the m-th partial sum has coordinates
 
     sum over i of C(m, i+1) * N^i D,
 
-a polynomial family in m, so existence of an ample member reduces to exact
-polynomial sign analysis, which tests only the integers just after the real
-roots of the constraint polynomials. Growth questions ride on the
-same expansion: intersection numbers of the family against itself are
-numerical polynomials whose degree drives the Gelfand-Kirillov dimension,
-while a non-quasi-unipotent action forces exponential growth of the Euler
+a polynomial family in m given by the integer numerators of the N^i D. Its
+coordinates, the oracle's constraints (whose common positivity reduces to
+exact sign analysis at the integers just after their real roots) and its
+self-intersections (whose degree drives the Gelfand-Kirillov dimension) are
+each a form's table on those vectors summed over products of binomials. A
+non-quasi-unipotent action instead forces exponential growth of the Euler
 characteristic sequence at the rate of the spectral radius.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add, sub
 
 from .ampleness import AmplenessOracle, is_ample, is_ample_symbolic
@@ -47,7 +46,7 @@ from .lattice import (
     SchemeDescriptor,
     validate,
 )
-from .numpoly import ZERO, NumericalPolynomial, _reduced, binomial_basis
+from .numpoly import NumericalPolynomial, symmetric_binomial_sum
 from .record import Record
 
 DEFAULT_EPS = Fraction(1, 1000)
@@ -183,59 +182,39 @@ def _vector_sum(a: tuple, b: tuple) -> tuple:
 def _nilpotent_steps(
     matrix: IntegerMatrix, reduction: UnipotentReduction, divisor: DivisorClass
 ) -> tuple[DivisorClass, int, list[tuple[int, ...]]]:
-    """The q-fold partial sum D' of the divisor, the common denominator d of
-    its coordinates, and the numerators over d of N^i D' for i = 0 .. k, with
-    N = P^q - I (N v = P^q v - v keeps the denominator)."""
+    """The q-fold partial sum D' of the divisor, its common denominator d, and
+    the v_j with D' + P^q D' + ... + P^(q(m-1)) D' = sum_j C(m, j) v_j / d:
+    v_0 = 0, v_(i+1) the numerators of N^i D' for N = P^q - I (which keeps d)."""
     reduced_divisor = partial_sum(matrix, divisor, reduction.power)
     unipotent = reduction.matrix
     denom, current = reduced_divisor.over_common_denominator()
-    steps = [current]
+    vectors = [(0,) * len(current), current]
     for _ in range(reduction.jordan_index):
         current = tuple(map(sub, unipotent.column_action(current), current))
-        steps.append(current)
-    return reduced_divisor, denom, steps
+        vectors.append(current)
+    return reduced_divisor, denom, vectors
 
 
-def _reduced_family(
-    denom: int, steps: list[tuple[int, ...]], step: int = 1
-) -> tuple[NumericalPolynomial, ...]:
-    """The reduced partial sums at the given step from the nilpotent steps
-    of ``_nilpotent_steps``, D' + P^q D' + ... + P^(q(step*m-1)) D', as
-    polynomials in m: sum C(step*m, i+1) N^i D' with i up to k.
-
-    All in integers: with v_i the numerators of N^i D' over d,
-    C(step*m, i+1) = b_i / c_i (b_i's m^j numerator is C(m, i+1)'s times
-    step**j) and L the lcm of the c_i, a coordinate is the sum of
-    v_i (L / c_i) b_i over L d, reduced once.
-    """
-    k = len(steps) - 1
-    bases = [binomial_basis(i + 1) for i in range(k + 1)]
-    common = lcm(*(b.denominator for b in bases))
-    scaled = [
-        [c * (common // b.denominator) * step**j for j, c in enumerate(b.numerators)]
-        for b in bases
-    ]
-    family = []
-    for column in zip(*steps):
-        nums = [0] * (k + 2)
-        for x, basis in zip(column, scaled):
-            if x:
-                for j, c in enumerate(basis):
-                    nums[j] += x * c
-        family.append(_reduced(nums, common * denom))
-    return tuple(family)
+def _reduced_family(denom: int, vectors: list[tuple[int, ...]]) -> tuple[NumericalPolynomial, ...]:
+    """The family sum_j C(m, j) v_j / denom as polynomials in m: the
+    coordinate 1-forms' tables on the v_j, summed."""
+    return tuple(
+        symmetric_binomial_sum({(j,): v[c] for j, v in enumerate(vectors) if v[c]}, denom)
+        for c in range(len(vectors[0]))
+    )
 
 
 def _witness(
     oracle: AmplenessOracle,
     reduction: UnipotentReduction,
     reduced_divisor: DivisorClass,
-    family: tuple[NumericalPolynomial, ...],
+    denom: int,
+    vectors: list[tuple[int, ...]],
 ) -> int | None:
     """The least m with an ample member of the reduced family at step 1, or
     None; a witness is checked once more on the partial sum of D' under P^q
     computed from the matrix alone."""
-    witness = is_ample_symbolic(oracle, family)
+    witness = is_ample_symbolic(oracle, denom, vectors)
     if witness is not None:
         concrete = partial_sum(reduction.matrix, reduced_divisor, witness)
         if not is_ample(oracle, concrete):
@@ -264,11 +243,9 @@ def is_sigma_ample(
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
         return SigmaAmpleVerdict(None, None, ())
-    reduced_divisor, denom, steps = _nilpotent_steps(action.matrix, reduction, divisor)
-    family = _reduced_family(denom, steps)
-    return SigmaAmpleVerdict(
-        reduction.power, _witness(oracle, reduction, reduced_divisor, family), family
-    )
+    reduced_divisor, denom, vectors = _nilpotent_steps(action.matrix, reduction, divisor)
+    witness = _witness(oracle, reduction, reduced_divisor, denom, vectors)
+    return SigmaAmpleVerdict(reduction.power, witness, _reduced_family(denom, vectors))
 
 
 def gk_profile(
@@ -285,32 +262,32 @@ def gk_profile(
     dimension); otherwise NotAmple. The family is the reduced family at the
     step w, so its partial sums are taken at multiples of q*w, where w is 1
     for an ample class (which needs no witness search) and the sigma-ample
-    witness otherwise. Per component, the top form evaluated on that family
-    is the self-intersection polynomial, and the dimension is one more than
-    the largest degree over components.
+    witness otherwise. Per component, the top form's table on the family's
+    vectors, summed at step w, is the self-intersection polynomial, and the
+    dimension is one more than the largest degree over components.
     """
     require_valid(scheme, action)
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
     ample = is_ample(oracle, divisor)
-    reduced_divisor, denom, steps = _nilpotent_steps(action.matrix, reduction, divisor)
+    reduced_divisor, denom, vectors = _nilpotent_steps(action.matrix, reduction, divisor)
     w = 1
     if not ample:
-        w = _witness(oracle, reduction, reduced_divisor, _reduced_family(denom, steps))
+        w = _witness(oracle, reduction, reduced_divisor, denom, vectors)
         if w is None:
             raise NotAmple("divisor is neither ample nor sigma-ample; no growth data exists")
-    family = _reduced_family(denom, steps, w)
-    expansions = []
-    best: int | None = None
-    for comp in scheme.components:
-        poly = ZERO + comp.top_form.evaluate([family] * comp.dim)
-        expansions.append(ComponentExpansion(comp.name, poly))
-        if poly.degree is not None:
-            best = poly.degree if best is None else max(best, poly.degree)
-    if best is None:
+    expansions = tuple(
+        ComponentExpansion(
+            comp.name,
+            symmetric_binomial_sum(comp.top_form.step_table(vectors), denom**comp.dim, w),
+        )
+        for comp in scheme.components
+    )
+    degrees = [e.polynomial.degree for e in expansions if not e.polynomial.is_zero]
+    if not degrees:
         raise NotAmple("partial-sum self-intersections all vanish; class cannot be ample")
-    return GKProfile(best + 1, reduction.power * w, tuple(expansions))
+    return GKProfile(max(degrees) + 1, reduction.power * w, expansions)
 
 
 def euler_char_series(

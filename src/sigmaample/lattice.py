@@ -6,12 +6,12 @@ Conventions fixed once and used everywhere: matrices act on column coordinate
 vectors of divisor classes, so the m-th power image of D has coordinates
 ``matrix^m * coords(D)``. Symmetric tensors are stored as value tables keyed
 by non-decreasing basis multi-indices; symmetry makes that table complete.
-One kernel, ``_contract``, fills one slot of such a table with a vector and
-returns the table of the form of one lower arity, so evaluation is ``arity``
-contractions and never lists index orderings. Validation contracts the forms
-with the integer columns of the matrix (the images of the basis vectors),
-sharing each filled prefix among the basis tuples that extend it, so an
-integral form is checked in integer arithmetic throughout.
+One kernel, ``_contract``, fills one slot of such a table with a rational
+vector, so evaluation is ``arity`` contractions and never lists index
+orderings. One walk, ``SymmetricForm.step_table``, fills the slots with integer
+vectors along non-decreasing tuples, sharing each filled prefix: validation
+runs it on the matrix columns, and a family polynomial in m on its
+binomial-basis vectors, so an integral form never leaves integer arithmetic.
 """
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ class DivisorClass(Record):
 def _contract(table: dict, v: Sequence) -> dict:
     """Fill one slot of a form's table with ``v``: each stored index gives up
     one copy of each distinct position ``i`` it holds, with coefficient
-    ``v[i]``. Entries that sum to zero, rational or polynomial, are dropped."""
+    ``v[i]``. Entries that sum to zero are dropped."""
     out: dict = {}
     get = out.get
     for index, value in table.items():
@@ -81,8 +81,7 @@ def _contract(table: dict, v: Sequence) -> dict:
                 x = v[i]
                 if x:
                     rest = index[:p] + index[p + 1 :]
-                    prev = get(rest)
-                    out[rest] = x * value if prev is None else prev + x * value
+                    out[rest] = get(rest, 0) + x * value
     return {index: value for index, value in out.items() if value}
 
 
@@ -135,31 +134,48 @@ class SymmetricForm(Record):
     def value_at(self, index: Sequence[int]) -> Fraction:
         return Fraction(self._table.get(tuple(sorted(index)), 0))
 
-    def evaluate(self, vectors: Sequence[Sequence]):
-        """Multilinear evaluation on ``arity`` coordinate vectors.
-
-        Fills the slots one vector at a time with ``_contract``, so the work
-        follows the nonzero entries and their distinct positions, not their
-        orderings. Coordinates may be ints, Fractions or
-        ``NumericalPolynomial``s. The result is a ``Fraction`` for rational
-        coordinates (also when every product was an ``int``) and a
-        ``NumericalPolynomial`` for polynomial ones, except that a zero
-        result is always ``Fraction(0)``: entries that cancel are dropped,
-        polynomial ones too, so it does not depend on the order of the
-        vectors.
-        """
+    def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
+        """Multilinear evaluation on ``arity`` rational coordinate vectors, a
+        ``Fraction``. The slots are filled one vector at a time, so the work
+        follows the nonzero entries and their distinct positions."""
         if len(vectors) != self.arity:
             raise RankMismatch(
                 f"form of arity {self.arity} applied to {len(vectors)} vectors"
             )
-        for v in vectors:
-            if len(v) != self.rank:
-                raise RankMismatch(f"vector length {len(v)} vs rank {self.rank}")
+        self._check_lengths(vectors)
         table = self._table
         for v in vectors:
             table = _contract(table, v)
         total = table.get((), 0)
         return Fraction(total) if type(total) is int else total
+
+    def _check_lengths(self, vectors: Sequence[Sequence]) -> None:
+        for v in vectors:
+            if len(v) != self.rank:
+                raise RankMismatch(f"vector length {len(v)} vs rank {self.rank}")
+
+    def filled(self, v: Sequence[int]) -> "SymmetricForm":
+        """The form of one lower arity with one slot filled by ``v``."""
+        self._check_lengths([v])
+        return SymmetricForm.from_dict(self.rank, self.arity - 1, _contract(self._table, v))
+
+    def step_table(self, vectors: Sequence[Sequence[int]]) -> dict:
+        """The nonzero values T(v_s1, ..., v_sr), keyed by the non-decreasing
+        tuples s of indices into ``vectors``. Each filled prefix is shared by
+        the tuples that extend it; one whose table is empty is dropped."""
+        self._check_lengths(vectors)
+        got = {}
+        stack = [((), self._table)] if self._table else []
+        while stack:
+            prefix, table = stack.pop()
+            if len(prefix) == self.arity:
+                got[prefix] = table[()]
+                continue
+            for i in range(prefix[-1] if prefix else 0, len(vectors)):
+                filled = _contract(table, vectors[i])
+                if filled:
+                    stack.append((prefix + (i,), filled))
+        return got
 
 
 class ComponentDescriptor(Record):
@@ -324,19 +340,7 @@ def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> Validation
         if action.todd_invariant and comp.todd is not None:
             forms += [(f"todd[{j}]", f) for j, f in enumerate(comp.todd[: comp.dim])]
         for label, form in forms:
-            # T(c_i1, ..., c_ik) on non-decreasing tuples; a prefix whose
-            # filled table is empty has only zero values below it
-            got = {}
-            stack = [((), form._table)] if form._table else []
-            while stack:
-                prefix, table = stack.pop()
-                if len(prefix) == form.arity:
-                    got[prefix] = table[()]
-                    continue
-                for i in range(prefix[-1] if prefix else 0, scheme.rank):
-                    filled = _contract(table, columns[i])
-                    if filled:
-                        stack.append((prefix + (i,), filled))
+            got = form.step_table(columns)
             name = f"{label}_invariance:{comp.name}"
             expected = form._table
             checks += [

@@ -5,20 +5,20 @@ This is the package's one polynomial type: it also carries the integer
 characteristic polynomials whose roots ``intpoly`` isolates. A polynomial is
 stored in the monomial basis as integer numerators over one positive
 denominator, in lowest terms, so sums, products and evaluations run on
-``int``; the exact ``Fraction`` coefficients are derived from them. The
-binomial basis C(m, i) is available as a constructor and a converter, since
-polynomials built from lattice data are naturally integer combinations of
-binomials. Sign analysis over the positive integers is exact and its cost
-depends on the degrees, not on the size of the coefficients: the set of m
-where every polynomial of a list is positive can change only next to a real
-root of one of them, so only m = 1 and the integers just after each root are
-tested, the roots being isolated to unit cells by integer Sturm counts.
+``int``; the exact ``Fraction`` coefficients are derived from them, and
+arithmetic is between polynomials only. Polynomials built from lattice data
+are integer combinations of products of binomials C(m, i), summed by
+``symmetric_binomial_sum``. Sign analysis over the positive integers is exact
+and its cost depends on the degrees, not on the size of the coefficients: the
+set of m where every polynomial of a list is positive can change only next to
+a real root of one of them, so only m = 1 and the integers just after each
+root are tested, the roots being isolated to unit cells by integer Sturm counts.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, lcm
+from math import ceil, factorial, gcd, lcm
 from typing import Sequence
 
 from .intpoly import _horner, cauchy_root_bound, root_cells
@@ -70,10 +70,6 @@ class NumericalPolynomial(Record):
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __bool__(self) -> bool:
-        """False for the zero polynomial only, as for a zero scalar."""
-        return bool(self.numerators)
-
     @property
     def is_zero(self) -> bool:
         return not self.numerators
@@ -91,10 +87,9 @@ class NumericalPolynomial(Record):
         """The value at an int or ``Fraction`` m."""
         return Fraction(_horner(self.numerators, m), self.denominator)
 
-    def __add__(self, other) -> "NumericalPolynomial":
-        """Sum with a polynomial or an exact scalar (taken as a constant)."""
+    def __add__(self, other: "NumericalPolynomial") -> "NumericalPolynomial":
         if other.__class__ is not NumericalPolynomial:
-            other = NumericalPolynomial((other,))
+            return NotImplemented
         a, da, b, db = self.numerators, self.denominator, other.numerators, other.denominator
         if da != db:
             den = lcm(da, db)
@@ -108,38 +103,18 @@ class NumericalPolynomial(Record):
             out[i] += c
         return _reduced(out, da)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "NumericalPolynomial":
         return _reduced([-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other: "NumericalPolynomial") -> "NumericalPolynomial":
         return self + (-other)
 
-    def __mul__(self, other):
-        if other.__class__ is NumericalPolynomial:
-            a, b = self.numerators, other.numerators
-            if not a or not b:
-                return ZERO
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            return _reduced(out, self.denominator * other.denominator)
-        if type(other) is not int:
-            if isinstance(other, float):
-                raise TypeError("exact scalar required, not float")
-            other = Fraction(other)
-            if other.denominator != 1:
-                return _reduced(
-                    [c * other.numerator for c in self.numerators],
-                    self.denominator * other.denominator,
-                )
-            other = other.numerator
-        return _reduced([c * other for c in self.numerators], self.denominator)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "NumericalPolynomial") -> "NumericalPolynomial":
+        if other.__class__ is not NumericalPolynomial:
+            return NotImplemented
+        return _reduced(
+            _convolve(self.numerators, other.numerators), self.denominator * other.denominator
+        )
 
     def format(self, var: str = "x") -> str:
         """Canonical text like ``x^2-14x+1`` (descending powers, no spaces)."""
@@ -178,8 +153,17 @@ def _reduced(nums: list[int], den: int) -> NumericalPolynomial:
     return p
 
 
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficient list of the product of two coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 ZERO = NumericalPolynomial(())
-ONE = NumericalPolynomial.of(1)
 
 
 @lru_cache(maxsize=None)
@@ -187,10 +171,40 @@ def binomial_basis(i: int) -> NumericalPolynomial:
     """The polynomial m -> C(m, i) = m(m-1)...(m-i+1) / i!."""
     if i < 0:
         raise ValueError("binomial index must be nonnegative")
-    poly = ONE
+    poly = NumericalPolynomial.of(1)
     for j in range(i):
         poly = poly * NumericalPolynomial.of(Fraction(-j, j + 1), Fraction(1, j + 1))
     return poly
+
+
+def symmetric_binomial_sum(values: dict, denom: int, step: int = 1) -> NumericalPolynomial:
+    """T(F, ..., F) in m for a symmetric r-form T (r >= 1), given its integer
+    table ``values`` = {s: T(v_s1, ..., v_sr)} on non-decreasing tuples s and
+    denom = d^r, for F(m) = sum_j C(step*m, j) v_j / d: the sum of values[s]
+    * (r! / prod mult!) * prod_j C(step*m, s_j) / denom over one denominator."""
+    r, top = len(next(iter(values), ())), max((s[-1] for s in values), default=0)
+    common = factorial(top)  # a multiple of each denominator of C(m, j), j <= top
+    bases = [binomial_basis(j) for j in range(top + 1)]
+    groups: dict = {}
+    for index, value in values.items():
+        weight, run = value, 1  # value * r! / prod mult!; run: equal indices so far
+        for p in range(1, r):
+            run = run + 1 if index[p] == index[p - 1] else 1
+            weight = weight * (p + 1) // run
+        for j in index:
+            weight *= common // bases[j].denominator
+        acc = groups.setdefault(index[:-1], [0] * (top + 1))
+        for e, c in enumerate(bases[index[-1]].numerators):
+            acc[e] += weight * c
+    # tuples sharing all but their last index share one product of binomials,
+    # and C(step*m, j) has C(m, j)'s coefficient at m^e times step^e
+    nums = [0] * (r * top + 1)
+    for prefix, acc in groups.items():
+        for j in prefix:
+            acc = _convolve(acc, bases[j].numerators)
+        for e, c in enumerate(acc):
+            nums[e] += c * step**e
+    return _reduced(nums, denom * common**r)
 
 
 def binomial_coefficients(p: NumericalPolynomial) -> tuple[Fraction, ...]:

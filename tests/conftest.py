@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -67,19 +68,34 @@ def delta_symbolic(matrix, divisor):
     from sigmaample.intmat import UnipotentReduction, nilpotency_index
 
     reduction = UnipotentReduction(1, matrix, nilpotency_index(matrix))
-    _, denom, steps = _nilpotent_steps(matrix, reduction, divisor)
-    return _reduced_family(denom, steps)
+    _, denom, vectors = _nilpotent_steps(matrix, reduction, divisor)
+    return _reduced_family(denom, vectors)
+
+
+def expansion(family):
+    """(d, vectors) with family(m) = sum_j C(m, j) vectors[j] / d for a
+    family of polynomial coordinates, the form ``symbolic_constraints``
+    takes: each coordinate's binomial coefficients over their common
+    denominator."""
+    from sigmaample.numpoly import binomial_coefficients
+
+    coeffs = [binomial_coefficients(p) for p in family]
+    d = lcm(*(b.denominator for bs in coeffs for b in bs))
+    return d, [
+        tuple(int(bs[j] * d) if j < len(bs) else 0 for bs in coeffs)
+        for j in range(max(1, *map(len, coeffs)))
+    ]
 
 
 def power_symbolic(matrix, divisor):
     """Coordinates of the m-th image under a unipotent matrix, as
     polynomials in m: sum C(m, i) N^i D."""
-    from sigmaample.numpoly import ZERO, binomial_basis
+    from sigmaample.numpoly import ZERO, NumericalPolynomial, binomial_basis
 
     out = [ZERO] * divisor.rank
     for i, step in enumerate(nilpotent_steps(matrix, divisor)):
         for coord, c in enumerate(step.coords):
-            out[coord] = out[coord] + c * binomial_basis(i)
+            out[coord] = out[coord] + NumericalPolynomial.of(c) * binomial_basis(i)
     return tuple(out)
 
 

@@ -142,7 +142,7 @@ def delta_symbolic(
         basis = binomial_basis(i + 1)
         for coord, c in enumerate(step):
             if c:
-                out[coord] = out[coord] + c * basis
+                out[coord] = out[coord] + NumericalPolynomial.of(c) * basis
         step = tuple(v - c for v, c in zip(column_action(unipotent, step), step))
     return tuple(out)
 

@@ -4,33 +4,131 @@ These are the implementations the package used before its multilinear kernel
 went to integer arithmetic: ``evaluate`` expanding each stored entry's
 distinct orderings with ``set(permutations(...))`` on every call and summing
 in ``Fraction``, ``validate`` on ``Fraction`` images of the basis vectors,
-and ``nilpotent_steps`` applying N = M - I to ``Fraction`` coordinates. They
-share nothing with the package's own versions but the value types, the
-report records, ``determinant`` and ``nilpotency_index``, so the property
-tests compare two independent routes to each answer.
+and ``nilpotent_steps`` applying N = M - I to ``Fraction`` coordinates.
+
+The polynomial route comes from before forms saw only integers: the reduced
+family built as one polynomial per coordinate (``reduced_family``), then
+forms contracted slot by slot with those polynomial coordinates
+(``evaluate_on_polynomials``), which gave the oracle constraints
+(``symbolic_constraints``) and the self-intersection polynomials. The
+polynomial type has no scalar arithmetic, so form values and rational
+coordinates enter these routes as constant polynomials.
+
+They share nothing with the package's own versions but the value types, the
+report records, ``determinant``, ``nilpotency_index`` and the polynomial
+type's own arithmetic, so the property tests compare two independent routes
+to each answer.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import lcm
 
+from sigmaample.ampleness import PolyhedralCone
 from sigmaample.intmat import IntegerMatrix, nilpotency_index
 from sigmaample.lattice import CheckResult, DivisorClass, ValidationReport
+from sigmaample.numpoly import ZERO, NumericalPolynomial, _reduced, binomial_basis
+
+
+def _lift(x) -> NumericalPolynomial:
+    return x if isinstance(x, NumericalPolynomial) else NumericalPolynomial.of(x)
+
+
+def _is_zero(x) -> bool:
+    return x.is_zero if isinstance(x, NumericalPolynomial) else x == 0
 
 
 def evaluate(form, vectors):
-    """Multilinear evaluation, walking the stored entries on every call."""
-    total = Fraction(0)
+    """Multilinear evaluation, walking the stored entries on every call: a
+    ``Fraction`` on rational coordinates, a polynomial when any coordinate
+    is one."""
+    poly = any(isinstance(x, NumericalPolynomial) for v in vectors for x in v)
+    lift = _lift if poly else Fraction
+    total = lift(0)
     for index, value in form.values:
         for order in set(permutations(index)):
-            term = value
+            term = lift(value)
             for v, i in zip(vectors, order):
-                term = term * v[i]
-                if not term:
+                term = term * lift(v[i])
+                if _is_zero(term):
                     break
             else:
                 total = total + term
     return total
+
+
+def evaluate_on_polynomials(form, vectors) -> NumericalPolynomial:
+    """The form on polynomial coordinates by ``arity`` contractions, each
+    stored index giving up one copy of each distinct position it holds;
+    entries that cancel are dropped."""
+    table = {index: _lift(value) for index, value in form.values}
+    for v in vectors:
+        v = [_lift(x) for x in v]
+        out: dict = {}
+        for index, value in table.items():
+            last = -1
+            for p, i in enumerate(index):
+                if i != last:
+                    last = i
+                    if not v[i].is_zero:
+                        rest = index[:p] + index[p + 1 :]
+                        term = v[i] * value
+                        out[rest] = term if rest not in out else out[rest] + term
+        table = {index: value for index, value in out.items() if not value.is_zero}
+    return table.get((), ZERO)
+
+
+def reduced_family(denom: int, steps, step: int = 1) -> tuple[NumericalPolynomial, ...]:
+    """sum C(step*m, i+1) v_i / denom as polynomials in m, one per coordinate,
+    for the integer vectors v_i = steps[i]: with C(step*m, i+1) = b_i / c_i
+    (b_i's m^j numerator is C(m, i+1)'s times step**j) and L the lcm of the
+    c_i, a coordinate is the sum of v_i (L / c_i) b_i over L d, reduced once."""
+    k = len(steps) - 1
+    bases = [binomial_basis(i + 1) for i in range(k + 1)]
+    common = lcm(*(b.denominator for b in bases))
+    scaled = [
+        [c * (common // b.denominator) * step**j for j, c in enumerate(b.numerators)]
+        for b in bases
+    ]
+    family = []
+    for column in zip(*steps):
+        nums = [0] * (k + 2)
+        for x, basis in zip(column, scaled):
+            if x:
+                for j, c in enumerate(basis):
+                    nums[j] += x * c
+        family.append(_reduced(nums, common * denom))
+    return tuple(family)
+
+
+def family_at_step(matrix: IntegerMatrix, divisor: DivisorClass, step: int):
+    """The partial sums D + PD + ... + P^(step*m - 1) D of a unipotent matrix
+    P as polynomials in m, from the ``Fraction`` steps of ``nilpotent_steps``
+    over their common denominator."""
+    steps = nilpotent_steps(matrix, divisor)
+    denom = lcm(*(c.denominator for s in steps for c in s.coords))
+    nums = [tuple(int(c * denom) for c in s.coords) for s in steps]
+    return reduced_family(denom, nums, step)
+
+
+def symbolic_constraints(oracle, family) -> list[NumericalPolynomial]:
+    """Each oracle condition on the polynomial family: the facet functionals
+    applied to the coordinates, or (D.D), (D.A) and each (D.C)."""
+    if isinstance(oracle, PolyhedralCone):
+        out = []
+        for facet in oracle.facets:
+            total = ZERO
+            for f, c in zip(facet, family):
+                if f:
+                    total = total + NumericalPolynomial.of(f) * c
+            out.append(total)
+        return out
+    form = oracle.component.top_form
+    return [evaluate_on_polynomials(form, [family, family])] + [
+        evaluate_on_polynomials(form, [family, c.coords])
+        for c in (oracle.reference_ample, *oracle.obstructions)
+    ]
 
 
 def _basis_vector(rank: int, i: int) -> tuple[Fraction, ...]:

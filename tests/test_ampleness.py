@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,10 +13,11 @@ from sigmaample.ampleness import (
 )
 from sigmaample.engine import partial_sum
 from sigmaample.errors import RankMismatch
-from sigmaample.lattice import DivisorClass, apply
+from sigmaample.intmat import IntegerMatrix
+from sigmaample.lattice import DivisorClass, apply, intersect
 from sigmaample.numpoly import NumericalPolynomial, binomial_basis
 
-from conftest import delta_symbolic, random_divisors
+from conftest import delta_symbolic, expansion, random_divisors
 
 M = binomial_basis(1)
 ZERO = NumericalPolynomial(())
@@ -48,20 +50,22 @@ def test_rank_mismatch(wehler):
     with pytest.raises(RankMismatch):
         is_ample(wehler.oracle(), DivisorClass.of(1))
     with pytest.raises(RankMismatch):
-        is_ample_symbolic(wehler.oracle(), [M])
+        is_ample_symbolic(wehler.oracle(), *expansion([M]))
 
 
 def test_symbolic_fixed_direction(wehler):
     oracle = wehler.oracle()
-    assert is_ample_symbolic(oracle, [M, ZERO]) == 1
-    assert is_ample_symbolic(oracle, [ZERO, ZERO]) is None
+    assert is_ample_symbolic(oracle, *expansion([M, ZERO])) == 1
+    assert is_ample_symbolic(oracle, *expansion([ZERO, ZERO])) is None
+    # a constant term is the C(m, 0) vector of the expansion
     shifted = M - NumericalPolynomial.of(5)
-    assert is_ample_symbolic(oracle, [shifted, ZERO]) == 6
+    assert expansion([shifted, ZERO]) == (1, [(-5, 0), (1, 0)])
+    assert is_ample_symbolic(oracle, *expansion([shifted, ZERO])) == 6
 
 
 def test_symbolic_constraints_shapes(wehler):
     oracle = wehler.oracle()
-    constraints = symbolic_constraints(oracle, [M, ZERO])
+    constraints = symbolic_constraints(oracle, *expansion([M, ZERO]))
     # quadratic self-intersection plus pairing against the reference class
     assert constraints[0] == NumericalPolynomial.of(0, 0, 2)
     assert constraints[1] == NumericalPolynomial.of(0, 6)
@@ -70,7 +74,7 @@ def test_symbolic_constraints_shapes(wehler):
 def test_symbolic_witness_is_minimal_and_concrete(wehler):
     oracle = wehler.oracle()
     family = [M - NumericalPolynomial.of(2), M]
-    witness = is_ample_symbolic(oracle, family)
+    witness = is_ample_symbolic(oracle, *expansion(family))
     assert witness is not None
     at = lambda m: DivisorClass.of(*(p.evaluate(m) for p in family))
     assert is_ample(oracle, at(witness))
@@ -88,10 +92,41 @@ def test_symbolic_constraints_sample_the_concrete_conditions(abelian):
     ]
     for oracle in oracles:
         for d in random_divisors(3, 4, seed=31):
-            constraints = symbolic_constraints(oracle, delta_symbolic(shear, d))
+            constraints = symbolic_constraints(oracle, *expansion(delta_symbolic(shear, d)))
             for m in range(9):
                 concrete = partial_sum(shear, d, m).coords
                 assert [p.evaluate(m) for p in constraints] == oracle.conditions(concrete)
+
+
+def test_fractional_reference_and_obstruction_classes(abelian):
+    # the fixed classes are filled in as integer numerators over their
+    # denominator, so each condition is exact, concrete and symbolic
+    shear = abelian.action("shear").matrix
+    comp = abelian.scheme.components[0]
+    a = DivisorClass.of(Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))
+    c = DivisorClass.of(0, Fraction(2, 3), Fraction(1, 5))
+    oracle = SurfacePositiveCone(comp, a, (c,))
+    d = abelian.divisor("D111")
+    assert oracle.conditions(d.coords) == [intersect(comp, [d, x]) for x in (d, a, c)]
+    assert oracle.conditions(d.coords) == [6, Fraction(8, 3), Fraction(26, 15)]
+    for d in random_divisors(3, 4, seed=37):
+        constraints = symbolic_constraints(oracle, *expansion(delta_symbolic(shear, d)))
+        for m in range(6):
+            concrete = partial_sum(shear, d, m).coords
+            assert [p.evaluate(m) for p in constraints] == oracle.conditions(concrete)
+
+
+def test_condition_vanishing_on_the_family_stays_zero(abelian):
+    # m * fiber1 has (D.D) = 0 for every m, and the facet (0, 1, -1) is 0 on
+    # m * (1, 1, 1): each stays a zero constraint and blocks ampleness
+    family = expansion(delta_symbolic(IntegerMatrix.identity(3), abelian.divisor("fiber1")))
+    constraints = symbolic_constraints(abelian.oracle(), *family)
+    assert constraints[0] == ZERO and not any(p == ZERO for p in constraints[1:])
+    assert is_ample_symbolic(abelian.oracle(), *family) is None
+    cone = PolyhedralCone(3, ((1, 0, 0), (0, 1, -1)))
+    diagonal = expansion([M, M, M])
+    assert symbolic_constraints(cone, *diagonal) == [M, ZERO]
+    assert is_ample_symbolic(cone, *diagonal) is None
 
 
 def test_polyhedral_oracle_basics():
@@ -99,7 +134,7 @@ def test_polyhedral_oracle_basics():
     assert is_ample(cone, DivisorClass.of(1, 1))
     assert not is_ample(cone, DivisorClass.of(1, 0))  # boundary is not ample
     assert all(v >= 0 for v in cone.conditions(DivisorClass.of(1, 0).coords))
-    assert is_ample_symbolic(cone, [M, M - NumericalPolynomial.of(7)]) == 8
+    assert is_ample_symbolic(cone, *expansion([M, M - NumericalPolynomial.of(7)])) == 8
 
 
 def test_polyhedral_requires_facets():

@@ -20,8 +20,9 @@ from sigmaample.lattice import (
     DivisorClass,
     SchemeDescriptor,
 )
-from sigmaample.numpoly import ZERO, binomial_basis
+from sigmaample.numpoly import NumericalPolynomial, binomial_basis
 
+import reference_lattice as ref
 from conftest import delta_symbolic, power_symbolic, random_divisors, unimodular_matrices
 
 
@@ -78,8 +79,7 @@ def test_classify_swap(abelian):
 
 def test_delta_symbolic_identity_action():
     family = delta_symbolic(IntegerMatrix.identity(2), DivisorClass.of(3, -1))
-    m = binomial_basis(1)
-    assert family == (3 * m, -1 * m)
+    assert family == (NumericalPolynomial.of(0, 3), NumericalPolynomial.of(0, -1))
 
 
 def test_delta_symbolic_single_jordan_block():
@@ -285,11 +285,15 @@ def test_gk_profile_error_order(wehler):
 
 def _components_at_direct_power(sf, action, divisor, power):
     """Self-intersection polynomials of the partial sums taken at the given
-    step, built from the matrix power and the summed divisor directly."""
+    step, built from the matrix power and the summed divisor directly and
+    evaluated by the reference's polynomial route."""
     family = delta_symbolic(
         mat_pow(action.matrix, power), engine.partial_sum(action.matrix, divisor, power)
     )
-    return [ZERO + comp.top_form.evaluate([family] * comp.dim) for comp in sf.scheme.components]
+    return [
+        ref.evaluate_on_polynomials(comp.top_form, [family] * comp.dim)
+        for comp in sf.scheme.components
+    ]
 
 
 def test_gk_profile_of_sigma_ample_class_matches_direct_power():

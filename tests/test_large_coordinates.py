@@ -20,6 +20,8 @@ from sigmaample.intmat import IntegerMatrix, unipotent_reduction
 from sigmaample.lattice import DivisorClass
 from sigmaample.schemefile import serialize_scheme_file
 
+from conftest import expansion
+
 
 @pytest.fixture
 def work(abelian, monkeypatch):
@@ -48,7 +50,8 @@ def _verdict(abelian, *coords):
 
 
 def _degree_sum(abelian, verdict) -> int:
-    return sum(p.degree or 0 for p in symbolic_constraints(abelian.oracle(), verdict.family))
+    constraints = symbolic_constraints(abelian.oracle(), *expansion(verdict.family))
+    return sum(p.degree or 0 for p in constraints)
 
 
 def test_wide_negative_class_has_no_ample_partial_sum(abelian, work):
@@ -101,7 +104,7 @@ def test_four_hundred_digit_coordinate(abelian, work):
     # every constraint is positive at the witness and one fails just before
     verdict = _verdict(abelian, 1, -10**400, 0)
     w = verdict.witness
-    constraints = symbolic_constraints(abelian.oracle(), verdict.family)
+    constraints = symbolic_constraints(abelian.oracle(), *expansion(verdict.family))
     assert all(p.evaluate(w) > 0 for p in constraints)
     assert not all(p.evaluate(w - 1) > 0 for p in constraints)
     assert work["candidates"] <= 2 + 2 * _degree_sum(abelian, verdict)

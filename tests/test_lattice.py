@@ -1,10 +1,14 @@
+import importlib.util
+import json
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmaample import engine, intmat
+from sigmaample import cli, engine, intmat, lattice
 from sigmaample.errors import RankMismatch
 from sigmaample.intmat import IntegerMatrix
 from sigmaample.lattice import (
@@ -19,6 +23,7 @@ from sigmaample.lattice import (
 )
 from sigmaample.numpoly import ZERO, NumericalPolynomial
 
+import reference_lattice as ref
 from conftest import random_divisors, run_bounded
 
 
@@ -145,22 +150,22 @@ def test_evaluate_matches_product_loop(case):
 @given(forms_and_vectors(small_poly))
 def test_evaluate_on_polynomials_samples_rational_evaluation(case):
     form, vectors = case
-    poly = ZERO + form.evaluate(vectors)
+    poly = ref.evaluate_on_polynomials(form, vectors)
     for m in range(4):
         at_m = [[p.evaluate(m) for p in v] for v in vectors]
         assert poly.evaluate(m) == _reference_evaluate(form, at_m)
 
 
-def test_evaluate_drops_cancelled_polynomial_entries_in_either_order():
-    # the zero polynomial is falsy, so a polynomial entry that cancels is
-    # dropped like a rational one and the order of the vectors does not matter
+def test_evaluate_refuses_polynomial_coordinates():
+    # forms see only rationals; on the reference's polynomial route an entry
+    # that cancels is dropped whatever the order of the vectors
     form = SymmetricForm.from_dict(2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
     p = NumericalPolynomial.of(1, 1)
-    first = form.evaluate([(1, -1), (p, p)])
-    second = form.evaluate([(p, p), (1, -1)])
-    assert first == second == 0
-    assert type(first) is type(second) is Fraction
-    assert not ZERO and NumericalPolynomial.of(0, 1)
+    with pytest.raises(TypeError):
+        form.evaluate([(p, p), (1, 0)])
+    first = ref.evaluate_on_polynomials(form, [(1, -1), (p, p)])
+    second = ref.evaluate_on_polynomials(form, [(p, p), (1, -1)])
+    assert first == second == ZERO
 
 
 def test_form_invariance_under_validated_actions(entry):
@@ -262,3 +267,33 @@ def test_validate_does_not_recurse_once_per_slot():
     )
     done = run_bounded("-c", code)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+def test_forms_see_only_rationals_on_the_unipotent_deck(tmp_path, monkeypatch, capsys):
+    """Every slot of the benchmark's unipotent deck (seed 7), run in process:
+    the kernel is handed only rational tables and vectors, also while the
+    constraints and self-intersection polynomials are built."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    docs, queries = gen.unipotent_inputs(random.Random(7), str(tmp_path))
+    for path, doc in docs.items():
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    seen = set()
+    original = lattice._contract
+
+    def spy(table, v):
+        seen.update(map(type, v), map(type, table.values()))
+        return original(table, v)
+
+    monkeypatch.setattr(lattice, "_contract", spy)
+    commands = set()
+    for query in queries:
+        assert cli.main(["--format", "structured", *query["argv"]]) == 0
+        commands.add(query["argv"][0])
+    capsys.readouterr()
+    assert commands == {"sigma-ample", "gkdim", "chi", "growth"}
+    assert int in seen and seen <= {int, Fraction}

@@ -9,19 +9,24 @@ iterate on integer numerators. Each is compared with
 the routine it replaced (kept in ``reference_lattice``, which lists every
 index ordering): the values, the whole ``ValidationReport`` (failing-tuple
 order and detail strings included), the step lists and the Euler
-characteristics of fractional classes.
+characteristics of fractional classes. The polynomials in m that the package
+sums from a form's table on the family's integer vectors (the family's
+coordinates, the oracle constraints, the GK self-intersections) are compared
+with the reference's route, which contracts forms with polynomial
+coordinates.
 """
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_lattice as ref
 from conftest import nilpotent_steps, unimodular_matrices
 from sigmaample import engine
+from sigmaample.ampleness import PolyhedralCone, SurfacePositiveCone, symbolic_constraints
 from sigmaample.catalog import catalog_entry, catalog_names
-from sigmaample.intmat import IntegerMatrix
+from sigmaample.intmat import IntegerMatrix, UnipotentReduction, nilpotency_index
 from sigmaample.lattice import (
     AutomorphismAction,
     ComponentDescriptor,
@@ -30,7 +35,7 @@ from sigmaample.lattice import (
     SymmetricForm,
     validate,
 )
-from sigmaample.numpoly import ZERO, NumericalPolynomial
+from sigmaample.numpoly import NumericalPolynomial, symmetric_binomial_sum
 
 integral_values = st.integers(-4, 4)
 rational_values = st.one_of(
@@ -172,12 +177,11 @@ def test_evaluate_matches_reference(case):
     st.lists(coordinates, max_size=3).map(lambda cs: NumericalPolynomial(tuple(cs)))
 ))
 def test_evaluate_on_polynomials_matches_reference(case):
+    """The reference's contraction route on polynomial coordinates against
+    its route over every index ordering."""
     form, vectors = case
-    got = form.evaluate(vectors)
-    assert ZERO + got == ZERO + ref.evaluate(form, vectors)
-    # cancelled entries are dropped, polynomial ones too: a zero result is
-    # Fraction(0) and a nonzero one of positive arity a polynomial
-    assert type(got) is (NumericalPolynomial if form.arity and got else Fraction)
+    got = ref.evaluate_on_polynomials(form, vectors)
+    assert got == ref._lift(ref.evaluate(form, vectors))
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,16 +215,68 @@ def unipotent_matrices(draw, n):
     return p * IntegerMatrix.from_rows(rows) * p.inverse_unimodular()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    unipotent_matrices(n),
-    st.lists(
+def fractional_classes(n):
+    return st.lists(
         st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=n, max_size=n
-    ).map(lambda cs: DivisorClass(tuple(cs))),
-)))
+    ).map(lambda cs: DivisorClass(tuple(cs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(unipotent_matrices(n), fractional_classes(n))))
 def test_nilpotent_steps_match_reference(case):
     matrix, divisor = case
     assert nilpotent_steps(matrix, divisor) == ref.nilpotent_steps(matrix, divisor)
+
+
+@st.composite
+def unipotent_cases(draw):
+    """A unipotent action at rank 2-10, a class with fractional coordinates,
+    an integral surface form T and threefold form, and both oracle kinds: a
+    cone of 1-3 facets, and the surface cone of T with a fractional
+    reference class A and up to two obstructions C, each signed so that
+    (A.C) > 0."""
+    n = draw(st.integers(2, 10))
+    surface = draw(forms(n, 2, integral_values))
+    reference = draw(fractional_classes(n))
+    assume(surface.evaluate([reference.coords] * 2) > 0)
+    obstructions = []
+    for c in draw(st.lists(fractional_classes(n), max_size=2)):
+        pairing = surface.evaluate([reference.coords, c.coords])
+        assume(pairing != 0)
+        obstructions.append(c if pairing > 0 else -c)
+    facets = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(tuple)
+    oracles = (
+        PolyhedralCone(n, tuple(draw(st.lists(facets, min_size=1, max_size=3)))),
+        SurfacePositiveCone(
+            ComponentDescriptor("S", 2, surface), reference, tuple(obstructions)
+        ),
+    )
+    forms_ = (surface, draw(forms(n, 3, integral_values)))
+    return draw(unipotent_matrices(n)), draw(fractional_classes(n)), oracles, forms_
+
+
+@settings(max_examples=40, deadline=None)
+@given(unipotent_cases())
+def test_constraints_and_gk_polynomials_match_reference(case):
+    """The family coordinates, both oracles' constraints and the
+    self-intersection polynomials at steps 1, 2 and 5, as ``gk_profile``
+    sums them, are each a form's table on the family's integer vectors
+    summed over products of binomials. The reference builds the family as
+    polynomials from ``Fraction`` steps and contracts forms with them."""
+    matrix, divisor, oracles, forms_ = case
+    reduction = UnipotentReduction(1, matrix, nilpotency_index(matrix))
+    _, denom, vectors = engine._nilpotent_steps(matrix, reduction, divisor)
+    family = ref.family_at_step(matrix, divisor, 1)
+    assert engine._reduced_family(denom, vectors) == family
+    for oracle in oracles:
+        assert symbolic_constraints(oracle, denom, vectors) == ref.symbolic_constraints(
+            oracle, family
+        )
+    for w in (1, 2, 5):
+        at_w = ref.family_at_step(matrix, divisor, w)
+        for form in forms_:
+            got = symmetric_binomial_sum(form.step_table(vectors), denom**form.arity, w)
+            assert got == ref.evaluate_on_polynomials(form, [at_w] * form.arity)
 
 
 TODD_ENTRIES = [

@@ -15,7 +15,7 @@ from sigmaample.numpoly import (
 def from_binomial_coefficients(bs) -> NumericalPolynomial:
     out = NumericalPolynomial(())
     for i, b in enumerate(bs):
-        out = out + Fraction(b) * binomial_basis(i)
+        out = out + NumericalPolynomial.of(b) * binomial_basis(i)
     return out
 
 
@@ -47,18 +47,21 @@ def test_arithmetic():
     assert s == NumericalPolynomial.of(0, Fraction(1, 2), Fraction(1, 2))
     assert s.evaluate(3) == 6
     assert (m * NumericalPolynomial(())).is_zero
-    assert (2 * m).evaluate(5) == 10
+    assert (NumericalPolynomial.of(2) * m).evaluate(5) == 10
 
 
-def test_scalar_addition_on_either_side():
+def test_arithmetic_is_between_polynomials_only():
     m = binomial_basis(1)
-    assert m + 3 == 3 + m == NumericalPolynomial.of(3, 1)
-    assert Fraction(1, 2) + m == NumericalPolynomial.of(Fraction(1, 2), 1)
-    assert Fraction(-1) + NumericalPolynomial.of(1) == NumericalPolynomial(())
-    with pytest.raises(TypeError):
-        m + 0.5
-    with pytest.raises(TypeError):
-        0.5 + m
+    assert m + NumericalPolynomial.of(3) == NumericalPolynomial.of(3, 1)
+    for scalar in (3, Fraction(1, 2), 0.5):
+        for operation in (
+            lambda: m + scalar,
+            lambda: scalar + m,
+            lambda: m * scalar,
+            lambda: scalar * m,
+        ):
+            with pytest.raises(TypeError):
+                operation()
 
 
 def test_cauchy_bound_examples():

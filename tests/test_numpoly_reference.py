@@ -46,10 +46,11 @@ def test_arithmetic_matches_fraction_lists(a, b, k, c):
     assert (p - q).coeffs == ref.add(ra, ref.neg(rb))
     assert (-p).coeffs == ref.neg(ra)
     assert (p * q).coeffs == ref.mul(ra, rb)
-    assert (p * k).coeffs == (k * p).coeffs == ref.scale(ra, k)
-    assert (p * c).coeffs == (c * p).coeffs == ref.scale(ra, c)
-    assert (p + k).coeffs == (k + p).coeffs == ref.add(ra, ref.strip([k]))
-    assert (p + c).coeffs == (c + p).coeffs == ref.add(ra, ref.strip([c]))
+    # scalars enter as constant polynomials
+    for s in (k, c):
+        const = NumericalPolynomial.of(s)
+        assert (p * const).coeffs == (const * p).coeffs == ref.scale(ra, s)
+        assert (p + const).coeffs == (const + p).coeffs == ref.add(ra, ref.strip([s]))
 
 
 @settings(max_examples=200)
@@ -89,7 +90,7 @@ def from_roots(roots, scale, shift) -> NumericalPolynomial:
     out = NumericalPolynomial.of(scale)
     for r in roots:
         out = out * NumericalPolynomial.of(-r, 1)
-    return out + shift
+    return out + NumericalPolynomial.of(shift)
 
 
 root_polys = st.builds(
@@ -127,19 +128,19 @@ def counted_search(ps):
     return witness, tested
 
 
-m = NumericalPolynomial.of(0, 1)
+m, c = NumericalPolynomial.of(0, 1), NumericalPolynomial.of
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(any_poly, min_size=1, max_size=4))
-@example([m - 4])  # root exactly at m - 1 for the witness m = 5
-@example([m - 1])  # root at 1
-@example([(m - 3) * (m - 3), m - 2])  # repeated root at m - 1 = 3
-@example([(m - 3) * (m - 3) * (m - 3)])
+@example([m - c(4)])  # root exactly at m - 1 for the witness m = 5
+@example([m - c(1)])  # root at 1
+@example([(m - c(3)) * (m - c(3)), m - c(2)])  # repeated root at m - 1 = 3
+@example([(m - c(3)) * (m - c(3)) * (m - c(3))])
 @example([NumericalPolynomial(()), m])
 @example([NumericalPolynomial.of(5)])
-@example([-m + 10, m - 8])
-@example([Fraction(1, 3) * m - Fraction(7, 2)])
+@example([-m + c(10), m - c(8)])
+@example([c(Fraction(1, 3)) * m - c(Fraction(7, 2))])
 def test_root_cell_search_matches_the_cauchy_scan(ps):
     witness, tested = counted_search(ps)
     assert witness == ref.exists_common_positive([p.coeffs for p in ps])
