@@ -34,6 +34,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
@@ -186,8 +187,13 @@ def cmd_sigma_ample(args, sf, oracle, aname, dname) -> dict:
     else:
         result["reason"] = verdict.reason
     if verdict.unipotent_power is not None:
-        # the reduced partial sums at m = 1 (the summed divisor), 2 and 3
-        sums = [[format_rational(p.evaluate(m)) for p in verdict.family] for m in (1, 2, 3)]
+        # the reduced partial sums sum_j C(m, j) v_j / d at m = 1 (the summed
+        # divisor), 2 and 3, one row of C(m, j) each (they vanish for j > m)
+        denom, vectors = verdict.family
+        sums = [
+            [format_rational(Fraction(sum(map(mul, row, c)), denom)) for c in zip(*vectors)]
+            for row in ((1, 1), (1, 2, 1), (1, 3, 3, 1))
+        ]
         result["unipotent_power"] = verdict.unipotent_power
         result["reduction"] = {"summed_divisor": sums[0], "partial_sums": sums}
     return result

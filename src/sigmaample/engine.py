@@ -10,9 +10,9 @@ the m-th partial sum has coordinates
 
     sum over i of C(m, i+1) * N^i D,
 
-a polynomial family in m given by the integer numerators of the N^i D. Its
-coordinates, the oracle's constraints (whose common positivity reduces to
-exact sign analysis at the integers just after their real roots) and its
+a family in m given by the integer numerators of the N^i D over one
+denominator. The oracle's constraints (whose common positivity reduces to
+exact sign analysis at the integers just after their real roots) and the
 self-intersections (whose degree drives the Gelfand-Kirillov dimension) are
 each a form's table on those vectors summed over products of binomials. A
 non-quasi-unipotent action instead forces exponential growth of the Euler
@@ -46,7 +46,7 @@ from .lattice import (
     SchemeDescriptor,
     validate,
 )
-from .numpoly import NumericalPolynomial, symmetric_binomial_sum
+from .numpoly import symmetric_binomial_sum
 from .record import Record
 
 DEFAULT_EPS = Fraction(1, 1000)
@@ -67,10 +67,10 @@ class Classification(Record):
 
 
 class SigmaAmpleVerdict(Record):
-    """The q used for the reduction and the reduced partial sums as
-    polynomials in m (None and () when the action is not quasi-unipotent),
-    and the minimal m with the reduced partial sum ample (None when no
-    partial sum is ample)."""
+    """The q used for the reduction, the minimal m with the reduced partial
+    sum ample (None when none is), and the reduced family as (d, vectors),
+    whose m-th member is sum_j C(m, j) v_j / d. q and the family are None
+    when the action is not quasi-unipotent."""
 
     __slots__ = ("unipotent_power", "witness", "family")
 
@@ -181,7 +181,7 @@ def _vector_sum(a: tuple, b: tuple) -> tuple:
 
 def _nilpotent_steps(
     matrix: IntegerMatrix, reduction: UnipotentReduction, divisor: DivisorClass
-) -> tuple[DivisorClass, int, list[tuple[int, ...]]]:
+) -> tuple[DivisorClass, int, tuple[tuple[int, ...], ...]]:
     """The q-fold partial sum D' of the divisor, its common denominator d, and
     the v_j with D' + P^q D' + ... + P^(q(m-1)) D' = sum_j C(m, j) v_j / d:
     v_0 = 0, v_(i+1) the numerators of N^i D' for N = P^q - I (which keeps d)."""
@@ -192,16 +192,7 @@ def _nilpotent_steps(
     for _ in range(reduction.jordan_index):
         current = tuple(map(sub, unipotent.column_action(current), current))
         vectors.append(current)
-    return reduced_divisor, denom, vectors
-
-
-def _reduced_family(denom: int, vectors: list[tuple[int, ...]]) -> tuple[NumericalPolynomial, ...]:
-    """The family sum_j C(m, j) v_j / denom as polynomials in m: the
-    coordinate 1-forms' tables on the v_j, summed."""
-    return tuple(
-        symmetric_binomial_sum({(j,): v[c] for j, v in enumerate(vectors) if v[c]}, denom)
-        for c in range(len(vectors[0]))
-    )
+    return reduced_divisor, denom, tuple(vectors)
 
 
 def _witness(
@@ -209,7 +200,7 @@ def _witness(
     reduction: UnipotentReduction,
     reduced_divisor: DivisorClass,
     denom: int,
-    vectors: list[tuple[int, ...]],
+    vectors: tuple[tuple[int, ...], ...],
 ) -> int | None:
     """The least m with an ample member of the reduced family at step 1, or
     None; a witness is checked once more on the partial sum of D' under P^q
@@ -232,7 +223,7 @@ def is_sigma_ample(
 
     Non-quasi-unipotent actions never do. Otherwise, reduce to the unipotent
     power q (summing the first q images into one class), express the reduced
-    partial sums as a polynomial family, and search for an ample member; the
+    partial sums by integer vectors, and search for an ample member; the
     reduced family samples the original partial sums at multiples of q, so
     the existence verdict transfers exactly. A witness is checked once more
     on the partial sum computed from the matrix alone.
@@ -242,10 +233,10 @@ def is_sigma_ample(
         raise RankMismatch(f"rank {divisor.rank} vs matrix size {action.matrix.size}")
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
-        return SigmaAmpleVerdict(None, None, ())
+        return SigmaAmpleVerdict(None, None, None)
     reduced_divisor, denom, vectors = _nilpotent_steps(action.matrix, reduction, divisor)
     witness = _witness(oracle, reduction, reduced_divisor, denom, vectors)
-    return SigmaAmpleVerdict(reduction.power, witness, _reduced_family(denom, vectors))
+    return SigmaAmpleVerdict(reduction.power, witness, (denom, vectors))
 
 
 def gk_profile(

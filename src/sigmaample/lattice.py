@@ -10,7 +10,7 @@ One kernel, ``_contract``, fills one slot of such a table with a rational
 vector, so evaluation is ``arity`` contractions and never lists index
 orderings. One walk, ``SymmetricForm.step_table``, fills the slots with integer
 vectors along non-decreasing tuples, sharing each filled prefix: validation
-runs it on the matrix columns, and a family polynomial in m on its
+runs it on the matrix columns, and a form's polynomial in m on a family's
 binomial-basis vectors, so an integral form never leaves integer arithmetic.
 """
 from __future__ import annotations

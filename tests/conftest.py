@@ -4,7 +4,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -57,19 +57,40 @@ def nilpotent_steps(matrix, divisor):
     return [DivisorClass(tuple(Fraction(c, denom) for c in step)) for step in steps]
 
 
-def delta_symbolic(matrix, divisor):
-    """Coordinates of the m-th partial sum as polynomials: sum C(m, i+1) N^i D.
-
-    Requires a unipotent matrix (NotUnipotent otherwise); evaluating at any
-    integer m >= 0 agrees with the directly accumulated sum
-    D + PD + ... + P^(m-1)D. This is the engine's reduced family with q = 1.
-    """
-    from sigmaample.engine import _nilpotent_steps, _reduced_family
+def reduced_steps(matrix, divisor):
+    """The engine's reduced family with q = 1, as ``(d, vectors)``: the m-th
+    partial sum D + PD + ... + P^(m-1)D is sum_j C(m, j) vectors[j] / d.
+    Requires a unipotent matrix (NotUnipotent otherwise)."""
+    from sigmaample.engine import _nilpotent_steps
     from sigmaample.intmat import UnipotentReduction, nilpotency_index
 
     reduction = UnipotentReduction(1, matrix, nilpotency_index(matrix))
     _, denom, vectors = _nilpotent_steps(matrix, reduction, divisor)
-    return _reduced_family(denom, vectors)
+    return denom, vectors
+
+
+def family_at(family, m):
+    """The class sum_j C(m, j) vectors[j] / d of a family ``(d, vectors)``."""
+    from sigmaample.lattice import DivisorClass
+
+    denom, vectors = family
+    return DivisorClass(tuple(
+        Fraction(sum(comb(m, j) * x for j, x in enumerate(column)), denom)
+        for column in zip(*vectors)
+    ))
+
+
+def delta_symbolic(matrix, divisor):
+    """Coordinates of the m-th partial sum as polynomials: sum C(m, i+1) N^i D.
+
+    The engine's reduced family with q = 1 (``reduced_steps``), made into one
+    polynomial per coordinate by the reference's builder; evaluating at any
+    integer m >= 0 agrees with the directly accumulated sum.
+    """
+    import reference_lattice as ref
+
+    denom, vectors = reduced_steps(matrix, divisor)
+    return ref.reduced_family(denom, vectors[1:])
 
 
 def expansion(family):
@@ -85,6 +106,36 @@ def expansion(family):
         tuple(int(bs[j] * d) if j < len(bs) else 0 for bs in coeffs)
         for j in range(max(1, *map(len, coeffs)))
     ]
+
+
+@st.composite
+def unipotent_matrices(draw, n):
+    """P T P^-1 for an upper unitriangular T and unimodular P."""
+    rows = [
+        [int(i == j) if j <= i else draw(st.integers(-2, 2)) for j in range(n)]
+        for i in range(n)
+    ]
+    p = draw(unimodular_matrices(n, ops=n, magnitude=2))
+    return p * IntegerMatrix.from_rows(rows) * p.inverse_unimodular()
+
+
+@st.composite
+def permutation_transvections(draw, n):
+    """P diag(S, T) P^-1 for a signed permutation S of k coordinates, an
+    upper unitriangular T (a product of transvections) of the other n - k
+    and a unimodular P. S and T act on complementary blocks, so they commute
+    and the minimal unipotent power is the order of S."""
+    k = draw(st.integers(1, n))
+    order = draw(st.permutations(range(k)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(k):
+        rows[order[i]][i] = draw(st.sampled_from((1, -1)))
+    for i in range(k, n):
+        rows[i][i] = 1
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-2, 2))
+    p = draw(unimodular_matrices(n, ops=n, magnitude=2))
+    return p * IntegerMatrix.from_rows(rows) * p.inverse_unimodular()
 
 
 def power_symbolic(matrix, divisor):

@@ -17,7 +17,7 @@ from sigmaample.cli import main
 from sigmaample.intmat import mat_pow, quasi_unipotence
 from sigmaample.lattice import AutomorphismAction, DivisorClass, apply, validate
 
-from conftest import delta_symbolic, nilpotent_steps, random_divisors
+from conftest import family_at, nilpotent_steps, random_divisors, reduced_steps
 
 RADIUS_TARGET = Fraction(139282, 10000)  # 13.9282
 RADIUS_SLACK = Fraction(1, 1000)  # the +-0.001 window around the target
@@ -268,8 +268,8 @@ def test_criterion_8_symbolic_direct_agreement():
                     continue  # symbolic form requires the unipotent reduction
                 unipotent = mat_pow(action.matrix, q)
                 for divisor in sf.divisors.values():
-                    family = delta_symbolic(unipotent, divisor)
+                    family = reduced_steps(unipotent, divisor)
                     for m in range(0, 26):
-                        symbolic = DivisorClass.of(*(p.evaluate(m) for p in family))
+                        symbolic = family_at(family, m)
                         direct = engine.partial_sum(unipotent, divisor, m)
                         assert symbolic == direct, (name, action.name, m)

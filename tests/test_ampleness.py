@@ -17,7 +17,7 @@ from sigmaample.intmat import IntegerMatrix
 from sigmaample.lattice import DivisorClass, apply, intersect
 from sigmaample.numpoly import NumericalPolynomial, binomial_basis
 
-from conftest import delta_symbolic, expansion, random_divisors
+from conftest import expansion, random_divisors, reduced_steps
 
 M = binomial_basis(1)
 ZERO = NumericalPolynomial(())
@@ -92,7 +92,7 @@ def test_symbolic_constraints_sample_the_concrete_conditions(abelian):
     ]
     for oracle in oracles:
         for d in random_divisors(3, 4, seed=31):
-            constraints = symbolic_constraints(oracle, *expansion(delta_symbolic(shear, d)))
+            constraints = symbolic_constraints(oracle, *reduced_steps(shear, d))
             for m in range(9):
                 concrete = partial_sum(shear, d, m).coords
                 assert [p.evaluate(m) for p in constraints] == oracle.conditions(concrete)
@@ -110,7 +110,7 @@ def test_fractional_reference_and_obstruction_classes(abelian):
     assert oracle.conditions(d.coords) == [intersect(comp, [d, x]) for x in (d, a, c)]
     assert oracle.conditions(d.coords) == [6, Fraction(8, 3), Fraction(26, 15)]
     for d in random_divisors(3, 4, seed=37):
-        constraints = symbolic_constraints(oracle, *expansion(delta_symbolic(shear, d)))
+        constraints = symbolic_constraints(oracle, *reduced_steps(shear, d))
         for m in range(6):
             concrete = partial_sum(shear, d, m).coords
             assert [p.evaluate(m) for p in constraints] == oracle.conditions(concrete)
@@ -119,7 +119,7 @@ def test_fractional_reference_and_obstruction_classes(abelian):
 def test_condition_vanishing_on_the_family_stays_zero(abelian):
     # m * fiber1 has (D.D) = 0 for every m, and the facet (0, 1, -1) is 0 on
     # m * (1, 1, 1): each stays a zero constraint and blocks ampleness
-    family = expansion(delta_symbolic(IntegerMatrix.identity(3), abelian.divisor("fiber1")))
+    family = reduced_steps(IntegerMatrix.identity(3), abelian.divisor("fiber1"))
     constraints = symbolic_constraints(abelian.oracle(), *family)
     assert constraints[0] == ZERO and not any(p == ZERO for p in constraints[1:])
     assert is_ample_symbolic(abelian.oracle(), *family) is None

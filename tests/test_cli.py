@@ -9,14 +9,23 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sigmaample
-from sigmaample import engine, intmat
+from sigmaample import cli, engine, intmat
+from sigmaample.ampleness import PolyhedralCone
 from sigmaample.cli import main
-from sigmaample.schemefile import serialize_scheme_file
+from sigmaample.schemefile import SchemeFile, format_rational, serialize_scheme_file
 from sigmaample.catalog import catalog_entry
 from sigmaample.errors import InvalidSchemeData, SchemeParseError, SigmaAmpleError, UnknownName
-from conftest import child_env, run_bounded
+from sigmaample.lattice import (
+    AutomorphismAction,
+    ComponentDescriptor,
+    DivisorClass,
+    SchemeDescriptor,
+    SymmetricForm,
+)
+from conftest import child_env, permutation_transvections, run_bounded, unipotent_matrices
 
 
 def run(capsys, *argv):
@@ -173,6 +182,31 @@ def test_sigma_ample_no_partial_sum(capsys):
     )
     (result,) = doc["results"]
     assert result["reason"] == "no-ample-partial-sum"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10).flatmap(lambda n: st.tuples(
+    st.one_of(unipotent_matrices(n), permutation_transvections(n)),
+    st.lists(st.fractions(-9, 9, max_denominator=6), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any),
+)))
+def test_structured_reduction_trace_is_the_partial_sums_at_multiples_of_q(case):
+    # a zero surface form keeps every matrix valid; the trace does not read it
+    matrix, coords, facet = case
+    n, divisor = matrix.size, DivisorClass(tuple(coords))
+    top = ComponentDescriptor("X", 2, SymmetricForm.from_dict(n, 2, {}))
+    sf = SchemeFile(
+        SchemeDescriptor(n, (top,)),
+        {"cone": PolyhedralCone(n, (tuple(facet),))},
+        {"P": AutomorphismAction("P", matrix)},
+        {"D": divisor},
+    )
+    result = cli.cmd_sigma_ample(None, sf, sf.oracle(), "P", "D")
+    q, reduction = result["unipotent_power"], result["reduction"]
+    assert reduction["summed_divisor"] == reduction["partial_sums"][0]
+    for m, got in enumerate(reduction["partial_sums"], 1):
+        expected = engine.partial_sum(matrix, divisor, q * m)
+        assert got == [format_rational(c) for c in expected.coords]
 
 
 def test_gkdim_p2(capsys):
@@ -414,8 +448,6 @@ _FAILURES = [SigmaAmpleError, *_subclasses(SigmaAmpleError), ValueError]
 
 @pytest.mark.parametrize("kind", _FAILURES, ids=lambda kind: kind.__name__)
 def test_exit_status_of_each_failure(kind, monkeypatch, capsys):
-    from sigmaample import cli
-
     def fail(*args, **kwargs):
         raise kind("refused here")
 
@@ -768,8 +800,6 @@ DISPATCH = {
 def test_main_calls_the_module_level_command_function(name, monkeypatch, capsys):
     # main must find cmd_<name> on the module when it runs, so that a
     # rebinding (a tracer's timing wrapper, a test double) takes effect
-    from sigmaample import cli
-
     original = getattr(cli, f"cmd_{name}")
     calls = []
 

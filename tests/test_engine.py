@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmaample import engine, intmat
+from sigmaample import ampleness, engine, intmat, numpoly
 from sigmaample.ampleness import is_ample
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import (
@@ -23,7 +23,13 @@ from sigmaample.lattice import (
 from sigmaample.numpoly import NumericalPolynomial, binomial_basis
 
 import reference_lattice as ref
-from conftest import delta_symbolic, power_symbolic, random_divisors, unimodular_matrices
+from conftest import (
+    delta_symbolic,
+    family_at,
+    power_symbolic,
+    random_divisors,
+    unimodular_matrices,
+)
 
 
 # --- classification ---------------------------------------------------------
@@ -180,14 +186,42 @@ def test_verdict_family_is_the_reduced_partial_sums(data):
     verdict = engine.is_sigma_ample(sf.scheme, action, sf.oracle(), divisor)
     q = quasi_unipotence(action.matrix)
     if q is None:
-        assert (verdict.unipotent_power, verdict.family) == (None, ())
+        assert (verdict.unipotent_power, verdict.family) == (None, None)
         return
     assert verdict.unipotent_power == q
+    # sum_j C(m, j) v_j / d against the partial sums of D' under P^q
     reduced_matrix = mat_pow(action.matrix, q)
     reduced_divisor = engine.partial_sum(action.matrix, divisor, q)
     for m in range(6):
         expected = engine.partial_sum(reduced_matrix, reduced_divisor, m)
-        assert DivisorClass.of(*(p.evaluate(m) for p in verdict.family)) == expected
+        assert family_at(verdict.family, m) == expected
+
+
+def test_sigma_ample_sums_binomials_once_per_condition(monkeypatch):
+    """A verdict builds one polynomial per oracle condition and none per
+    coordinate of the family; off the quasi-unipotent branch it builds none."""
+    calls = []
+    original = numpoly.symmetric_binomial_sum
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (numpoly, ampleness, engine):
+        monkeypatch.setattr(module, "symmetric_binomial_sum", spy)
+    branches = set()
+    for name in catalog_names():
+        sf = catalog_entry(name)
+        for action in sf.automorphisms.values():
+            quasi = quasi_unipotence(action.matrix) is not None
+            for oracle in sf.oracles.values():
+                for divisor in sf.divisors.values():
+                    conditions = len(oracle.conditions(divisor.coords))
+                    calls.clear()
+                    engine.is_sigma_ample(sf.scheme, action, oracle, divisor)
+                    assert len(calls) == (conditions if quasi else 0), (name, action.name)
+                    branches.add(quasi)
+    assert branches == {True, False}
 
 
 # --- GK dimension --------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_intmat as ref
-from conftest import delta_symbolic, random_divisors, unimodular_matrices
+from conftest import family_at, random_divisors, reduced_steps, unimodular_matrices
 from sigmaample import engine, intmat
 from sigmaample.ampleness import is_ample
 from sigmaample.catalog import catalog_entry, catalog_names
@@ -161,7 +161,10 @@ def _unipotent(n: int):
 def test_jordan_index_and_family_match_reference(u, coords):
     assert nilpotency_index(u) == ref.nilpotency_index(u)
     d = DivisorClass(tuple(coords[: u.size]))
-    assert delta_symbolic(u, d) == ref.delta_symbolic(u, d)
+    # the reference's family has degree at most k + 1, so m = 0 .. k + 2 fix it
+    family, expected = reduced_steps(u, d), ref.delta_symbolic(u, d)
+    for m in range(nilpotency_index(u) + 3):
+        assert family_at(family, m) == DivisorClass(tuple(p.evaluate(m) for p in expected))
     # every eigenvalue of u + u is 2: both refuse it
     for index in (nilpotency_index, ref.nilpotency_index):
         with pytest.raises(NotUnipotent):

@@ -16,7 +16,7 @@ from sigmaample.lattice import (
     validate,
 )
 
-from conftest import delta_symbolic, nilpotent_steps, power_symbolic, random_divisors
+from conftest import family_at, nilpotent_steps, power_symbolic, random_divisors, reduced_steps
 
 SAMPLE = 30
 
@@ -203,7 +203,7 @@ def test_delta_symbolic_matches_direct_sums_on_catalog():
         for action, cls in _qu_actions(sf):
             unipotent = mat_pow(action.matrix, cls.unipotent_power)
             for name, d in sf.divisors.items():
-                family = delta_symbolic(unipotent, d)
+                family = reduced_steps(unipotent, d)
                 for m in range(0, 26):
-                    at = DivisorClass.of(*(p.evaluate(m) for p in family))
+                    at = family_at(family, m)
                     assert at == engine.partial_sum(unipotent, d, m), (name, m)

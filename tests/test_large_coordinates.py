@@ -20,8 +20,6 @@ from sigmaample.intmat import IntegerMatrix, unipotent_reduction
 from sigmaample.lattice import DivisorClass
 from sigmaample.schemefile import serialize_scheme_file
 
-from conftest import expansion
-
 
 @pytest.fixture
 def work(abelian, monkeypatch):
@@ -50,7 +48,7 @@ def _verdict(abelian, *coords):
 
 
 def _degree_sum(abelian, verdict) -> int:
-    constraints = symbolic_constraints(abelian.oracle(), *expansion(verdict.family))
+    constraints = symbolic_constraints(abelian.oracle(), *verdict.family)
     return sum(p.degree or 0 for p in constraints)
 
 
@@ -104,7 +102,7 @@ def test_four_hundred_digit_coordinate(abelian, work):
     # every constraint is positive at the witness and one fails just before
     verdict = _verdict(abelian, 1, -10**400, 0)
     w = verdict.witness
-    constraints = symbolic_constraints(abelian.oracle(), *expansion(verdict.family))
+    constraints = symbolic_constraints(abelian.oracle(), *verdict.family)
     assert all(p.evaluate(w) > 0 for p in constraints)
     assert not all(p.evaluate(w - 1) > 0 for p in constraints)
     assert work["candidates"] <= 2 + 2 * _degree_sum(abelian, verdict)
