@@ -6,7 +6,8 @@ class SigmaAmpleError(Exception):
 
 
 class NotInvertibleOverIntegers(SigmaAmpleError):
-    """The matrix determinant is not +-1, so it has no integer inverse."""
+    """The matrix determinant is not +-1, so it has no integer inverse;
+    ``intmat.quasi_unipotence`` refuses such a matrix."""
 
 
 class NotUnipotent(SigmaAmpleError):

@@ -2,15 +2,15 @@
 
 All decisions here are exact. Every matrix invariant comes from the
 characteristic polynomial, computed by the division-free Berkowitz
-recursion: the determinant is its constant term up to sign, inverses of
-determinant +-1 follow from Cayley-Hamilton, and quasi-unipotence is read
-off it by trial division with cyclotomic polynomials (Kronecker's theorem),
-so no matrix is raised to a large power. The spectral radius is bisected
-itself over [0, S], S the Cauchy bound of the characteristic polynomial p
-rounded up to an odd integer, on the Sturm chain of p; the count of the
-roots of p beyond the lower end certifies that answer, and when it fails
-the same count at each midpoint answers in the same loop. No point of the
-grid is the modulus of a root, so the count is never singular.
+recursion: the determinant is its constant term up to sign, and
+quasi-unipotence is read off it by trial division with cyclotomic
+polynomials (Kronecker's theorem), so no matrix is raised to a large power
+and none is inverted. The spectral radius is bisected itself over [0, S],
+S the Cauchy bound of the characteristic polynomial p rounded up to an odd
+integer, on the Sturm chain of p; one count of the roots of p beyond the
+upper end certifies that cell, and when it fails the same count at each
+midpoint above it answers in a second loop. No point of the grid is the
+modulus of a root, so the count is never singular.
 The characteristic polynomial, the squares M^(2^j) that matrix powers and
 partial sums by doubling read, and the reduction of a quasi-unipotent matrix
 to its unipotent power (q, M^q and the Jordan index of M^q) are each
@@ -91,9 +91,6 @@ class IntegerMatrix(Record):
             tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
-    def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix._built(tuple(tuple(-a for a in row) for row in self.rows))
-
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_size(other)
         cols = tuple(zip(*other.rows))
@@ -118,24 +115,6 @@ class IntegerMatrix(Record):
         """(-1)^n times the constant term of the characteristic polynomial."""
         return (-1) ** self.size * char_poly(self).numerators[0]
 
-    def inverse_unimodular(self) -> "IntegerMatrix":
-        """Exact integer inverse by Cayley-Hamilton; requires determinant +-1.
-
-        With det(xI - M) = x^n + c_(n-1) x^(n-1) + ... + c_0 and c_0 = +-1,
-        M^-1 = -c_0 (M^(n-1) + c_(n-1) M^(n-2) + ... + c_1 I).
-        """
-        coeffs = char_poly(self).numerators
-        d = (-1) ** self.size * coeffs[0]
-        if d not in (1, -1):
-            raise NotInvertibleOverIntegers(f"determinant is {d}, not +-1")
-        acc = IntegerMatrix.identity(self.size)
-        for c in reversed(coeffs[1:-1]):
-            rows = [list(row) for row in (acc * self).rows]
-            for i, row in enumerate(rows):
-                row[i] += c
-            acc = IntegerMatrix.from_rows(rows)
-        return acc if coeffs[0] == -1 else -acc
-
 
 @lru_cache(maxsize=4096)
 def _square(matrix: IntegerMatrix) -> IntegerMatrix:
@@ -146,13 +125,10 @@ def _square(matrix: IntegerMatrix) -> IntegerMatrix:
 
 
 def mat_pow(matrix: IntegerMatrix, exponent: int) -> IntegerMatrix:
-    """Exact matrix power by repeated squaring; negative powers via the inverse."""
+    """Exact matrix power by repeated squaring; the exponent must be >= 0."""
     if exponent < 0:
-        base = matrix.inverse_unimodular()
-        exponent = -exponent
-    else:
-        base = matrix
-    result = None
+        raise ValueError("matrix power exponent must be >= 0")
+    base, result = matrix, None
     while exponent:
         if exponent & 1:
             result = base if result is None else result * base
@@ -167,8 +143,8 @@ def char_poly(matrix: IntegerMatrix) -> NumericalPolynomial:
     """Characteristic polynomial det(xI - M) by the Berkowitz recursion.
 
     Division-free: every intermediate value is an integer. Computed once per
-    matrix in a process; the determinant, the inverse, quasi-unipotence and
-    the spectral radius all read it.
+    matrix in a process; the determinant, quasi-unipotence and the spectral
+    radius all read it.
     """
     a = matrix.rows
     # coefficients of det(xI - leading principal submatrix), highest first
@@ -298,22 +274,12 @@ def exact_eps(eps) -> Fraction:
 def _roots_beyond(p: NumericalPolynomial, r: Fraction) -> int:
     """Number of roots of p, with multiplicity, of modulus above r = a/b > 0:
     the zeros of b^n p((a/b) z) outside the unit circle. No root of p may
-    have modulus r."""
+    have modulus r. At r = S, the Cauchy bound of the monic p rounded up,
+    none has: that bound is strict, every root of p has modulus below it."""
     a, b = r.numerator, r.denominator
     coeffs = p.numerators
     n = len(coeffs) - 1
     return zeros_outside_unit_circle([c * a**i * b ** (n - i) for i, c in enumerate(coeffs)])
-
-
-def _real_roots_dominate(p: NumericalPolynomial, r: Fraction, real_beyond: int) -> bool:
-    """Whether every root of p of modulus above r > 0 is real, given the
-    number of distinct real roots of p of modulus above r, none of modulus r.
-
-    The roots of modulus above r, counted with multiplicity, number at least
-    the distinct real ones, and as many only when all of them are real and
-    simple.
-    """
-    return _roots_beyond(p, r) == real_beyond
 
 
 def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
@@ -321,32 +287,33 @@ def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
 
     rho is bisected over [0, S], S the Cauchy bound of p = det(xI - M)
     rounded up to an odd integer, so the ends are consecutive multiples of
-    S/2^j for the least j with S/2^j <= eps. Every question is asked at a
-    point x > 0 of the form m/2^j, m odd and j >= 1, so x^2 is not an
-    integer, and no root alpha of p has modulus x: alpha times its
-    conjugate would be x^2, a rational algebraic integer that is not an
-    integer. So rho lies strictly inside the interval unless it is 0, and
-    the root count of ``_roots_beyond`` never meets a root on its circle.
-    Each step first asks whether p has a real root of modulus above x,
-    [V(-S) - V(-x)] + [V(x) - V(S)] > 0 on p's Sturm chain; that finds rho
-    when rho is attained at a real eigenvalue, which
-    ``_real_roots_dominate`` certifies at a positive lower end. Otherwise,
-    or when p has no real root, each step asks whether p has any root of
-    modulus above x. Both questions agree when the certificate holds, so
-    both routes give the same interval.
+    S/2^j for the least j with S/2^j <= eps. Every midpoint is a point
+    x > 0 of the form m/2^j, m odd and j >= 1, so x^2 is not an integer,
+    and no root alpha of p has modulus x: alpha times its conjugate would
+    be x^2, a rational algebraic integer that is not an integer. So rho
+    lies strictly inside the interval unless it is 0, and the root count of
+    ``_roots_beyond`` never meets a root on its circle, at a midpoint or at
+    an upper end, which is a midpoint or S.
+    When p has a real root, each step first asks whether one has modulus
+    above x, [V(-S) - V(-x)] + [V(x) - V(S)] > 0 on p's Sturm chain. The
+    cell [lo, hi] found that way has rho >= lo, and it holds rho when one
+    count finds no root of modulus above hi. Otherwise rho > hi, and each
+    step asks whether p has a root of modulus above x, counting only above
+    hi (above 0 when p has no real root). Both routes end in the one grid
+    cell that holds rho.
     """
     eps = exact_eps(eps)
     p = char_poly(matrix)
     top = int(cauchy_root_bound(p.numerators)) | 1
     chain = sturm_chain(p)
     real = sign_variations(chain, -top) - sign_variations(chain, top)
-
-    def real_beyond(x: Fraction) -> int:
-        return real - sign_variations(chain, -x) + sign_variations(chain, x)
-
+    floor = 0
     if real:
-        iv = _bisect(lambda x: real_beyond(x) > 0, 0, top, 1, eps)
-        # at lo = 0 there is no circle to count on; the fallback finds the same cell
-        if iv.lo and _real_roots_dominate(p, iv.lo, real_beyond(iv.lo)):
+        iv = _bisect(
+            lambda x: sign_variations(chain, -x) - sign_variations(chain, x) < real,
+            0, top, 1, eps,
+        )
+        if not _roots_beyond(p, iv.hi):
             return iv
-    return _bisect(lambda x: _roots_beyond(p, x) > 0, 0, top, 1, eps)
+        floor = iv.hi
+    return _bisect(lambda x: x <= floor or _roots_beyond(p, x) > 0, 0, top, 1, eps)

@@ -7,11 +7,12 @@ vectors of divisor classes, so the m-th power image of D has coordinates
 ``matrix^m * coords(D)``. Symmetric tensors are stored as value tables keyed
 by non-decreasing basis multi-indices; symmetry makes that table complete.
 One kernel, ``_contract``, fills one slot of such a table with a rational
-vector, so evaluation is ``arity`` contractions and never lists index
-orderings. One walk, ``SymmetricForm.step_table``, fills the slots with integer
-vectors along non-decreasing tuples, sharing each filled prefix: validation
-runs it on the matrix columns, and a form's polynomial in m on a family's
-binomial-basis vectors, so an integral form never leaves integer arithmetic.
+vector, so evaluation is ``arity - 1`` contractions and a dot product and
+never lists index orderings. One walk, ``SymmetricForm.step_table``, fills
+the slots with integer vectors along non-decreasing tuples, sharing each
+filled prefix: validation runs it on the matrix columns, and a form's
+polynomial in m on a family's binomial-basis vectors, so an integral form
+never leaves integer arithmetic.
 """
 from __future__ import annotations
 
@@ -136,17 +137,22 @@ class SymmetricForm(Record):
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """Multilinear evaluation on ``arity`` rational coordinate vectors, a
-        ``Fraction``. The slots are filled one vector at a time, so the work
-        follows the nonzero entries and their distinct positions."""
+        ``Fraction``. All slots but the last are filled one vector at a time,
+        so the work follows the nonzero entries and their distinct positions;
+        the last is a dot product with the 1-form left."""
         if len(vectors) != self.arity:
             raise RankMismatch(
                 f"form of arity {self.arity} applied to {len(vectors)} vectors"
             )
         self._check_lengths(vectors)
-        table = self._table
-        for v in vectors:
-            table = _contract(table, v)
-        total = table.get((), 0)
+        if not vectors:
+            total = self._table.get((), 0)
+        else:
+            table = self._table
+            for v in vectors[:-1]:
+                table = _contract(table, v)
+            last = vectors[-1]
+            total = sum([value * last[i] for (i,), value in table.items()])
         return Fraction(total) if type(total) is int else total
 
     def _check_lengths(self, vectors: Sequence[Sequence]) -> None:

@@ -14,6 +14,8 @@ import sigmaample
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.intmat import IntegerMatrix
 
+from reference_intmat import inverse_unimodular
+
 
 @pytest.fixture
 def wehler():
@@ -116,7 +118,7 @@ def unipotent_matrices(draw, n):
         for i in range(n)
     ]
     p = draw(unimodular_matrices(n, ops=n, magnitude=2))
-    return p * IntegerMatrix.from_rows(rows) * p.inverse_unimodular()
+    return p * IntegerMatrix.from_rows(rows) * inverse_unimodular(p)
 
 
 @st.composite
@@ -135,7 +137,7 @@ def permutation_transvections(draw, n):
         for j in range(i + 1, n):
             rows[i][j] = draw(st.integers(-2, 2))
     p = draw(unimodular_matrices(n, ops=n, magnitude=2))
-    return p * IntegerMatrix.from_rows(rows) * p.inverse_unimodular()
+    return p * IntegerMatrix.from_rows(rows) * inverse_unimodular(p)
 
 
 def power_symbolic(matrix, divisor):

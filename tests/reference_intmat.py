@@ -6,12 +6,13 @@ for the tests.
 result built by the checked ``IntegerMatrix`` constructor. ``char_poly`` is
 the Berkowitz recursion with indexed ``a[i][j]`` inner loops. ``mat_pow``
 and ``partial_sum`` square with ``mul`` on every call, sharing nothing
-between calls. ``nilpotency_index`` starts its powers from the identity,
+between calls. ``inverse_unimodular`` is the Cayley-Hamilton inverse the
+package no longer has; the tests build inverses and conjugates with it.
+``nilpotency_index`` starts its powers from the identity,
 ``delta_symbolic`` sums ``Fraction`` multiples of the binomial basis and
 ``is_ample`` evaluates the oracle at the ``Fraction`` coordinates. Only
-``IntegerMatrix``'s checked constructor, ``inverse_unimodular``,
-``NumericalPolynomial`` and the oracles' ``conditions`` are shared with the
-package.
+``IntegerMatrix``'s checked constructor, ``NumericalPolynomial`` and the
+oracles' ``conditions`` are shared with the package.
 """
 from __future__ import annotations
 
@@ -71,13 +72,27 @@ def char_poly(matrix: IntegerMatrix) -> NumericalPolynomial:
     return NumericalPolynomial(tuple(reversed(coeffs)))
 
 
+def inverse_unimodular(matrix: IntegerMatrix) -> IntegerMatrix:
+    """Exact integer inverse by Cayley-Hamilton; requires determinant +-1.
+
+    With det(xI - M) = x^n + c_(n-1) x^(n-1) + ... + c_0 and c_0 = +-1,
+    M^-1 = -c_0 (M^(n-1) + c_(n-1) M^(n-2) + ... + c_1 I).
+    """
+    coeffs = char_poly(matrix).numerators
+    if coeffs[0] not in (1, -1):
+        raise ValueError(f"determinant is {(-1) ** matrix.size * coeffs[0]}, not +-1")
+    acc = IntegerMatrix.identity(matrix.size)
+    for c in reversed(coeffs[1:-1]):
+        rows = [list(row) for row in mul(acc, matrix).rows]
+        for i, row in enumerate(rows):
+            row[i] += c
+        acc = IntegerMatrix.from_rows(rows)
+    return IntegerMatrix(tuple(tuple(-coeffs[0] * a for a in row) for row in acc.rows))
+
+
 def mat_pow(matrix: IntegerMatrix, exponent: int) -> IntegerMatrix:
-    """Exact matrix power by repeated squaring; negative powers via the inverse."""
-    if exponent < 0:
-        base = matrix.inverse_unimodular()
-        exponent = -exponent
-    else:
-        base = matrix
+    """Exact matrix power by repeated squaring, for an exponent >= 0."""
+    base = matrix
     result = IntegerMatrix.identity(matrix.size)
     while exponent:
         if exponent & 1:

@@ -668,9 +668,9 @@ def test_file_without_oracles_says_so(tmp_path, capsys):
 
 def test_classify_a_complex_dominant_pair(tmp_path, capsys, monkeypatch):
     # the companion matrix of x^4 + x^3 - 2x^2 - 2x + 1: its largest real
-    # root is ~1.28879, below the pair of modulus ~1.41161, so the
-    # certificate on p's own Sturm chain refuses and the count of roots
-    # beyond each midpoint finds the radius
+    # root is ~1.28879, below the pair of modulus ~1.41161, so the count at
+    # the upper end of the cell on p's own Sturm chain refuses it, and the
+    # count of roots beyond each midpoint above that end finds the radius
     doc = {
         "rank": 4,
         "components": [{"name": "X", "dim": 2, "top_form": []}],
@@ -682,14 +682,18 @@ def test_classify_a_complex_dominant_pair(tmp_path, capsys, monkeypatch):
     }
     path = tmp_path / "companion.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    verdicts = []
-    certificate = intmat._real_roots_dominate
+    calls = []
+    count = intmat._roots_beyond
     monkeypatch.setattr(
-        intmat, "_real_roots_dominate", lambda *args: verdicts.append(certificate(*args)) or verdicts[-1]
+        intmat, "_roots_beyond", lambda p, r: calls.append((r, count(p, r))) or calls[-1][1]
     )
     assert run(capsys, "validate", str(path))[0] == 0
     code, out, err = run_json(capsys, "classify", str(path), "--auto", "c")
-    assert (code, err, verdicts) == (0, "", [False])
+    assert (code, err) == (0, "")
+    # 1.28879 lies in the cell [1759, 1760] * 3/4096 of the grid over [0, 3]
+    (certificate, beyond), *fallback = calls
+    assert certificate == Fraction(165, 128) and beyond > 0
+    assert fallback and all(r > certificate for r, _ in fallback)
     assert out["results"][0]["spectral_radius"] == {"lo": "5781/4096", "hi": "723/512"}
 
 

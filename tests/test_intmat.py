@@ -12,7 +12,6 @@ from sigmaample.intmat import (
     IntegerMatrix,
     UnipotentReduction,
     _cyclotomic,
-    _real_roots_dominate,
     char_poly,
     mat_pow,
     nilpotency_index,
@@ -24,6 +23,7 @@ from sigmaample.intpoly import cauchy_root_bound
 from sigmaample.numpoly import NumericalPolynomial
 
 from conftest import unimodular_matrices
+from reference_intmat import inverse_unimodular
 from reference_spectral import _divmod, kronecker_spectral_radius
 
 S1 = IntegerMatrix.from_rows([[1, 4], [0, -1]])
@@ -71,7 +71,7 @@ def test_determinant_matches_sympy(rows):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6).flatmap(unimodular_matrices))
 def test_inverse_unimodular_matches_sympy(m):
-    inv = m.inverse_unimodular()
+    inv = inverse_unimodular(m)
     expected = sympy.Matrix([list(row) for row in m.rows]).inv()
     assert [list(row) for row in inv.rows] == expected.tolist()
     assert m * inv == IntegerMatrix.identity(m.size)
@@ -81,9 +81,9 @@ def test_inverse_unimodular_matches_sympy(m):
 @pytest.mark.parametrize(
     "rows", [[[2]], [[1, 1], [-1, 1]], [[2, 0, 0], [0, 1, 0], [0, 0, -1]], [[1, 2], [2, 4]]]
 )
-def test_inverse_requires_determinant_plus_minus_one(rows):
+def test_quasi_unipotence_requires_determinant_plus_minus_one(rows):
     with pytest.raises(NotInvertibleOverIntegers):
-        IntegerMatrix.from_rows(rows).inverse_unimodular()
+        quasi_unipotence(IntegerMatrix.from_rows(rows))
 
 
 # --- quasi-unipotence ------------------------------------------------------
@@ -166,13 +166,13 @@ def test_quasi_unipotent_iff_char_poly_cyclotomic_product(m):
 @settings(max_examples=30, deadline=None)
 @given(unimodular_matrices(3))
 def test_quasi_unipotence_invariant_under_inverse_and_conjugation(m):
-    assert quasi_unipotence(m) == quasi_unipotence(m.inverse_unimodular())
+    assert quasi_unipotence(m) == quasi_unipotence(inverse_unimodular(m))
 
 
 @settings(max_examples=20, deadline=None)
 @given(unimodular_matrices(3), unimodular_matrices(3))
 def test_quasi_unipotence_conjugation(m, t):
-    conj = t * m * t.inverse_unimodular()
+    conj = t * m * inverse_unimodular(t)
     assert quasi_unipotence(m) == quasi_unipotence(conj)
 
 
@@ -244,7 +244,7 @@ def test_nilpotency_index_matches_inverse_for_unipotent_powers(m):
         assert unipotent_reduction(m) is None
         return
     u = mat_pow(m, q)
-    assert nilpotency_index(u) == nilpotency_index(u.inverse_unimodular())
+    assert nilpotency_index(u) == nilpotency_index(inverse_unimodular(u))
     assert unipotent_reduction(m) == UnipotentReduction(q, u, nilpotency_index(u))
 
 
@@ -259,20 +259,14 @@ def test_mat_pow_involution_squares_to_identity():
     assert mat_pow(S1, 2) == IntegerMatrix.identity(2)
 
 
-def test_mat_pow_negative_is_reversed_product_of_inverses():
-    inv = mat_pow(S1S2, -1)
-    assert inv.determinant() == 1
-    assert inv == S2.inverse_unimodular() * S1.inverse_unimodular()
-    assert inv * S1S2 == IntegerMatrix.identity(2)
-
-
-def test_mat_pow_negative_requires_unimodular():
-    with pytest.raises(NotInvertibleOverIntegers):
-        mat_pow(IntegerMatrix.from_rows([[2]]), -1)
+@pytest.mark.parametrize("m", [S1S2, IntegerMatrix.from_rows([[2]])])
+def test_mat_pow_refuses_a_negative_exponent(m):
+    with pytest.raises(ValueError, match="exponent"):
+        mat_pow(m, -1)
 
 
 @settings(max_examples=30, deadline=None)
-@given(unimodular_matrices(3), st.integers(-6, 6), st.integers(-6, 6))
+@given(unimodular_matrices(3), st.integers(0, 12), st.integers(0, 12))
 def test_mat_pow_additive(m, a, b):
     assert mat_pow(m, a) * mat_pow(m, b) == mat_pow(m, a + b)
 
@@ -322,15 +316,19 @@ def test_spectral_radius_complex_dominant_pair():
     assert iv.lo**2 <= 3 <= iv.hi**2
 
 
-def _assert_grid_cell(iv, matrix, eps):
-    """iv's ends are consecutive multiples of S/2^j, for S the Cauchy bound
-    of det(xI - M) rounded up to an odd integer and the least j with
-    S/2^j <= eps."""
+def _grid_step(matrix, eps):
+    """S/2^j, for S the Cauchy bound of det(xI - M) rounded up to an odd
+    integer and the least j with S/2^j <= eps."""
     top = int(cauchy_root_bound(char_poly(matrix).numerators)) | 1
     j = 0
     while Fraction(top, 2**j) > eps:
         j += 1
-    step = Fraction(top, 2**j)
+    return Fraction(top, 2**j)
+
+
+def _assert_grid_cell(iv, matrix, eps):
+    """iv's ends are consecutive multiples of ``_grid_step``."""
+    step = _grid_step(matrix, eps)
     assert iv.width == step
     assert (iv.lo / step).denominator == 1
 
@@ -398,25 +396,38 @@ def _companion(coeffs):
     return IntegerMatrix.from_rows(rows)
 
 
-def _certificate_calls(monkeypatch):
-    """A list that records (lower end, verdict) for each certificate call."""
+def _root_counts(monkeypatch):
+    """A list that records (radius, count) for each ``_roots_beyond`` call."""
     calls = []
+    count = intmat._roots_beyond
 
-    def spy(p, lo, real_beyond):
-        calls.append((lo, _real_roots_dominate(p, lo, real_beyond)))
+    def spy(p, r):
+        calls.append((r, count(p, r)))
         return calls[-1][1]
 
-    monkeypatch.setattr(intmat, "_real_roots_dominate", spy)
+    monkeypatch.setattr(intmat, "_roots_beyond", spy)
     return calls
 
 
+def _sturm_cell(m, eps):
+    """The cell of the grid of ``_grid_step`` that holds the largest modulus
+    of a real eigenvalue, found with sympy's real roots."""
+    step = _grid_step(m, eps)
+    x = sympy.symbols("x")
+    real = max(abs(r) for r in sympy.real_roots(sympy.Matrix(m.rows).charpoly(x).as_expr()))
+    k = int(sympy.floor(real / sympy.Rational(step.numerator, step.denominator)))
+    return k * step, (k + 1) * step
+
+
 SALEM4 = (1, -1, -1, -1, 1)  # x^4 - x^3 - x^2 - x + 1, Salem number ~1.72208
+# x^4 + x^3 - 2x^2 - 2x + 1: largest real root ~1.28879, below a pair of modulus ~1.41161
+PAIR_ABOVE = (1, -2, -2, 1, 1)
 
 
 @pytest.mark.parametrize("factors", [
     ((5, -2, 1), (-2, 1)),  # 1 +- 2i, modulus sqrt 5, above the real root 2
-    ((4, -2, 1), (-2, 1)),  # 1 +- i sqrt 3, modulus 2, tied with the real root 2
     (SALEM4, (3, -2, 1)),  # 1 +- i sqrt 2, modulus sqrt 3 ~1.73205, above the Salem number
+    (PAIR_ABOVE,),
 ])
 def test_certificate_refuses_a_non_real_root_at_the_top(factors, monkeypatch):
     p = NumericalPolynomial.of(1)
@@ -424,23 +435,52 @@ def test_certificate_refuses_a_non_real_root_at_the_top(factors, monkeypatch):
         p = p * NumericalPolynomial(f)
     m = _companion(p.numerators)
     eps = Fraction(1, 1000)
-    calls = _certificate_calls(monkeypatch)
+    calls = _root_counts(monkeypatch)
     iv = spectral_radius(m, eps)
-    # p has a nonzero real root, so the bisection on its chain ran and only
-    # the certificate at its lower end can refuse it
-    ((lo, verdict),) = calls
-    assert lo > 0 and not verdict
+    # p has a nonzero real root, so the bisection on its chain ran, and the
+    # count at its upper end found a root beyond it; every later count is
+    # asked strictly above that end, since rho is
+    _, hi = _sturm_cell(m, eps)
+    (certificate, beyond), *fallback = calls
+    assert certificate == hi and beyond > 0
+    assert fallback and all(r > hi for r, _ in fallback)
     assert iv == kronecker_spectral_radius(m, eps)
     estimate = max(abs(np.roots([float(c) for c in reversed(p.numerators)])))
     assert iv.lo <= estimate <= iv.hi
 
 
+def test_fallback_finds_a_pair_in_the_cell_above_the_real_root(monkeypatch):
+    # (x - 2)(x^2 - 2x + 5): at eps 1 the grid step is 11/16, the root 2
+    # lies in [11/8, 33/16] and the pair 1 +- 2i, of modulus sqrt 5, in the
+    # next cell up, whose upper end 11/4 the fallback must count at
+    m, eps = _companion((-10, 9, -4, 1)), Fraction(1)
+    calls = _root_counts(monkeypatch)
+    iv = spectral_radius(m, eps)
+    assert _sturm_cell(m, eps) == (Fraction(11, 8), Fraction(33, 16))
+    assert (iv.lo, iv.hi) == (Fraction(33, 16), Fraction(11, 4))
+    assert iv == kronecker_spectral_radius(m, eps)
+    assert [r for r, _ in calls] == [Fraction(33, 16), Fraction(11, 2), Fraction(11, 4)]
+
+
+@pytest.mark.parametrize("m", [
+    _companion((-8, 8, -4, 1)),  # (x - 2)(x^2 - 2x + 4): 1 +- i sqrt 3 tied with the root 2
+    _permutation([[0, 1, 2]], 3),  # the 3-cycle: three roots of modulus 1
+])
+def test_one_count_certifies_a_real_root_of_the_top_modulus(m, monkeypatch):
+    eps = Fraction(1, 1000)
+    calls = _root_counts(monkeypatch)
+    iv = spectral_radius(m, eps)
+    assert calls == [(iv.hi, 0)]
+    assert (iv.lo, iv.hi) == _sturm_cell(m, eps)
+    assert iv == kronecker_spectral_radius(m, eps)
+
+
 def test_certificate_accepts_a_dominant_real_root(monkeypatch):
     eps = Fraction(1, 10**12)
-    calls = _certificate_calls(monkeypatch)
+    calls = _root_counts(monkeypatch)
     for m in (_companion(SALEM4), SALEM8, S1S2):
         iv = spectral_radius(m, eps)
-        assert calls[-1] == (iv.lo, True)
+        assert calls[-1] == (iv.hi, 0)
     assert len(calls) == 3
 
 
@@ -467,10 +507,11 @@ def _transvections(n, steps):
 def test_fallback_route_matches_kronecker_route_at_ranks_10_and_12(n, steps, monkeypatch):
     m = _transvections(n, steps)
     eps = Fraction(1, 1000)
-    calls = _certificate_calls(monkeypatch)
+    calls = _root_counts(monkeypatch)
     iv = spectral_radius(m, eps)
-    # the certificate refused the bisection on p's chain, or it never ran
-    assert not any(verdict for _, verdict in calls)
+    # one count certifies the bisection on p's chain; more mean that the
+    # count refused it, or that it never ran
+    assert len(calls) > 1
     assert iv == kronecker_spectral_radius(m, eps)
     assert quasi_unipotence(m) is None and iv.lo > 1
     p = char_poly(m).numerators

@@ -23,6 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import reference_lattice as ref
 from conftest import family_at, nilpotent_steps, unimodular_matrices, unipotent_matrices
+from reference_intmat import inverse_unimodular
 from sigmaample import engine
 from sigmaample.ampleness import PolyhedralCone, SurfacePositiveCone, symbolic_constraints
 from sigmaample.catalog import catalog_entry, catalog_names
@@ -87,7 +88,7 @@ def involutions(draw, n):
             rows[order[i]][order[i]] = sign
             i += 1
     p = draw(unimodular_matrices(n, ops=n, magnitude=2))
-    return p * IntegerMatrix.from_rows(rows) * p.inverse_unimodular()
+    return p * IntegerMatrix.from_rows(rows) * inverse_unimodular(p)
 
 
 def _matrices(n):

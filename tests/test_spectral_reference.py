@@ -116,26 +116,32 @@ route_inputs = st.one_of(
 
 
 def test_certified_route_matches_kronecker_route_on_both_branches(monkeypatch):
+    radii = []
     certified = []
-    calls = []
-    original = intmat._real_roots_dominate
+    original = intmat._roots_beyond
 
-    def spy(*args):
-        certified.append(original(*args))
-        return certified[-1]
+    def spy(p, r):
+        radii.append(r)
+        return original(p, r)
 
-    monkeypatch.setattr(intmat, "_real_roots_dominate", spy)
+    monkeypatch.setattr(intmat, "_roots_beyond", spy)
 
+    # the companion of x^4 + x^3 - 2x^2 - 2x + 1, whose top modulus is a
+    # non-real pair, so every run reaches the fallback
     @settings(max_examples=120, deadline=None)
     @given(route_inputs)
+    @example(IntegerMatrix.from_rows([[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, -1]]))
     def check(m):
         for eps in (Fraction(1, 1000), Fraction(1, 10**12)):
-            calls.append(m)
-            assert spectral_radius(m, eps) == ref.kronecker_spectral_radius(m, eps)
+            radii.clear()
+            iv = spectral_radius(m, eps)
+            # the cell on p's Sturm chain is certified by one count at its upper end
+            certified.append(radii == [iv.hi])
+            assert iv == ref.kronecker_spectral_radius(m, eps)
 
     check()
     # a call either passes the certificate or falls back to the root count
-    assert 0 < certified.count(True) < len(calls)
+    assert 0 < certified.count(True) < len(certified)
 
 
 # --- square-free parts and Sturm chains ------------------------------------
