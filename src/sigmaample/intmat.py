@@ -8,9 +8,10 @@ polynomials (Kronecker's theorem), so no matrix is raised to a large power
 and none is inverted. The spectral radius is bisected itself over [0, S],
 S the Cauchy bound of the characteristic polynomial p rounded up to an odd
 integer, on the Sturm chain of p; one count of the roots of p beyond the
-upper end certifies that cell, and when it fails the same count at each
-midpoint above it answers in a second loop. No point of the grid is the
-modulus of a root, so the count is never singular.
+upper end certifies that cell (none is needed when that end is S), and when
+it fails the same count at each midpoint above it answers in a second loop.
+No point of the grid is the modulus of a root, so the count is never
+singular.
 The characteristic polynomial, the squares M^(2^j) that matrix powers and
 partial sums by doubling read, and the reduction of a quasi-unipotent matrix
 to its unipotent power (q, M^q and the Jordan index of M^q) are each
@@ -78,12 +79,6 @@ class IntegerMatrix(Record):
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for row in self.rows for c in row)
-
-    def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        self._check_size(other)
-        return IntegerMatrix._built(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
 
     def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_size(other)
@@ -274,8 +269,7 @@ def exact_eps(eps) -> Fraction:
 def _roots_beyond(p: NumericalPolynomial, r: Fraction) -> int:
     """Number of roots of p, with multiplicity, of modulus above r = a/b > 0:
     the zeros of b^n p((a/b) z) outside the unit circle. No root of p may
-    have modulus r. At r = S, the Cauchy bound of the monic p rounded up,
-    none has: that bound is strict, every root of p has modulus below it."""
+    have modulus r."""
     a, b = r.numerator, r.denominator
     coeffs = p.numerators
     n = len(coeffs) - 1
@@ -292,11 +286,12 @@ def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
     and no root alpha of p has modulus x: alpha times its conjugate would
     be x^2, a rational algebraic integer that is not an integer. So rho
     lies strictly inside the interval unless it is 0, and the root count of
-    ``_roots_beyond`` never meets a root on its circle, at a midpoint or at
-    an upper end, which is a midpoint or S.
+    ``_roots_beyond``, asked only at midpoints, never meets a root on its
+    circle.
     When p has a real root, each step first asks whether one has modulus
     above x, [V(-S) - V(-x)] + [V(x) - V(S)] > 0 on p's Sturm chain. The
-    cell [lo, hi] found that way has rho >= lo, and it holds rho when one
+    cell [lo, hi] found that way has rho >= lo, and it holds rho when hi is
+    S, since the Cauchy bound of the monic p is strict, or else when one
     count finds no root of modulus above hi. Otherwise rho > hi, and each
     step asks whether p has a root of modulus above x, counting only above
     hi (above 0 when p has no real root). Both routes end in the one grid
@@ -313,7 +308,7 @@ def spectral_radius(matrix: IntegerMatrix, eps: Fraction) -> RationalInterval:
             lambda x: sign_variations(chain, -x) - sign_variations(chain, x) < real,
             0, top, 1, eps,
         )
-        if not _roots_beyond(p, iv.hi):
+        if iv.hi == top or not _roots_beyond(p, iv.hi):
             return iv
         floor = iv.hi
     return _bisect(lambda x: x <= floor or _roots_beyond(p, x) > 0, 0, top, 1, eps)

@@ -1,24 +1,27 @@
 """Numerical polynomials: rational-coefficient polynomials in one variable m
 that take integer values at integers.
 
-This is the package's one polynomial type: it also carries the integer
-characteristic polynomials whose roots ``intpoly`` isolates. A polynomial is
-stored in the monomial basis as integer numerators over one positive
-denominator, in lowest terms, so sums, products and evaluations run on
-``int``; the exact ``Fraction`` coefficients are derived from them, and
-arithmetic is between polynomials only. Polynomials built from lattice data
-are integer combinations of products of binomials C(m, i), summed by
-``symmetric_binomial_sum``. Sign analysis over the positive integers is exact
-and its cost depends on the degrees, not on the size of the coefficients: the
-set of m where every polynomial of a list is positive can change only next to
-a real root of one of them, so only m = 1 and the integers just after each
-root are tested, the roots being isolated to unit cells by integer Sturm counts.
+This is the package's one polynomial type, and it is a value without an
+algebra: it is built (``intmat.char_poly``, ``binomial_basis``,
+``symmetric_binomial_sum``), evaluated, root-isolated and printed, nothing
+else. It also carries the integer characteristic polynomials whose roots
+``intpoly`` isolates. A polynomial is stored in the monomial basis as integer
+numerators over one positive denominator, in lowest terms, so evaluation runs
+on ``int``; the exact ``Fraction`` coefficients are derived from them. The
+polynomials built from lattice data are integer combinations of products of
+binomials C(m, i), which ``symmetric_binomial_sum`` sums as integer
+coefficient lists over one common denominator. Sign analysis over the positive
+integers is exact and its cost depends on the degrees, not on the size of the
+coefficients: the set of m where every polynomial of a list is positive can
+change only next to a real root of one of them, so only m = 1 and the integers
+just after each root are tested, the roots being isolated to unit cells by
+integer Sturm counts.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, gcd, lcm
+from math import ceil, factorial, gcd
 from typing import Sequence
 
 from .intpoly import _horner, cauchy_root_bound, root_cells
@@ -26,49 +29,30 @@ from .record import Record
 
 
 class NumericalPolynomial(Record):
-    """Polynomial in m, monomial coefficients lowest degree first.
+    """Polynomial in m: integer ``numerators``, monomial coefficients lowest
+    degree first, over one positive ``denominator``.
 
-    ``numerators`` (a tuple of ints without trailing zeros) over
-    ``denominator`` (a positive int sharing no factor with all of them; 1 for
-    the zero polynomial) are the stored form; ``coeffs``, the field, is the
-    tuple of ``Fraction`` coefficients they give.
+    The constructor strips trailing zeros and reduces to lowest terms (the
+    zero polynomial has denominator 1), so equal polynomials have equal
+    fields. A float or ``Fraction`` entry is a ``TypeError``.
     """
 
     __slots__ = ("numerators", "denominator")
-    _fields = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
-        cs = []
-        for c in coeffs:
-            if type(c) is not int and type(c) is not Fraction:
-                if isinstance(c, float):
-                    raise TypeError("exact coefficients required, not float")
-                c = Fraction(c)
-            cs.append(c)
-        # over the lcm of reduced denominators no prime divides every numerator
-        den = lcm(*(c.denominator for c in cs))
-        nums = [c.numerator * (den // c.denominator) for c in cs]
+    def __init__(self, numerators: Sequence[int], denominator: int = 1) -> None:
+        nums = list(numerators)
+        g = gcd(denominator, *nums)  # a TypeError unless every entry is an int
+        if denominator <= 0:
+            raise ValueError("denominator must be positive")
         while nums and not nums[-1]:
             nums.pop()
-        object.__setattr__(self, "numerators", tuple(nums))
-        object.__setattr__(self, "denominator", den if nums else 1)
-
-    @classmethod
-    def of(cls, *coeffs) -> "NumericalPolynomial":
-        return cls(tuple(coeffs))
+        super().__init__(tuple(c // g for c in nums), denominator // g)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        """The exact monomial coefficients, lowest degree first."""
         den = self.denominator
         return tuple(Fraction(c, den) for c in self.numerators)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.numerators == other.numerators and self.denominator == other.denominator
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -86,35 +70,6 @@ class NumericalPolynomial(Record):
     def evaluate(self, m) -> Fraction:
         """The value at an int or ``Fraction`` m."""
         return Fraction(_horner(self.numerators, m), self.denominator)
-
-    def __add__(self, other: "NumericalPolynomial") -> "NumericalPolynomial":
-        if other.__class__ is not NumericalPolynomial:
-            return NotImplemented
-        a, da, b, db = self.numerators, self.denominator, other.numerators, other.denominator
-        if da != db:
-            den = lcm(da, db)
-            a = [c * (den // da) for c in a]
-            b = [c * (den // db) for c in b]
-            da = den
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _reduced(out, da)
-
-    def __neg__(self) -> "NumericalPolynomial":
-        return _reduced([-c for c in self.numerators], self.denominator)
-
-    def __sub__(self, other: "NumericalPolynomial") -> "NumericalPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "NumericalPolynomial") -> "NumericalPolynomial":
-        if other.__class__ is not NumericalPolynomial:
-            return NotImplemented
-        return _reduced(
-            _convolve(self.numerators, other.numerators), self.denominator * other.denominator
-        )
 
     def format(self, var: str = "x") -> str:
         """Canonical text like ``x^2-14x+1`` (descending powers, no spaces)."""
@@ -136,23 +91,6 @@ class NumericalPolynomial(Record):
         return "".join(parts)
 
 
-def _reduced(nums: list[int], den: int) -> NumericalPolynomial:
-    """The polynomial nums / den (den > 0), stripped and in lowest terms."""
-    while nums and not nums[-1]:
-        nums.pop()
-    if not nums:
-        den = 1
-    elif den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
-    p = object.__new__(NumericalPolynomial)
-    object.__setattr__(p, "numerators", tuple(nums))
-    object.__setattr__(p, "denominator", den)
-    return p
-
-
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The coefficient list of the product of two coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
@@ -163,18 +101,16 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-ZERO = NumericalPolynomial(())
-
-
 @lru_cache(maxsize=None)
 def binomial_basis(i: int) -> NumericalPolynomial:
-    """The polynomial m -> C(m, i) = m(m-1)...(m-i+1) / i!."""
+    """The polynomial m -> C(m, i): the falling factorial m(m-1)...(m-i+1)
+    over i!."""
     if i < 0:
         raise ValueError("binomial index must be nonnegative")
-    poly = NumericalPolynomial.of(1)
+    nums = [1]
     for j in range(i):
-        poly = poly * NumericalPolynomial.of(Fraction(-j, j + 1), Fraction(1, j + 1))
-    return poly
+        nums = _convolve(nums, (-j, 1))
+    return NumericalPolynomial(nums, factorial(i))
 
 
 def symmetric_binomial_sum(values: dict, denom: int, step: int = 1) -> NumericalPolynomial:
@@ -204,7 +140,7 @@ def symmetric_binomial_sum(values: dict, denom: int, step: int = 1) -> Numerical
             acc = _convolve(acc, bases[j].numerators)
         for e, c in enumerate(acc):
             nums[e] += c * step**e
-    return _reduced(nums, denom * common**r)
+    return NumericalPolynomial(nums, denom * common**r)
 
 
 def binomial_coefficients(p: NumericalPolynomial) -> tuple[Fraction, ...]:

@@ -12,16 +12,13 @@ class Record:
     normalises its arguments, or has a default, writes its own ``__init__``
     with the same parameters and ends it with ``super().__init__(...)``. A
     slot whose name starts with an underscore holds a derived cache: it stays
-    out of equality, hashing and repr. A subclass that stores its fields in
-    another form declares ``_fields`` itself, provides each field as a
-    property and builds its slots in its own constructor.
+    out of equality, hashing and repr.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        if "_fields" not in cls.__dict__:
-            cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:

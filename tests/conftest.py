@@ -14,6 +14,7 @@ import sigmaample
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.intmat import IntegerMatrix
 
+import reference_numpoly as rn
 from reference_intmat import inverse_unimodular
 
 
@@ -86,8 +87,9 @@ def delta_symbolic(matrix, divisor):
     """Coordinates of the m-th partial sum as polynomials: sum C(m, i+1) N^i D.
 
     The engine's reduced family with q = 1 (``reduced_steps``), made into one
-    polynomial per coordinate by the reference's builder; evaluating at any
-    integer m >= 0 agrees with the directly accumulated sum.
+    ``reference_numpoly`` coefficient tuple per coordinate by the reference's
+    builder; evaluating at any integer m >= 0 agrees with the directly
+    accumulated sum.
     """
     import reference_lattice as ref
 
@@ -97,12 +99,12 @@ def delta_symbolic(matrix, divisor):
 
 def expansion(family):
     """(d, vectors) with family(m) = sum_j C(m, j) vectors[j] / d for a
-    family of polynomial coordinates, the form ``symbolic_constraints``
-    takes: each coordinate's binomial coefficients over their common
-    denominator."""
+    family of polynomial coordinates (coefficient tuples, lowest degree
+    first), the form ``symbolic_constraints`` takes: each coordinate's
+    binomial coefficients over their common denominator."""
     from sigmaample.numpoly import binomial_coefficients
 
-    coeffs = [binomial_coefficients(p) for p in family]
+    coeffs = [binomial_coefficients(rn.as_polynomial(p)) for p in family]
     d = lcm(*(b.denominator for bs in coeffs for b in bs))
     return d, [
         tuple(int(bs[j] * d) if j < len(bs) else 0 for bs in coeffs)
@@ -142,13 +144,12 @@ def permutation_transvections(draw, n):
 
 def power_symbolic(matrix, divisor):
     """Coordinates of the m-th image under a unipotent matrix, as
-    polynomials in m: sum C(m, i) N^i D."""
-    from sigmaample.numpoly import ZERO, NumericalPolynomial, binomial_basis
-
-    out = [ZERO] * divisor.rank
+    coefficient tuples in m: sum C(m, i) N^i D."""
+    out = [()] * divisor.rank
     for i, step in enumerate(nilpotent_steps(matrix, divisor)):
+        basis = rn.binomial(i)
         for coord, c in enumerate(step.coords):
-            out[coord] = out[coord] + NumericalPolynomial.of(c) * binomial_basis(i)
+            out[coord] = rn.add(out[coord], rn.scale(basis, c))
     return tuple(out)
 
 

@@ -9,10 +9,11 @@ and ``partial_sum`` square with ``mul`` on every call, sharing nothing
 between calls. ``inverse_unimodular`` is the Cayley-Hamilton inverse the
 package no longer has; the tests build inverses and conjugates with it.
 ``nilpotency_index`` starts its powers from the identity,
-``delta_symbolic`` sums ``Fraction`` multiples of the binomial basis and
-``is_ample`` evaluates the oracle at the ``Fraction`` coordinates. Only
-``IntegerMatrix``'s checked constructor, ``NumericalPolynomial`` and the
-oracles' ``conditions`` are shared with the package.
+``delta_symbolic`` sums ``Fraction`` multiples of ``reference_numpoly``'s
+binomial coefficient tuples and ``is_ample`` evaluates the oracle at the
+``Fraction`` coordinates. Only ``IntegerMatrix``'s checked constructor,
+``NumericalPolynomial`` (the type ``char_poly`` returns) and the oracles'
+``conditions`` are shared with the package.
 """
 from __future__ import annotations
 
@@ -23,7 +24,9 @@ from typing import Sequence
 from sigmaample.errors import NotUnipotent
 from sigmaample.intmat import IntegerMatrix
 from sigmaample.lattice import DivisorClass
-from sigmaample.numpoly import ZERO, NumericalPolynomial, binomial_basis
+from sigmaample.numpoly import NumericalPolynomial
+
+import reference_numpoly as rn
 
 
 def mul(left: IntegerMatrix, right: IntegerMatrix) -> IntegerMatrix:
@@ -147,17 +150,14 @@ def nilpotency_index(matrix: IntegerMatrix) -> int:
     raise NotUnipotent("matrix is not unipotent")
 
 
-def delta_symbolic(
-    unipotent: IntegerMatrix, divisor: DivisorClass
-) -> tuple[NumericalPolynomial, ...]:
-    """sum C(m, i+1) N^i D, from ``Fraction`` steps N^i D."""
-    out = [ZERO] * divisor.rank
+def delta_symbolic(unipotent: IntegerMatrix, divisor: DivisorClass) -> tuple[rn.Coeffs, ...]:
+    """sum C(m, i+1) N^i D as coefficient tuples, from ``Fraction`` steps N^i D."""
+    out = [()] * divisor.rank
     step = divisor.coords
     for i in range(nilpotency_index(unipotent) + 1):
-        basis = binomial_basis(i + 1)
+        basis = rn.binomial(i + 1)
         for coord, c in enumerate(step):
-            if c:
-                out[coord] = out[coord] + NumericalPolynomial.of(c) * basis
+            out[coord] = rn.add(out[coord], rn.scale(basis, c))
         step = tuple(v - c for v, c in zip(column_action(unipotent, step), step))
     return tuple(out)
 

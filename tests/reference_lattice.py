@@ -10,55 +10,56 @@ The polynomial route comes from before forms saw only integers: the reduced
 family built as one polynomial per coordinate (``reduced_family``), then
 forms contracted slot by slot with those polynomial coordinates
 (``evaluate_on_polynomials``), which gave the oracle constraints
-(``symbolic_constraints``) and the self-intersection polynomials. The
-polynomial type has no scalar arithmetic, so form values and rational
-coordinates enter these routes as constant polynomials.
+(``symbolic_constraints``) and the self-intersection polynomials. Its
+polynomials are ``reference_numpoly``'s ``Fraction`` coefficient tuples, with
+that module's arithmetic; form values and rational coordinates enter as
+constant tuples.
 
 They share nothing with the package's own versions but the value types, the
-report records, ``determinant``, ``nilpotency_index`` and the polynomial
-type's own arithmetic, so the property tests compare two independent routes
-to each answer.
+report records, ``determinant`` and ``nilpotency_index``, so the property
+tests compare two independent routes to each answer.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import lcm
+from operator import add, mul
 
 from sigmaample.ampleness import PolyhedralCone
 from sigmaample.intmat import IntegerMatrix, nilpotency_index
 from sigmaample.lattice import CheckResult, DivisorClass, ValidationReport
-from sigmaample.numpoly import ZERO, NumericalPolynomial, _reduced, binomial_basis
+
+import reference_numpoly as rn
 
 
-def _lift(x) -> NumericalPolynomial:
-    return x if isinstance(x, NumericalPolynomial) else NumericalPolynomial.of(x)
-
-
-def _is_zero(x) -> bool:
-    return x.is_zero if isinstance(x, NumericalPolynomial) else x == 0
+def _lift(x) -> rn.Coeffs:
+    """A polynomial coordinate as it is, a rational as a constant."""
+    return x if isinstance(x, tuple) else rn.strip((x,))
 
 
 def evaluate(form, vectors):
     """Multilinear evaluation, walking the stored entries on every call: a
-    ``Fraction`` on rational coordinates, a polynomial when any coordinate
-    is one."""
-    poly = any(isinstance(x, NumericalPolynomial) for v in vectors for x in v)
-    lift = _lift if poly else Fraction
+    ``Fraction`` on rational coordinates, a coefficient tuple when any
+    coordinate is one."""
+    if any(isinstance(x, tuple) for v in vectors for x in v):
+        lift, times, plus = _lift, rn.mul, rn.add
+    else:
+        lift, times, plus = Fraction, mul, add
     total = lift(0)
     for index, value in form.values:
         for order in set(permutations(index)):
             term = lift(value)
             for v, i in zip(vectors, order):
-                term = term * lift(v[i])
-                if _is_zero(term):
+                term = times(term, lift(v[i]))
+                if not term:
                     break
             else:
-                total = total + term
+                total = plus(total, term)
     return total
 
 
-def evaluate_on_polynomials(form, vectors) -> NumericalPolynomial:
+def evaluate_on_polynomials(form, vectors) -> rn.Coeffs:
     """The form on polynomial coordinates by ``arity`` contractions, each
     stored index giving up one copy of each distinct position it holds;
     entries that cancel are dropped."""
@@ -71,34 +72,26 @@ def evaluate_on_polynomials(form, vectors) -> NumericalPolynomial:
             for p, i in enumerate(index):
                 if i != last:
                     last = i
-                    if not v[i].is_zero:
+                    if v[i]:
                         rest = index[:p] + index[p + 1 :]
-                        term = v[i] * value
-                        out[rest] = term if rest not in out else out[rest] + term
-        table = {index: value for index, value in out.items() if not value.is_zero}
-    return table.get((), ZERO)
+                        out[rest] = rn.add(out.get(rest, ()), rn.mul(v[i], value))
+        table = {index: value for index, value in out.items() if value}
+    return table.get((), ())
 
 
-def reduced_family(denom: int, steps, step: int = 1) -> tuple[NumericalPolynomial, ...]:
+def reduced_family(denom: int, steps, step: int = 1) -> tuple[rn.Coeffs, ...]:
     """sum C(step*m, i+1) v_i / denom as polynomials in m, one per coordinate,
-    for the integer vectors v_i = steps[i]: with C(step*m, i+1) = b_i / c_i
-    (b_i's m^j numerator is C(m, i+1)'s times step**j) and L the lcm of the
-    c_i, a coordinate is the sum of v_i (L / c_i) b_i over L d, reduced once."""
-    k = len(steps) - 1
-    bases = [binomial_basis(i + 1) for i in range(k + 1)]
-    common = lcm(*(b.denominator for b in bases))
-    scaled = [
-        [c * (common // b.denominator) * step**j for j, c in enumerate(b.numerators)]
-        for b in bases
+    for the integer vectors v_i = steps[i]: C(step*m, i+1) has C(m, i+1)'s
+    coefficient at m^j times step**j."""
+    bases = [
+        tuple(c * step**j for j, c in enumerate(rn.binomial(i + 1))) for i in range(len(steps))
     ]
     family = []
     for column in zip(*steps):
-        nums = [0] * (k + 2)
-        for x, basis in zip(column, scaled):
-            if x:
-                for j, c in enumerate(basis):
-                    nums[j] += x * c
-        family.append(_reduced(nums, common * denom))
+        total = ()
+        for x, basis in zip(column, bases):
+            total = rn.add(total, rn.scale(basis, Fraction(x, denom)))
+        family.append(total)
     return tuple(family)
 
 
@@ -112,16 +105,15 @@ def family_at_step(matrix: IntegerMatrix, divisor: DivisorClass, step: int):
     return reduced_family(denom, nums, step)
 
 
-def symbolic_constraints(oracle, family) -> list[NumericalPolynomial]:
+def symbolic_constraints(oracle, family) -> list[rn.Coeffs]:
     """Each oracle condition on the polynomial family: the facet functionals
     applied to the coordinates, or (D.D), (D.A) and each (D.C)."""
     if isinstance(oracle, PolyhedralCone):
         out = []
         for facet in oracle.facets:
-            total = ZERO
+            total = ()
             for f, c in zip(facet, family):
-                if f:
-                    total = total + NumericalPolynomial.of(f) * c
+                total = rn.add(total, rn.scale(c, f))
             out.append(total)
         return out
     form = oracle.component.top_form

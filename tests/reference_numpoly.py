@@ -4,15 +4,20 @@ These are the implementations ``numpoly`` used before its kernel went to
 integer numerators over one denominator: dense ``Fraction`` coefficient
 lists (lowest degree first, stripped of trailing zeros) for the arithmetic,
 and the scan of every m up to the largest Cauchy bound for the common
-positive witness. They share nothing with the package but the coefficient
-tuples they are given, so the property tests compare two independent
-routes to each answer.
+positive witness. The test references build their polynomials in m here
+too (``binomial`` for C(m, i), with ``add``, ``mul`` and ``scale``). They
+share nothing with the package but the coefficient tuples they are given,
+so the property tests compare two independent routes to each answer;
+``as_polynomial`` makes the package's value from a tuple, for the
+comparisons that need one.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Sequence
+
+from sigmaample.numpoly import NumericalPolynomial
 
 Coeffs = tuple  # of Fraction, lowest degree first, no trailing zeros
 
@@ -49,6 +54,21 @@ def mul(a: Coeffs, b: Coeffs) -> Coeffs:
 
 def scale(a: Coeffs, c) -> Coeffs:
     return strip([Fraction(c) * x for x in a])
+
+
+def binomial(i: int) -> Coeffs:
+    """m -> C(m, i), the product of (m - j) / (j + 1) over j < i."""
+    out = (Fraction(1),)
+    for j in range(i):
+        out = mul(out, (Fraction(-j, j + 1), Fraction(1, j + 1)))
+    return out
+
+
+def as_polynomial(a: Sequence) -> NumericalPolynomial:
+    """The package's ``NumericalPolynomial`` with the coefficients a."""
+    cs = [Fraction(c) for c in a]
+    den = lcm(*(c.denominator for c in cs))
+    return NumericalPolynomial([int(c * den) for c in cs], den)
 
 
 def evaluate(a: Coeffs, x) -> Fraction:

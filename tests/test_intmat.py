@@ -23,6 +23,7 @@ from sigmaample.intpoly import cauchy_root_bound
 from sigmaample.numpoly import NumericalPolynomial
 
 from conftest import unimodular_matrices
+import reference_numpoly as rn
 from reference_intmat import inverse_unimodular
 from reference_spectral import _divmod, kronecker_spectral_radius
 
@@ -36,18 +37,18 @@ SHEAR = IntegerMatrix.from_rows([[2, 0, 1], [2, 1, 0], [-1, 0, 0]])
 
 
 def test_char_poly_identity():
-    assert char_poly(IntegerMatrix.identity(2)) == NumericalPolynomial.of(1, -2, 1)
+    assert char_poly(IntegerMatrix.identity(2)) == NumericalPolynomial([1, -2, 1])
 
 
 def test_char_poly_rotation():
     m = IntegerMatrix.from_rows([[0, 1], [-1, 0]])
-    assert char_poly(m) == NumericalPolynomial.of(1, 0, 1)
+    assert char_poly(m) == NumericalPolynomial([1, 0, 1])
 
 
 def test_char_poly_wehler_composite():
     # trace 14 and determinant 1 by direct 2x2 multiplication
     assert S1S2.rows == ((15, 4), (-4, -1))
-    assert char_poly(S1S2) == NumericalPolynomial.of(1, -14, 1)
+    assert char_poly(S1S2) == NumericalPolynomial([1, -14, 1])
 
 
 @settings(max_examples=60)
@@ -430,9 +431,10 @@ PAIR_ABOVE = (1, -2, -2, 1, 1)
     (PAIR_ABOVE,),
 ])
 def test_certificate_refuses_a_non_real_root_at_the_top(factors, monkeypatch):
-    p = NumericalPolynomial.of(1)
+    p = (1,)
     for f in factors:
-        p = p * NumericalPolynomial(f)
+        p = rn.mul(p, f)
+    p = rn.as_polynomial(p)
     m = _companion(p.numerators)
     eps = Fraction(1, 1000)
     calls = _root_counts(monkeypatch)
@@ -472,6 +474,17 @@ def test_one_count_certifies_a_real_root_of_the_top_modulus(m, monkeypatch):
     iv = spectral_radius(m, eps)
     assert calls == [(iv.hi, 0)]
     assert (iv.lo, iv.hi) == _sturm_cell(m, eps)
+    assert iv == kronecker_spectral_radius(m, eps)
+
+
+def test_no_count_when_the_sturm_cell_reaches_the_cauchy_bound(monkeypatch):
+    # at eps 7 >= S = 3 the bisection on p's chain takes no step, so its
+    # cell is [0, S], which holds rho by the strict Cauchy bound
+    m, eps = _permutation([[0, 1, 2]], 3), Fraction(7)
+    calls = _root_counts(monkeypatch)
+    iv = spectral_radius(m, eps)
+    assert calls == []
+    assert (iv.lo, iv.hi) == (0, 3)
     assert iv == kronecker_spectral_radius(m, eps)
 
 

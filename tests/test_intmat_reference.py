@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_intmat as ref
+import reference_numpoly as rn
 from conftest import family_at, random_divisors, reduced_steps, unimodular_matrices
 from sigmaample import engine, intmat
 from sigmaample.ampleness import is_ample
@@ -57,21 +58,20 @@ def test_product_matches_reference(pair):
 
 @settings(max_examples=60, deadline=None)
 @given(pairs)
-def test_sum_and_difference_equal_checked_matrices(pair):
+def test_difference_equals_checked_matrix(pair):
     a, b = pair
-    for built, expected in (
-        (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]),
-        (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]),
-    ):
-        assert built == IntegerMatrix.from_rows(expected)
-        _assert_built(built)
+    built = a - b
+    assert built == IntegerMatrix.from_rows(
+        [[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]
+    )
+    _assert_built(built)
 
 
 def test_built_matrices_keep_the_size_check():
     with pytest.raises(ValueError, match="size mismatch"):
         IntegerMatrix.identity(2) * IntegerMatrix.identity(3)
     with pytest.raises(ValueError, match="size mismatch"):
-        IntegerMatrix.identity(2) + IntegerMatrix.identity(3)
+        IntegerMatrix.identity(2) - IntegerMatrix.identity(3)
 
 
 def test_public_constructor_still_checks_every_entry():
@@ -163,11 +163,12 @@ def test_jordan_index_and_family_match_reference(u, coords):
     # the reference's family has degree at most k + 1, so m = 0 .. k + 2 fix it
     family, expected = reduced_steps(u, d), ref.delta_symbolic(u, d)
     for m in range(nilpotency_index(u) + 3):
-        assert family_at(family, m) == DivisorClass(tuple(p.evaluate(m) for p in expected))
-    # every eigenvalue of u + u is 2: both refuse it
+        assert family_at(family, m) == DivisorClass(tuple(rn.evaluate(p, m) for p in expected))
+    # every eigenvalue of 2u is 2: both refuse it
+    doubled = IntegerMatrix.from_rows([[2 * c for c in row] for row in u.rows])
     for index in (nilpotency_index, ref.nilpotency_index):
         with pytest.raises(NotUnipotent):
-            index(u + u)
+            index(doubled)
 
 
 def test_is_ample_matches_reference_on_catalog():

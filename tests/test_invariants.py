@@ -2,6 +2,7 @@
 parity and vanishing of the nilpotent expansion, dimension bounds and
 independence, and the verdict symmetries (inverse, conjugation, nef sums)."""
 
+from fractions import Fraction
 from itertools import product
 
 from sigmaample import engine
@@ -16,6 +17,7 @@ from sigmaample.lattice import (
     validate,
 )
 
+import reference_numpoly as rn
 from conftest import family_at, nilpotent_steps, power_symbolic, random_divisors, reduced_steps
 from reference_intmat import inverse_unimodular
 
@@ -105,17 +107,68 @@ def _verdict_class(sf, action, divisor):
 
 
 def test_direction_symmetry_inverse_action():
+    # sigma and sigma^-1 give the same verdict, unipotent power and witness,
+    # and on sigma-ample classes the same GK dimension
+    gk_cases = 0
     for sf in _entries():
+        oracle = sf.oracle()
         for action in sf.automorphisms.values():
             inverse = AutomorphismAction(
                 f"{action.name}^-1", inverse_unimodular(action.matrix)
             )
             assert validate(sf.scheme, inverse).valid
             for d in random_divisors(sf.scheme.rank, SAMPLE, seed=59):
-                assert _verdict_class(sf, action, d) == _verdict_class(sf, inverse, d), (
-                    action.name,
-                    d,
+                forward, backward = (
+                    engine.is_sigma_ample(sf.scheme, a, oracle, d) for a in (action, inverse)
                 )
+                assert (forward.sigma_ample, forward.unipotent_power, forward.witness) == (
+                    backward.sigma_ample,
+                    backward.unipotent_power,
+                    backward.witness,
+                ), (action.name, d)
+                if forward.sigma_ample:
+                    dims = [
+                        engine.gk_profile(sf.scheme, a, oracle, d).gk_dimension
+                        for a in (action, inverse)
+                    ]
+                    assert dims[0] == dims[1], (action.name, d)
+                    gk_cases += 1
+    assert gk_cases > 0
+
+
+def test_positive_scaling_keeps_verdict_and_scales_gk_polynomials():
+    # every oracle condition is homogeneous in D of positive degree, so
+    # D -> cD (c > 0) keeps q, the witness and GK, and scales the
+    # self-intersection polynomial of a dim-d component by c^d
+    gk_cases = 0
+    for sf in _entries():
+        oracle = sf.oracle()
+        dims = {comp.name: comp.dim for comp in sf.scheme.components}
+        for action, _ in _qu_actions(sf):
+            for d in random_divisors(sf.scheme.rank, SAMPLE, seed=83):
+                verdict = engine.is_sigma_ample(sf.scheme, action, oracle, d)
+                profile = (
+                    engine.gk_profile(sf.scheme, action, oracle, d) if verdict.sigma_ample else None
+                )
+                for c in (3, Fraction(2, 7)):
+                    scaled = c * d
+                    got = engine.is_sigma_ample(sf.scheme, action, oracle, scaled)
+                    assert (got.sigma_ample, got.unipotent_power, got.witness) == (
+                        verdict.sigma_ample,
+                        verdict.unipotent_power,
+                        verdict.witness,
+                    ), (action.name, d, c)
+                    if profile is None:
+                        continue
+                    other = engine.gk_profile(sf.scheme, action, oracle, scaled)
+                    assert other.gk_dimension == profile.gk_dimension
+                    for comp, twin in zip(profile.components, other.components):
+                        factor = c ** dims[comp.name]
+                        assert twin.polynomial.coeffs == tuple(
+                            factor * x for x in comp.polynomial.coeffs
+                        ), (action.name, d, c, comp.name)
+                    gk_cases += 1
+    assert gk_cases > 0
 
 
 def test_conjugation_invariance():
@@ -190,7 +243,7 @@ def test_power_polynomial_reproduces_iterated_pairings():
                 current = d
                 for m in range(1, 51):
                     current = DivisorClass(unipotent.column_action(current.coords))
-                    predicted = DivisorClass.of(*(p.evaluate(m) for p in family))
+                    predicted = DivisorClass.of(*(rn.evaluate(p, m) for p in family))
                     assert predicted == current
                     if comp0.dim == 2:
                         for b in basis:

@@ -48,7 +48,7 @@ def test_equality_and_hash_follow_the_fields():
     assert a == b and hash(a) == hash(b)
     assert a != SymmetricForm.from_dict(2, 2, {(0, 1): 2})
     # the same field values in another class are not equal
-    assert DivisorClass.of(1) != NumericalPolynomial.of(1)
+    assert DivisorClass.of(1) != NumericalPolynomial([1])
     assert SigmaAmpleVerdict(None, None, None) == SigmaAmpleVerdict(
         unipotent_power=None, witness=None, family=None
     )
