@@ -106,9 +106,8 @@ class SurfacePositiveCone(_FormConditions, Record):
         super().__init__(component, reference_ample, obstructions)
         # (D.D), (D.A) and each (D.C)
         form = component.top_form
-        fixed = (c.over_common_denominator() for c in (reference_ample, *obstructions))
         object.__setattr__(self, "_forms", ((form, 1),) + tuple(
-            (form.filled(nums), den) for den, nums in fixed
+            (form.filled(c.numerators), c.denominator) for c in (reference_ample, *obstructions)
         ))
         self_int, _, *pairings = self.conditions(reference_ample.coords)
         if self_int <= 0:
@@ -131,8 +130,8 @@ class SurfacePositiveCone(_FormConditions, Record):
         """The reference class stays ample and the obstruction set is permuted."""
         image = apply(action, self.reference_ample)
         ok = is_ample(self, image)
-        original = {c.coords for c in self.obstructions}
-        transformed = {apply(action, c).coords for c in self.obstructions}
+        original = set(self.obstructions)
+        transformed = {apply(action, c) for c in self.obstructions}
         permuted = transformed == original
         return [
             CheckResult("reference_stays_ample", ok, f"image {tuple(map(str, image.coords))}"),
@@ -149,10 +148,10 @@ AmplenessOracle = Union[PolyhedralCone, SurfacePositiveCone]
 
 def is_ample(oracle: AmplenessOracle, divisor: DivisorClass) -> bool:
     """Whether every condition is positive on the class. Each condition is
-    homogeneous of positive degree in the coordinates, so its sign is the
-    same at the integer numerators over their common denominator, and those
-    are what it is evaluated at."""
-    return all(v > 0 for v in oracle.conditions(divisor.over_common_denominator()[1]))
+    homogeneous of positive degree in the coordinates and the denominator is
+    positive, so its sign is the same at the class's integer numerators, and
+    those are what it is evaluated at."""
+    return all(v > 0 for v in oracle.conditions(divisor.numerators))
 
 
 def symbolic_constraints(

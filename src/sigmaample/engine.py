@@ -155,7 +155,7 @@ def partial_sum(matrix: IntegerMatrix, divisor: DivisorClass, m: int) -> Divisor
     """D + PD + ... + P^(m-1)D (any matrix, m >= 0), from the matrix alone.
 
     The matrix is integral, so every image keeps the denominator of D and
-    the sum runs over integer numerators. The sum is built by doubling on the
+    the sum runs over D's integer numerators. The sum is built by doubling on the
     bits of m, lowest first, in O(log m) matrix products: with T = S(2^j) and
     B = P^(2^j), S(2^j + r) = T + B S(r) and S(2^(j+1)) = T + B T. The
     squares B are formed once per matrix in a process and shared with
@@ -163,7 +163,7 @@ def partial_sum(matrix: IntegerMatrix, divisor: DivisorClass, m: int) -> Divisor
     """
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
-    denom, block = divisor.over_common_denominator()
+    block = divisor.numerators
     total, power = (0,) * divisor.rank, matrix
     while m:
         if m & 1:
@@ -172,7 +172,7 @@ def partial_sum(matrix: IntegerMatrix, divisor: DivisorClass, m: int) -> Divisor
         if m:
             block = _vector_sum(block, power.column_action(block))
             power = _square(power)
-    return DivisorClass(tuple(Fraction(t, denom) for t in total))
+    return DivisorClass(total, divisor.denominator)
 
 
 def _vector_sum(a: tuple, b: tuple) -> tuple:
@@ -181,31 +181,30 @@ def _vector_sum(a: tuple, b: tuple) -> tuple:
 
 def _nilpotent_steps(
     matrix: IntegerMatrix, reduction: UnipotentReduction, divisor: DivisorClass
-) -> tuple[DivisorClass, int, tuple[tuple[int, ...], ...]]:
-    """The q-fold partial sum D' of the divisor, its common denominator d, and
-    the v_j with D' + P^q D' + ... + P^(q(m-1)) D' = sum_j C(m, j) v_j / d:
+) -> tuple[DivisorClass, tuple[tuple[int, ...], ...]]:
+    """The q-fold partial sum D' of the divisor, with denominator d, and the
+    v_j with D' + P^q D' + ... + P^(q(m-1)) D' = sum_j C(m, j) v_j / d:
     v_0 = 0, v_(i+1) the numerators of N^i D' for N = P^q - I (which keeps d)."""
     reduced_divisor = partial_sum(matrix, divisor, reduction.power)
     unipotent = reduction.matrix
-    denom, current = reduced_divisor.over_common_denominator()
+    current = reduced_divisor.numerators
     vectors = [(0,) * len(current), current]
     for _ in range(reduction.jordan_index):
         current = tuple(map(sub, unipotent.column_action(current), current))
         vectors.append(current)
-    return reduced_divisor, denom, tuple(vectors)
+    return reduced_divisor, tuple(vectors)
 
 
 def _witness(
     oracle: AmplenessOracle,
     reduction: UnipotentReduction,
     reduced_divisor: DivisorClass,
-    denom: int,
     vectors: tuple[tuple[int, ...], ...],
 ) -> int | None:
     """The least m with an ample member of the reduced family at step 1, or
     None; a witness is checked once more on the partial sum of D' under P^q
     computed from the matrix alone."""
-    witness = is_ample_symbolic(oracle, denom, vectors)
+    witness = is_ample_symbolic(oracle, reduced_divisor.denominator, vectors)
     if witness is not None:
         concrete = partial_sum(reduction.matrix, reduced_divisor, witness)
         if not is_ample(oracle, concrete):
@@ -234,9 +233,9 @@ def is_sigma_ample(
     reduction = unipotent_reduction(action.matrix)
     if reduction is None:
         return SigmaAmpleVerdict(None, None, None)
-    reduced_divisor, denom, vectors = _nilpotent_steps(action.matrix, reduction, divisor)
-    witness = _witness(oracle, reduction, reduced_divisor, denom, vectors)
-    return SigmaAmpleVerdict(reduction.power, witness, (denom, vectors))
+    reduced_divisor, vectors = _nilpotent_steps(action.matrix, reduction, divisor)
+    witness = _witness(oracle, reduction, reduced_divisor, vectors)
+    return SigmaAmpleVerdict(reduction.power, witness, (reduced_divisor.denominator, vectors))
 
 
 def gk_profile(
@@ -262,10 +261,11 @@ def gk_profile(
     if reduction is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
     ample = is_ample(oracle, divisor)
-    reduced_divisor, denom, vectors = _nilpotent_steps(action.matrix, reduction, divisor)
+    reduced_divisor, vectors = _nilpotent_steps(action.matrix, reduction, divisor)
+    denom = reduced_divisor.denominator
     w = 1
     if not ample:
-        w = _witness(oracle, reduction, reduced_divisor, denom, vectors)
+        w = _witness(oracle, reduction, reduced_divisor, vectors)
         if w is None:
             raise NotAmple("divisor is neither ample nor sigma-ample; no growth data exists")
     expansions = tuple(
@@ -292,7 +292,7 @@ def euler_char_series(
     Computed from the Todd functionals: chi = sum over components and j of
     T_j(Delta_m, ..., Delta_m) / j!. Every component must carry Todd data.
     The partial sums run over integer numerators, as in ``partial_sum``;
-    with d their common denominator, T_j(Delta_m, ...) is T_j of the
+    with d the class's denominator, T_j(Delta_m, ...) is T_j of the
     numerators over d^j.
     """
     require_valid(scheme, action)
@@ -307,7 +307,7 @@ def euler_char_series(
         factorial.append(factorial[-1] * j)
     if divisor.rank != action.matrix.size:
         raise RankMismatch(f"rank {divisor.rank} vs matrix size {action.matrix.size}")
-    denom, current = divisor.over_common_denominator()
+    denom, current = divisor.denominator, divisor.numerators
     total = (0,) * divisor.rank
     for _ in range(m_max):
         total = _vector_sum(total, current)

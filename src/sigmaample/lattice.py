@@ -2,22 +2,23 @@
 symmetric intersection tensors and optional Todd functionals, schemes, and
 automorphism actions with exact validation.
 
-Conventions fixed once and used everywhere: matrices act on column coordinate
-vectors of divisor classes, so the m-th power image of D has coordinates
-``matrix^m * coords(D)``. Symmetric tensors are stored as value tables keyed
-by non-decreasing basis multi-indices; symmetry makes that table complete.
-One kernel, ``_contract``, fills one slot of such a table with a rational
-vector, so evaluation is ``arity - 1`` contractions and a dot product and
-never lists index orderings. One walk, ``SymmetricForm.step_table``, fills
-the slots with integer vectors along non-decreasing tuples, sharing each
-filled prefix: validation runs it on the matrix columns, and a form's
-polynomial in m on a family's binomial-basis vectors, so an integral form
-never leaves integer arithmetic.
+Conventions fixed once and used everywhere: a divisor class is its integer
+numerators over one positive denominator, and matrices act on column
+coordinate vectors, so the m-th power image of D is ``matrix^m`` times D's
+numerators, over D's denominator. Symmetric tensors are stored as value
+tables keyed by non-decreasing basis multi-indices; symmetry makes that
+table complete. One kernel, ``_contract``, fills one slot of such a table
+with a rational vector, so evaluation is ``arity - 1`` contractions and a
+dot product and never lists index orderings. One walk,
+``SymmetricForm.step_table``, fills the slots with integer vectors along
+non-decreasing tuples, sharing each filled prefix: validation runs it on the
+matrix columns, and a form's polynomial in m on a family's binomial-basis
+vectors, so an integral form never leaves integer arithmetic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import RankMismatch
@@ -26,46 +27,41 @@ from .record import Record
 
 
 class DivisorClass(Record):
-    """Coordinate vector of a divisor class in the fixed lattice basis."""
+    """A divisor class in the fixed lattice basis: integer ``numerators``, one
+    per basis class, over one positive ``denominator``.
 
-    __slots__ = ("coords",)
+    The constructor reduces to lowest terms, so equal classes have equal
+    fields. A float or ``Fraction`` numerator is a ``TypeError``; ``of``
+    builds a class from rational coordinates, and ``coords`` gives them back.
+    """
 
-    def __init__(self, coords: tuple[Fraction, ...]) -> None:
-        for c in coords:
-            if isinstance(c, float):
-                raise TypeError("exact coordinates required, not float")
-        super().__init__(tuple(c if type(c) is Fraction else Fraction(c) for c in coords))
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, numerators: Sequence[int], denominator: int = 1) -> None:
+        nums = tuple(numerators)
+        g = gcd(denominator, *nums)  # a TypeError unless every entry is an int
+        if denominator <= 0:
+            raise ValueError("denominator must be positive")
+        super().__init__(tuple(c // g for c in nums), denominator // g)
 
     @classmethod
     def of(cls, *coords) -> "DivisorClass":
-        return cls(tuple(coords))
+        """The class with the given int or ``Fraction`` coordinates."""
+        if any(isinstance(c, float) for c in coords):
+            raise TypeError("exact coordinates required, not float")
+        coords = [Fraction(c) for c in coords]
+        denom = lcm(*(c.denominator for c in coords))
+        return cls(tuple(c.numerator * (denom // c.denominator) for c in coords), denom)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The exact rational coordinates."""
+        den = self.denominator
+        return tuple(Fraction(c, den) for c in self.numerators)
 
     @property
     def rank(self) -> int:
-        return len(self.coords)
-
-    def over_common_denominator(self) -> tuple[int, tuple[int, ...]]:
-        """The least common denominator d of the coordinates and the integer
-        numerators over it, so that coords = numerators / d."""
-        denom = lcm(*(c.denominator for c in self.coords))
-        return denom, tuple(c.numerator * (denom // c.denominator) for c in self.coords)
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if self.rank != other.rank:
-            raise RankMismatch(f"rank {self.rank} vs {other.rank}")
-        return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-c for c in self.coords))
-
-    def __rmul__(self, scalar) -> "DivisorClass":
-        if isinstance(scalar, float):
-            raise TypeError("exact scalar required, not float")
-        s = Fraction(scalar)
-        return DivisorClass(tuple(s * c for c in self.coords))
+        return len(self.numerators)
 
 
 def _contract(table: dict, v: Sequence) -> dict:
@@ -278,7 +274,7 @@ def apply(action: AutomorphismAction, divisor: DivisorClass) -> DivisorClass:
     """Image of a divisor class under the action (column convention)."""
     if divisor.rank != action.matrix.size:
         raise RankMismatch(f"rank {divisor.rank} vs matrix size {action.matrix.size}")
-    return DivisorClass(action.matrix.column_action(divisor.coords))
+    return DivisorClass(action.matrix.column_action(divisor.numerators), divisor.denominator)
 
 
 class CheckResult(Record):

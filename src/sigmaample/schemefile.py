@@ -176,7 +176,7 @@ def _parse_coords(obj: Any, rank: int, path: str) -> DivisorClass:
     coords = _expect(obj, list, path)
     if len(coords) != rank:
         raise _fail(path, f"expected {rank} coordinates, got {len(coords)}")
-    return DivisorClass(tuple(parse_rational(c, f"{path}[{i}]") for i, c in enumerate(coords)))
+    return DivisorClass.of(*(parse_rational(c, f"{path}[{i}]") for i, c in enumerate(coords)))
 
 
 def _coords_to_json(divisor: DivisorClass) -> list:

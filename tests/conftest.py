@@ -3,7 +3,6 @@ import random
 import resource
 import subprocess
 import sys
-from fractions import Fraction
 from math import comb, lcm
 from pathlib import Path
 
@@ -46,18 +45,27 @@ def random_divisors(rank, count, seed=0, span=9):
     return out
 
 
+def linear_combination(*terms):
+    """The class sum c * D over pairs (c, D) of a rational c and a class D,
+    summed on the rational coordinates."""
+    from sigmaample.lattice import DivisorClass
+
+    columns = zip(*(tuple(c * x for x in d.coords) for c, d in terms))
+    return DivisorClass.of(*map(sum, columns))
+
+
 def nilpotent_steps(matrix, divisor):
     """[N^0 D, ..., N^k D] for a unipotent matrix with nilpotent part N,
-    stepped on the integer numerators of D over their common denominator."""
+    stepped on the integer numerators of D over its denominator."""
     from sigmaample.intmat import nilpotency_index
     from sigmaample.lattice import DivisorClass
 
-    denom, current = divisor.over_common_denominator()
+    current = divisor.numerators
     steps = [current]
     for _ in range(nilpotency_index(matrix)):
         current = tuple(a - b for a, b in zip(matrix.column_action(current), current))
         steps.append(current)
-    return [DivisorClass(tuple(Fraction(c, denom) for c in step)) for step in steps]
+    return [DivisorClass(step, divisor.denominator) for step in steps]
 
 
 def reduced_steps(matrix, divisor):
@@ -68,8 +76,8 @@ def reduced_steps(matrix, divisor):
     from sigmaample.intmat import UnipotentReduction, nilpotency_index
 
     reduction = UnipotentReduction(1, matrix, nilpotency_index(matrix))
-    _, denom, vectors = _nilpotent_steps(matrix, reduction, divisor)
-    return denom, vectors
+    reduced, vectors = _nilpotent_steps(matrix, reduction, divisor)
+    return reduced.denominator, vectors
 
 
 def family_at(family, m):
@@ -77,10 +85,10 @@ def family_at(family, m):
     from sigmaample.lattice import DivisorClass
 
     denom, vectors = family
-    return DivisorClass(tuple(
-        Fraction(sum(comb(m, j) * x for j, x in enumerate(column)), denom)
-        for column in zip(*vectors)
-    ))
+    return DivisorClass(
+        tuple(sum(comb(m, j) * x for j, x in enumerate(column)) for column in zip(*vectors)),
+        denom,
+    )
 
 
 def delta_symbolic(matrix, divisor):
@@ -153,29 +161,39 @@ def power_symbolic(matrix, divisor):
     return tuple(out)
 
 
+def elementary_product(size: int, choices) -> IntegerMatrix:
+    """The product of elementary integer row operations (kind, i, j, c), so
+    det is +-1."""
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for kind, i, j, c in choices:
+        if kind == 0 and i != j:  # add c * row_i to row_j
+            rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+        elif kind == 1:  # swap
+            rows[i], rows[j] = rows[j], rows[i]
+        else:  # negate one row
+            rows[i] = [-a for a in rows[i]]
+    return IntegerMatrix.from_rows(rows)
+
+
+def seeded_unimodular(size: int, seed: int, ops: int = 6, magnitude: int = 3) -> IntegerMatrix:
+    """A deterministic product of ``ops`` random elementary operations."""
+    rng = random.Random(seed)
+    return elementary_product(size, [
+        (rng.randint(0, 2), rng.randrange(size), rng.randrange(size),
+         rng.randint(-magnitude, magnitude))
+        for _ in range(ops)
+    ])
+
+
 def unimodular_matrices(size: int, ops: int = 6, magnitude: int = 3):
     """Products of elementary integer operations, so det is +-1."""
-
-    def build(choices):
-        m = IntegerMatrix.identity(size)
-        for kind, i, j, c in choices:
-            rows = [list(r) for r in m.rows]
-            if kind == 0 and i != j:  # add c * row_i to row_j
-                rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
-            elif kind == 1:  # swap
-                rows[i], rows[j] = rows[j], rows[i]
-            else:  # negate one row
-                rows[i] = [-a for a in rows[i]]
-            m = IntegerMatrix.from_rows(rows)
-        return m
-
     op = st.tuples(
         st.integers(0, 2),
         st.integers(0, size - 1),
         st.integers(0, size - 1),
         st.integers(-magnitude, magnitude),
     )
-    return st.lists(op, min_size=0, max_size=ops).map(build)
+    return st.lists(op, min_size=0, max_size=ops).map(lambda choices: elementary_product(size, choices))
 
 
 def child_env() -> dict:

@@ -127,7 +127,7 @@ def partial_sum(matrix: IntegerMatrix, divisor: DivisorClass, m: int) -> Divisor
         if m:
             block = _vector_sum(block, column_action(power, block))
             power = mul(power, power)
-    return DivisorClass(tuple(Fraction(t, denom) for t in total))
+    return DivisorClass.of(*(Fraction(t, denom) for t in total))
 
 
 def _vector_sum(a: tuple, b: tuple) -> tuple:

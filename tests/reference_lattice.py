@@ -175,5 +175,5 @@ def nilpotent_steps(matrix: IntegerMatrix, divisor: DivisorClass) -> list[Diviso
     nil = matrix - IntegerMatrix.identity(matrix.size)
     steps = [divisor]
     for _ in range(k):
-        steps.append(DivisorClass(nil.column_action(steps[-1].coords)))
+        steps.append(DivisorClass.of(*nil.column_action(steps[-1].coords)))
     return steps

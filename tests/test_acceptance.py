@@ -17,7 +17,7 @@ from sigmaample.cli import main
 from sigmaample.intmat import mat_pow, quasi_unipotence
 from sigmaample.lattice import AutomorphismAction, DivisorClass, apply, validate
 
-from conftest import family_at, nilpotent_steps, random_divisors, reduced_steps
+from conftest import family_at, linear_combination, nilpotent_steps, random_divisors, reduced_steps
 from reference_intmat import inverse_unimodular
 
 RADIUS_TARGET = Fraction(139282, 10000)  # 13.9282
@@ -254,7 +254,7 @@ def test_criterion_7_verdict_symmetries():
                     if verdict.sigma_ample:
                         for extra in nef_pool:
                             summed = engine.is_sigma_ample(
-                                sf.scheme, action, oracle, d + extra
+                                sf.scheme, action, oracle, linear_combination((1, d), (1, extra))
                             )
                             assert summed.sigma_ample, (name, action.name, d, extra)
 

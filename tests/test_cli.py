@@ -16,7 +16,7 @@ from sigmaample import cli, engine, intmat
 from sigmaample.ampleness import PolyhedralCone
 from sigmaample.cli import main
 from sigmaample.schemefile import SchemeFile, format_rational, serialize_scheme_file
-from sigmaample.catalog import catalog_entry
+from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import InvalidSchemeData, SchemeParseError, SigmaAmpleError, UnknownName
 from sigmaample.lattice import (
     AutomorphismAction,
@@ -193,7 +193,7 @@ def test_sigma_ample_no_partial_sum(capsys):
 def test_structured_reduction_trace_is_the_partial_sums_at_multiples_of_q(case):
     # a zero surface form keeps every matrix valid; the trace does not read it
     matrix, coords, facet = case
-    n, divisor = matrix.size, DivisorClass(tuple(coords))
+    n, divisor = matrix.size, DivisorClass.of(*coords)
     top = ComponentDescriptor("X", 2, SymmetricForm.from_dict(n, 2, {}))
     sf = SchemeFile(
         SchemeDescriptor(n, (top,)),
@@ -282,6 +282,34 @@ def test_catalog_show(capsys):
     assert {"index": [0, 1], "value": "4"} in forms
     names = {a["name"] for a in doc["document"]["automorphisms"]}
     assert {"s1", "s2", "s1s2"} <= names
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_entry_and_its_shown_file_give_equal_results(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    code, out, _ = run(capsys, "catalog", "show", name)
+    assert code == 0
+    path.write_text(out, encoding="utf-8")
+    sf = catalog_entry(name)
+    queries = []
+    for aname in sf.automorphisms:
+        queries.append(("classify", "--auto", aname))
+        for dname in sf.divisors:
+            queries += [
+                (command, "--auto", aname, "--divisor", dname)
+                for command in ("sigma-ample", "gkdim", "growth", "chi")
+            ]
+    for command, *rest in queries:
+        by_name, by_file = (
+            run(capsys, "--format", "structured", command, source, *rest)
+            for source in (name, str(path))
+        )
+        assert by_name[0] == by_file[0], (command, rest)
+        if by_name[0] == 0:
+            results = [json.loads(out)["results"] for _, out, _ in (by_name, by_file)]
+            assert results[0] == results[1], (command, rest)
+        else:
+            assert by_name[2] == by_file[2], (command, rest)
 
 
 def test_catalog_show_unknown(capsys):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_intmat as ref
 import reference_numpoly as rn
-from conftest import family_at, random_divisors, reduced_steps, unimodular_matrices
+from conftest import family_at, linear_combination, random_divisors, reduced_steps, unimodular_matrices
 from sigmaample import engine, intmat
 from sigmaample.ampleness import is_ample
 from sigmaample.catalog import catalog_entry, catalog_names
@@ -138,7 +138,7 @@ def test_mat_pow_matches_reference(m, exponent):
 )
 def test_partial_sum_matches_reference(case, indices):
     rows, coords = case
-    m, d = IntegerMatrix.from_rows(rows), DivisorClass(tuple(coords))
+    m, d = IntegerMatrix.from_rows(rows), DivisorClass.of(*coords)
     for index in indices:
         assert engine.partial_sum(m, d, index) == ref.partial_sum(m, d, index)
 
@@ -159,11 +159,11 @@ def _unipotent(n: int):
 @given(st.integers(1, 12).flatmap(_unipotent), st.lists(fractions, min_size=12, max_size=12))
 def test_jordan_index_and_family_match_reference(u, coords):
     assert nilpotency_index(u) == ref.nilpotency_index(u)
-    d = DivisorClass(tuple(coords[: u.size]))
+    d = DivisorClass.of(*coords[: u.size])
     # the reference's family has degree at most k + 1, so m = 0 .. k + 2 fix it
     family, expected = reduced_steps(u, d), ref.delta_symbolic(u, d)
     for m in range(nilpotency_index(u) + 3):
-        assert family_at(family, m) == DivisorClass(tuple(rn.evaluate(p, m) for p in expected))
+        assert family_at(family, m) == DivisorClass.of(*(rn.evaluate(p, m) for p in expected))
     # every eigenvalue of 2u is 2: both refuse it
     doubled = IntegerMatrix.from_rows([[2 * c for c in row] for row in u.rows])
     for index in (nilpotency_index, ref.nilpotency_index):
@@ -176,7 +176,7 @@ def test_is_ample_matches_reference_on_catalog():
     for name in catalog_names():
         sf = catalog_entry(name)
         divisors = list(sf.divisors.values()) + random_divisors(sf.scheme.rank, 40)
-        halves = [Fraction(1, 2) * d for d in divisors] + [Fraction(-5, 3) * d for d in divisors]
+        halves = [linear_combination((c, d)) for c in (Fraction(1, 2), Fraction(-5, 3)) for d in divisors]
         for oracle in sf.oracles.values():
             for d in divisors + halves:
                 assert is_ample(oracle, d) == ref.is_ample(oracle, d), (name, d)

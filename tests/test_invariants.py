@@ -5,20 +5,35 @@ independence, and the verdict symmetries (inverse, conjugation, nef sums)."""
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import given, settings, strategies as st
+
 from sigmaample import engine
-from sigmaample.ampleness import is_ample
+from sigmaample.ampleness import PolyhedralCone, SurfacePositiveCone, is_ample
 from sigmaample.catalog import catalog_entry, catalog_names
-from sigmaample.intmat import mat_pow
+from sigmaample.intmat import IntegerMatrix, mat_pow
 from sigmaample.lattice import (
     AutomorphismAction,
+    ComponentDescriptor,
     DivisorClass,
+    SchemeDescriptor,
+    SymmetricForm,
     apply,
     intersect,
     validate,
 )
+from sigmaample.schemefile import SchemeFile
 
 import reference_numpoly as rn
-from conftest import family_at, nilpotent_steps, power_symbolic, random_divisors, reduced_steps
+from conftest import (
+    family_at,
+    linear_combination,
+    nilpotent_steps,
+    power_symbolic,
+    random_divisors,
+    reduced_steps,
+    seeded_unimodular,
+    unimodular_matrices,
+)
 from reference_intmat import inverse_unimodular
 
 SAMPLE = 30
@@ -150,8 +165,8 @@ def test_positive_scaling_keeps_verdict_and_scales_gk_polynomials():
                 profile = (
                     engine.gk_profile(sf.scheme, action, oracle, d) if verdict.sigma_ample else None
                 )
-                for c in (3, Fraction(2, 7)):
-                    scaled = c * d
+                for c in (3, Fraction(2, 7), 10**12 + 1, Fraction(1, 10**12 + 39)):
+                    scaled = linear_combination((c, d))
                     got = engine.is_sigma_ample(sf.scheme, action, oracle, scaled)
                     assert (got.sigma_ample, got.unipotent_power, got.witness) == (
                         verdict.sigma_ample,
@@ -204,7 +219,9 @@ def test_nef_sum_preserves_sigma_ampleness():
             ][:6]
             for d in yes:
                 for extra in nef[:6]:
-                    verdict = engine.is_sigma_ample(sf.scheme, action, oracle, d + extra)
+                    verdict = engine.is_sigma_ample(
+                        sf.scheme, action, oracle, linear_combination((1, d), (1, extra))
+                    )
                     assert verdict.sigma_ample, (action.name, d, extra)
 
 
@@ -242,7 +259,7 @@ def test_power_polynomial_reproduces_iterated_pairings():
                 family = power_symbolic(unipotent, d)
                 current = d
                 for m in range(1, 51):
-                    current = DivisorClass(unipotent.column_action(current.coords))
+                    current = DivisorClass.of(*unipotent.column_action(current.coords))
                     predicted = DivisorClass.of(*(rn.evaluate(p, m) for p in family))
                     assert predicted == current
                     if comp0.dim == 2:
@@ -261,3 +278,141 @@ def test_delta_symbolic_matches_direct_sums_on_catalog():
                 for m in range(0, 26):
                     at = family_at(family, m)
                     assert at == engine.partial_sum(unipotent, d, m), (name, m)
+
+
+def _change_basis(sf, u):
+    """The same data in the basis of U's columns, for U in GL_n(Z), and the
+    map on classes. A class x has new coordinates U^-1 x, so each form is
+    pulled back by its table on U's columns, an action P becomes U^-1 P U
+    and a facet f becomes U^T f."""
+    inverse = inverse_unimodular(u)
+    columns = tuple(zip(*u.rows))
+
+    def pull(form):
+        return SymmetricForm.from_dict(form.rank, form.arity, form.step_table(columns))
+
+    def move(d):
+        return DivisorClass(inverse.column_action(d.numerators), d.denominator)
+
+    components = {
+        comp.name: ComponentDescriptor(
+            comp.name,
+            comp.dim,
+            pull(comp.top_form),
+            None if comp.todd is None else tuple(map(pull, comp.todd)),
+        )
+        for comp in sf.scheme.components
+    }
+    transposed = u.transpose()
+    oracles = {
+        name: PolyhedralCone(
+            oracle.rank, tuple(transposed.column_action(f) for f in oracle.facets)
+        )
+        if oracle.kind == "polyhedral"
+        else SurfacePositiveCone(
+            components[oracle.component.name],
+            move(oracle.reference_ample),
+            tuple(map(move, oracle.obstructions)),
+        )
+        for name, oracle in sf.oracles.items()
+    }
+    moved = SchemeFile(
+        SchemeDescriptor(sf.scheme.rank, tuple(components.values()), sf.scheme.euler_char),
+        oracles,
+        {
+            name: AutomorphismAction(a.name, inverse * a.matrix * u, a.todd_invariant)
+            for name, a in sf.automorphisms.items()
+        },
+        {name: move(d) for name, d in sf.divisors.items()},
+    )
+    return moved, move
+
+
+def _basis_free_answers(sf, action, divisors):
+    """Everything a change of lattice basis must keep, for one action."""
+    oracle = sf.oracle()
+    out = [validate(sf.scheme, action).valid, engine.classify(action.matrix)]
+    for d in divisors:
+        verdict = engine.is_sigma_ample(sf.scheme, action, oracle, d)
+        out.append((verdict.unipotent_power, verdict.witness))
+        if verdict.sigma_ample:
+            profile = engine.gk_profile(sf.scheme, action, oracle, d)
+            out.append((profile.gk_dimension, profile.reduced_power, profile.components))
+        out.append(engine.euler_char_series(sf.scheme, action, d, 12))
+    return out
+
+
+def _compare_in_new_basis(sf, u, divisors) -> int:
+    moved, move = _change_basis(sf, u)
+    compared = 0
+    for name, action in sf.automorphisms.items():
+        before = _basis_free_answers(sf, action, divisors)
+        after = _basis_free_answers(moved, moved.action(name), [move(d) for d in divisors])
+        assert len(before) == len(after), (name, u)
+        for i, (x, y) in enumerate(zip(before, after)):
+            assert x == y, (name, u, i)
+        compared += len(before)
+    return compared
+
+
+def _with_orthant(sf):
+    """The entry with its oracle replaced by the positive orthant's cone, so
+    that facets are moved at every rank."""
+    rows = IntegerMatrix.identity(sf.scheme.rank).rows
+    return SchemeFile(
+        sf.scheme, {"orthant": PolyhedralCone(sf.scheme.rank, rows)}, sf.automorphisms, sf.divisors
+    )
+
+
+def test_change_of_lattice_basis_keeps_every_answer():
+    compared = 0
+    for sf in _entries():
+        sample = random_divisors(sf.scheme.rank, 6, seed=97)
+        divisors = (
+            list(sf.divisors.values())
+            + sample
+            + [linear_combination((Fraction(-2, 5), d)) for d in sample[:3]]
+        )
+        for seed in range(4):
+            u = seeded_unimodular(sf.scheme.rank, seed=101 + seed)
+            for data in (sf, _with_orthant(sf)):
+                compared += _compare_in_new_basis(data, u, divisors)
+    assert compared > 2000
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_change_of_lattice_basis_on_drawn_unimodular_matrices(data):
+    sf = catalog_entry(data.draw(st.sampled_from(catalog_names())))
+    u = data.draw(unimodular_matrices(sf.scheme.rank))
+    assert _compare_in_new_basis(sf, u, list(sf.divisors.values()))
+
+
+def test_veronese_keeps_verdict_and_gk():
+    # the partial sums of Delta_k D under P^k are the Delta_(km) D, so the
+    # pair (P^k, Delta_k D) is a Veronese of (P, D): it has the same
+    # sigma-ample verdict and, on sigma-ample classes, the same GK dimension
+    cases = gk_cases = 0
+    for sf in _entries():
+        oracle = sf.oracle()
+        divisors = list(sf.divisors.values()) + random_divisors(sf.scheme.rank, 12, seed=89)
+        for action, _ in _qu_actions(sf):
+            for k in (2, 3, 5):
+                power = AutomorphismAction(
+                    f"{action.name}^{k}", mat_pow(action.matrix, k), action.todd_invariant
+                )
+                assert validate(sf.scheme, power).valid, (action.name, k)
+                for d in divisors:
+                    summed = engine.partial_sum(action.matrix, d, k)
+                    pairs = ((action, d), (power, summed))
+                    verdicts = [engine.is_sigma_ample(sf.scheme, a, oracle, x) for a, x in pairs]
+                    assert verdicts[0].sigma_ample == verdicts[1].sigma_ample, (action.name, k, d)
+                    cases += 1
+                    if verdicts[0].sigma_ample:
+                        gks = [
+                            engine.gk_profile(sf.scheme, a, oracle, x).gk_dimension
+                            for a, x in pairs
+                        ]
+                        assert gks[0] == gks[1], (action.name, k, d)
+                        gk_cases += 1
+    assert cases > 400 and gk_cases > 100

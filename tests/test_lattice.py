@@ -25,7 +25,7 @@ from sigmaample.numpoly import NumericalPolynomial
 
 import reference_lattice as ref
 import reference_numpoly as rn
-from conftest import random_divisors, run_bounded
+from conftest import linear_combination, random_divisors, run_bounded
 
 
 def test_intersection_numbers_wehler(wehler):
@@ -182,7 +182,10 @@ def test_form_invariance_under_validated_actions(entry):
 def test_apply_is_linear(entry):
     for action in entry.automorphisms.values():
         a, b = random_divisors(entry.scheme.rank, 2, seed=11)
-        assert apply(action, a + b) == apply(action, a) + apply(action, b)
+        for c, e in ((1, 1), (Fraction(1, 2), Fraction(-5, 3))):
+            assert apply(action, linear_combination((c, a), (e, b))) == linear_combination(
+                (c, apply(action, a)), (e, apply(action, b))
+            )
 
 
 def test_component_requires_matching_todd():
@@ -200,22 +203,31 @@ def test_scheme_rejects_rank_mismatch():
         SchemeDescriptor(3, (comp,))
 
 
-def test_divisor_class_algebra():
-    d = DivisorClass.of(1, -2)
-    e = DivisorClass.of(3, 5)
-    assert (d + e).coords == (4, 3)
-    assert (d - e).coords == (-2, -7)
-    assert (3 * d).coords == (3, -6)
-    assert (Fraction(1, 2) * d).coords == (Fraction(1, 2), -1)
-    assert (-d).coords == (-1, 2)
-    assert DivisorClass.of(Fraction(1, 2)).coords[0].denominator == 2
+def test_divisor_class_stored_form():
+    # integer numerators over one positive denominator, in lowest terms
+    d = DivisorClass((2, -4, 6), 4)
+    assert (d.numerators, d.denominator) == ((1, -2, 3), 2)
+    assert d == DivisorClass.of(Fraction(1, 2), -1, Fraction(3, 2))
+    assert d.coords == (Fraction(1, 2), -1, Fraction(3, 2))
+    assert d.rank == 3
+    assert DivisorClass((0, 0), 5) == DivisorClass((0, 0))
+    assert DivisorClass.of(Fraction(1, 6), Fraction(-3, 4)).denominator == 12
+    assert DivisorClass.of() == DivisorClass(())
+    assert repr(d) == "DivisorClass(numerators=(1, -2, 3), denominator=2)"
+    assert d.__reduce__() == (DivisorClass, ((1, -2, 3), 2))
+    for numerators, denominator in (((Fraction(1, 2), 0), 1), ((1, 0.5), 1), ((1, 0), 2.0)):
+        with pytest.raises(TypeError):
+            DivisorClass(numerators, denominator)
+    for denominator in (0, -2):
+        with pytest.raises(ValueError):
+            DivisorClass((1, 0), denominator)
 
 
 def test_floats_are_rejected_everywhere(wehler):
     with pytest.raises(TypeError):
         DivisorClass.of(1.5, 0)
     with pytest.raises(TypeError):
-        0.5 * DivisorClass.of(1, 0)
+        DivisorClass((0.5, 0))
     with pytest.raises(TypeError):
         SymmetricForm.from_dict(1, 1, {(0,): 1.0})
     with pytest.raises(TypeError):

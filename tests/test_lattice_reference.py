@@ -23,7 +23,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import reference_lattice as ref
 import reference_numpoly as rn
-from conftest import family_at, nilpotent_steps, unimodular_matrices, unipotent_matrices
+from conftest import (
+    family_at,
+    linear_combination,
+    nilpotent_steps,
+    unimodular_matrices,
+    unipotent_matrices,
+)
 from reference_intmat import inverse_unimodular
 from sigmaample import engine
 from sigmaample.ampleness import PolyhedralCone, SurfacePositiveCone, symbolic_constraints
@@ -209,7 +215,7 @@ def test_evaluate_on_divisor_classes_is_a_fraction(case):
 def fractional_classes(n):
     return st.lists(
         st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=n, max_size=n
-    ).map(lambda cs: DivisorClass(tuple(cs)))
+    ).map(lambda cs: DivisorClass.of(*cs))
 
 
 @settings(max_examples=100, deadline=None)
@@ -234,7 +240,7 @@ def unipotent_cases(draw):
     for c in draw(st.lists(fractional_classes(n), max_size=2)):
         pairing = surface.evaluate([reference.coords, c.coords])
         assume(pairing != 0)
-        obstructions.append(c if pairing > 0 else -c)
+        obstructions.append(linear_combination((1 if pairing > 0 else -1, c)))
     facets = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(tuple)
     oracles = (
         PolyhedralCone(n, tuple(draw(st.lists(facets, min_size=1, max_size=3)))),
@@ -257,11 +263,12 @@ def test_constraints_and_gk_polynomials_match_reference(case):
     them."""
     matrix, divisor, oracles, forms_ = case
     reduction = UnipotentReduction(1, matrix, nilpotency_index(matrix))
-    _, denom, vectors = engine._nilpotent_steps(matrix, reduction, divisor)
+    reduced, vectors = engine._nilpotent_steps(matrix, reduction, divisor)
+    denom = reduced.denominator
     family = ref.family_at_step(matrix, divisor, 1)
     # the family has degree below len(vectors), so these points fix it
     for m in range(len(vectors)):
-        at_m = DivisorClass(tuple(rn.evaluate(p, m) for p in family))
+        at_m = DivisorClass.of(*(rn.evaluate(p, m) for p in family))
         assert family_at((denom, vectors), m) == at_m
     for oracle in oracles:
         got = [p.coeffs for p in symbolic_constraints(oracle, denom, vectors)]
@@ -286,7 +293,7 @@ TODD_ENTRIES = [
         st.fractions(min_value=-9, max_value=9, max_denominator=6),
         min_size=sf.scheme.rank,
         max_size=sf.scheme.rank,
-    ).map(lambda cs: DivisorClass(tuple(cs))),
+    ).map(lambda cs: DivisorClass.of(*cs)),
 )))
 def test_euler_char_series_matches_reference_on_fraction_partial_sums(case):
     sf, name, divisor = case

@@ -25,20 +25,16 @@ def test_fields_are_the_positional_parameters():
         shared.append(cls)
         fields = cls._fields
         values = [object() for _ in fields]
-        by_position = cls(*values)
-        by_keyword = cls(**dict(zip(reversed(fields), reversed(values))))
-        for record in (by_position, by_keyword):
-            assert [getattr(record, f) for f in fields] == values, cls.__name__
-        assert by_position == by_keyword
-        assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == by_position
-        with pytest.raises(TypeError, match="missing"):
+        record = cls(*values)
+        assert [getattr(record, f) for f in fields] == values, cls.__name__
+        assert record == cls(*values)
+        with pytest.raises(TypeError, match="given"):
             cls(*values[:-1])
         with pytest.raises(TypeError, match="given"):
             cls(*values, object())
-        with pytest.raises(TypeError, match="no field"):
-            cls(*values, bogus=object())
-        with pytest.raises(TypeError, match="twice"):
-            cls(*values, **{fields[0]: values[0]})
+        # fields are positional only
+        with pytest.raises(TypeError):
+            cls(*values[:-1], **{fields[-1]: values[-1]})
     assert shared
 
 
@@ -49,9 +45,8 @@ def test_equality_and_hash_follow_the_fields():
     assert a != SymmetricForm.from_dict(2, 2, {(0, 1): 2})
     # the same field values in another class are not equal
     assert DivisorClass.of(1) != NumericalPolynomial([1])
-    assert SigmaAmpleVerdict(None, None, None) == SigmaAmpleVerdict(
-        unipotent_power=None, witness=None, family=None
-    )
+    assert SigmaAmpleVerdict(None, None, None) == SigmaAmpleVerdict(None, None, None)
+    assert SigmaAmpleVerdict(None, None, None) != SigmaAmpleVerdict(1, None, None)
 
 
 def test_repr_lists_the_fields_but_not_the_cache():
@@ -75,7 +70,7 @@ def test_values_are_immutable_and_carry_no_dict():
 def test_copy_and_pickle_round_trip():
     action = AutomorphismAction("shear", IntegerMatrix.from_rows([[1, 1], [0, 1]]), True)
     form = SymmetricForm.from_dict(2, 2, {(0, 1): Fraction(1, 2)})
-    for value in (action, form):
+    for value in (action, form, DivisorClass((1, -2), 3)):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value and hash(twin) == hash(value)
     assert pickle.loads(pickle.dumps(form)).value_at((1, 0)) == Fraction(1, 2)
