@@ -10,12 +10,13 @@ boundary, which the sign conditions capture exactly; whether the obstruction
 list is complete is the caller's geometric assertion.
 
 Each oracle states its conditions once, as forms in the class, read both at
-rational coordinates and, for a family sum_j C(m, j) v_j / d of classes, as
+a class's numerators and, for a family sum_j C(m, j) v_j / d of classes, as
 polynomials in m from each form's table on the integer vectors v_j; the
 symbolic variant reduces existence of an ample member to exact sign analysis.
 """
 from __future__ import annotations
 
+import operator
 from math import gcd
 from typing import Sequence, Union
 
@@ -38,14 +39,17 @@ def _normalize_functional(f: Sequence[int]) -> tuple[int, ...]:
 
 
 class _FormConditions:
-    """D is ample when T(D, ..., D) / d > 0 for each pair (T, d) in ``_forms``."""
+    """D is ample when T(D, ..., D) > 0 for each form T in ``_forms``."""
 
     __slots__ = ()
 
-    def conditions(self, coords: Sequence) -> list:
-        """The conditions at rational coordinates of D."""
-        values = [form.evaluate([coords] * form.arity) for form, _ in self._forms]
-        return [v if den == 1 else v / den for v, (_, den) in zip(values, self._forms)]
+    def conditions(self, divisor: DivisorClass) -> list:
+        """The conditions at the class: each form at its numerators, over the
+        class's denominator to the form's arity. Each condition is
+        homogeneous of positive degree and the denominator is positive, so
+        its sign is the sign of the form at the numerators."""
+        nums, den = divisor.numerators, divisor.denominator
+        return [form.evaluate([nums] * form.arity) / den**form.arity for form in self._forms]
 
 
 class PolyhedralCone(_FormConditions, Record):
@@ -55,7 +59,7 @@ class PolyhedralCone(_FormConditions, Record):
     kind = "polyhedral"
 
     def __init__(self, rank: int, facets: tuple[tuple[int, ...], ...]) -> None:
-        facets = tuple(tuple(int(c) for c in f) for f in facets)
+        facets = tuple(tuple(map(operator.index, f)) for f in facets)
         if not facets:
             raise ValueError("a polyhedral cone needs at least one facet")
         for f in facets:
@@ -65,8 +69,7 @@ class PolyhedralCone(_FormConditions, Record):
                 raise ValueError("zero functional is not a facet")
         super().__init__(rank, facets)
         object.__setattr__(self, "_forms", tuple(
-            (SymmetricForm.from_dict(rank, 1, {(i,): c for i, c in enumerate(f) if c}), 1)
-            for f in facets
+            SymmetricForm(rank, 1, tuple(((i,), c) for i, c in enumerate(f))) for f in facets
         ))
 
     def invariant_checks(self) -> list[CheckResult]:
@@ -106,10 +109,10 @@ class SurfacePositiveCone(_FormConditions, Record):
         super().__init__(component, reference_ample, obstructions)
         # (D.D), (D.A) and each (D.C)
         form = component.top_form
-        object.__setattr__(self, "_forms", ((form, 1),) + tuple(
-            (form.filled(c.numerators), c.denominator) for c in (reference_ample, *obstructions)
+        object.__setattr__(self, "_forms", (form,) + tuple(
+            form.filled(c) for c in (reference_ample, *obstructions)
         ))
-        self_int, _, *pairings = self.conditions(reference_ample.coords)
+        self_int, _, *pairings = self.conditions(reference_ample)
         if self_int <= 0:
             raise ValueError("reference class must have positive self-intersection")
         if any(v <= 0 for v in pairings):
@@ -121,7 +124,7 @@ class SurfacePositiveCone(_FormConditions, Record):
 
     def invariant_checks(self) -> list[CheckResult]:
         """(A.A) > 0 and (A.C) > 0 for each obstruction C."""
-        self_int, _, *pairings = self.conditions(self.reference_ample.coords)
+        self_int, _, *pairings = self.conditions(self.reference_ample)
         return [CheckResult("reference_positive", self_int > 0, f"(A.A)={self_int}")] + [
             CheckResult(f"obstruction[{k}]", v > 0, f"(A.C)={v}") for k, v in enumerate(pairings)
         ]
@@ -147,21 +150,18 @@ AmplenessOracle = Union[PolyhedralCone, SurfacePositiveCone]
 
 
 def is_ample(oracle: AmplenessOracle, divisor: DivisorClass) -> bool:
-    """Whether every condition is positive on the class. Each condition is
-    homogeneous of positive degree in the coordinates and the denominator is
-    positive, so its sign is the same at the class's integer numerators, and
-    those are what it is evaluated at."""
-    return all(v > 0 for v in oracle.conditions(divisor.numerators))
+    """Whether every condition is positive on the class."""
+    return all(v > 0 for v in oracle.conditions(divisor))
 
 
 def symbolic_constraints(
     oracle: AmplenessOracle, denom: int, vectors: Sequence[Sequence[int]]
 ) -> list[NumericalPolynomial]:
-    """Each condition T(D, ..., D) / d on F(m) = sum_j C(m, j) v_j / denom, for
-    integer vectors v_j: T's table on the v_j summed over d * denom^arity."""
+    """Each condition T(D, ..., D) on F(m) = sum_j C(m, j) v_j / denom, for integer
+    vectors v_j: T's table on the v_j over T's denominator times denom^arity."""
     return [
-        symmetric_binomial_sum(form.step_table(vectors), den * denom**form.arity)
-        for form, den in oracle._forms
+        symmetric_binomial_sum(form.step_table(vectors), form.denominator * denom**form.arity)
+        for form in oracle._forms
     ]
 
 

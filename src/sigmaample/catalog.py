@@ -28,7 +28,7 @@ from .schemefile import SchemeFile
 
 
 def _form(rank: int, arity: int, table: dict) -> SymmetricForm:
-    return SymmetricForm.from_dict(rank, arity, table)
+    return SymmetricForm.of(rank, arity, table.items())
 
 
 def wehler_k3() -> SchemeFile:

@@ -5,25 +5,36 @@ automorphism actions with exact validation.
 Conventions fixed once and used everywhere: a divisor class is its integer
 numerators over one positive denominator, and matrices act on column
 coordinate vectors, so the m-th power image of D is ``matrix^m`` times D's
-numerators, over D's denominator. Symmetric tensors are stored as value
-tables keyed by non-decreasing basis multi-indices; symmetry makes that
-table complete. One kernel, ``_contract``, fills one slot of such a table
-with a rational vector, so evaluation is ``arity - 1`` contractions and a
-dot product and never lists index orderings. One walk,
-``SymmetricForm.step_table``, fills the slots with integer vectors along
-non-decreasing tuples, sharing each filled prefix: validation runs it on the
-matrix columns, and a form's polynomial in m on a family's binomial-basis
-vectors, so an integral form never leaves integer arithmetic.
+numerators, over D's denominator. A symmetric form is stored the same way,
+as integer values keyed by non-decreasing basis multi-indices over one
+denominator; symmetry makes that table complete. One kernel, ``_contract``,
+fills one slot of such a table with a vector, so evaluation is ``arity - 1``
+contractions and a dot product and never lists index orderings; the package
+hands it integers only and divides by the denominators once, at the end. One
+walk, ``SymmetricForm.step_table``, fills the slots with integer vectors
+along non-decreasing tuples, sharing each filled prefix: validation runs it
+on the matrix columns, and a form's polynomial in m on a family's
+binomial-basis vectors.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import RankMismatch
 from .intmat import IntegerMatrix
 from .record import Record
+
+
+def _common_denominator(values: Sequence) -> tuple[tuple[int, ...], int]:
+    """Int or ``Fraction`` values as integer numerators over one denominator."""
+    if any(isinstance(v, float) for v in values):
+        raise TypeError("exact values required, not float")
+    values = [Fraction(v) for v in values]
+    denom = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (denom // v.denominator) for v in values), denom
 
 
 class DivisorClass(Record):
@@ -47,11 +58,7 @@ class DivisorClass(Record):
     @classmethod
     def of(cls, *coords) -> "DivisorClass":
         """The class with the given int or ``Fraction`` coordinates."""
-        if any(isinstance(c, float) for c in coords):
-            raise TypeError("exact coordinates required, not float")
-        coords = [Fraction(c) for c in coords]
-        denom = lcm(*(c.denominator for c in coords))
-        return cls(tuple(c.numerator * (denom // c.denominator) for c in coords), denom)
+        return cls(*_common_denominator(coords))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -85,57 +92,46 @@ def _contract(table: dict, v: Sequence) -> dict:
 class SymmetricForm(Record):
     """Symmetric multilinear functional on the rank-``rank`` lattice.
 
-    ``values`` pairs non-decreasing basis multi-indices of length ``arity``
-    with rational values (``from_dict`` takes them as a dict); omitted
-    indices are zero. Arity 0 is a constant, keyed by the empty tuple.
+    ``numerators`` pairs non-decreasing multi-indices of length ``arity`` with
+    integers over one positive ``denominator``; omitted indices are zero, and
+    arity 0 is a constant keyed by ``()``. As for ``DivisorClass``, zeros are
+    dropped and the form is in lowest terms, and ``of`` takes rational values.
     """
 
-    __slots__ = ("rank", "arity", "values", "_table")
+    __slots__ = ("rank", "arity", "numerators", "denominator", "_table")
 
-    def __init__(
-        self, rank: int, arity: int, values: tuple[tuple[tuple[int, ...], Fraction], ...]
-    ) -> None:
-        normalized = []
-        seen = set()
-        for index, value in values:
-            index = tuple(int(i) for i in index)
+    def __init__(self, rank: int, arity: int, numerators: Sequence, denominator: int = 1) -> None:
+        table = {}
+        for index, value in numerators:
+            index = tuple(map(operator.index, index))
             if len(index) != arity:
                 raise ValueError(f"multi-index {index} must have length {arity}")
             if any(i < 0 or i >= rank for i in index):
                 raise ValueError(f"multi-index {index} out of range for rank {rank}")
             if any(a > b for a, b in zip(index, index[1:])):
                 raise ValueError(f"multi-index {index} must be non-decreasing")
-            if index in seen:
+            if index in table:
                 raise ValueError(f"duplicate multi-index {index}")
-            seen.add(index)
-            if isinstance(value, float):
-                raise TypeError("exact tensor values required, not float")
-            value = Fraction(value)
-            if value != 0:
-                normalized.append((index, value))
-        normalized.sort()
-        super().__init__(rank, arity, tuple(normalized))
-        object.__setattr__(self, "_table", {
-            index: value.numerator if value.denominator == 1 else value
-            for index, value in normalized
-        })
+            table[index] = value
+        g = gcd(denominator, *table.values())  # a TypeError unless every value is an int
+        if denominator <= 0:
+            raise ValueError("denominator must be positive")
+        pairs = tuple(sorted((index, v // g) for index, v in table.items() if v))
+        super().__init__(rank, arity, pairs, denominator // g)
+        object.__setattr__(self, "_table", dict(pairs))
 
     @classmethod
-    def from_dict(cls, rank: int, arity: int, table: dict) -> "SymmetricForm":
-        return cls(rank, arity, tuple(table.items()))
-
-    @property
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for _, v in self.values)
-
-    def value_at(self, index: Sequence[int]) -> Fraction:
-        return Fraction(self._table.get(tuple(sorted(index)), 0))
+    def of(cls, rank: int, arity: int, pairs) -> "SymmetricForm":
+        """The form with the given (index, int or ``Fraction`` value) pairs."""
+        pairs = tuple(pairs)
+        nums, denom = _common_denominator([v for _, v in pairs])
+        return cls(rank, arity, tuple(zip([index for index, _ in pairs], nums)), denom)
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
-        """Multilinear evaluation on ``arity`` rational coordinate vectors, a
-        ``Fraction``. All slots but the last are filled one vector at a time,
-        so the work follows the nonzero entries and their distinct positions;
-        the last is a dot product with the 1-form left."""
+        """Multilinear evaluation on ``arity`` vectors, one ``Fraction`` over
+        ``denominator`` built at the end. All slots but the last are filled
+        one vector at a time, so the work follows the nonzero entries and
+        their distinct positions; the last is a dot product with the 1-form."""
         if len(vectors) != self.arity:
             raise RankMismatch(
                 f"form of arity {self.arity} applied to {len(vectors)} vectors"
@@ -149,20 +145,22 @@ class SymmetricForm(Record):
                 table = _contract(table, v)
             last = vectors[-1]
             total = sum([value * last[i] for (i,), value in table.items()])
-        return Fraction(total) if type(total) is int else total
+        return Fraction(total, self.denominator)
 
     def _check_lengths(self, vectors: Sequence[Sequence]) -> None:
         for v in vectors:
             if len(v) != self.rank:
                 raise RankMismatch(f"vector length {len(v)} vs rank {self.rank}")
 
-    def filled(self, v: Sequence[int]) -> "SymmetricForm":
-        """The form of one lower arity with one slot filled by ``v``."""
-        self._check_lengths([v])
-        return SymmetricForm.from_dict(self.rank, self.arity - 1, _contract(self._table, v))
+    def filled(self, divisor: DivisorClass) -> "SymmetricForm":
+        """The form of one lower arity with one slot filled by the class."""
+        nums, denom = divisor.numerators, self.denominator * divisor.denominator
+        self._check_lengths([nums])
+        table = _contract(self._table, nums)
+        return SymmetricForm(self.rank, self.arity - 1, tuple(table.items()), denom)
 
     def step_table(self, vectors: Sequence[Sequence[int]]) -> dict:
-        """The nonzero values T(v_s1, ..., v_sr), keyed by the non-decreasing
+        """The nonzero numerators of T(v_s1, ..., v_sr), keyed by the non-decreasing
         tuples s of indices into ``vectors``. Each filled prefix is shared by
         the tuples that extend it; one whose table is empty is dropped."""
         self._check_lengths(vectors)
@@ -198,7 +196,7 @@ class ComponentDescriptor(Record):
             raise ValueError("component dimension must be >= 1")
         if top_form.arity != dim:
             raise ValueError("top form arity must equal the component dimension")
-        if not top_form.is_integral:
+        if top_form.denominator != 1:
             raise ValueError("top intersection form must have integer values")
         if todd is not None:
             todd = tuple(todd)
@@ -236,6 +234,8 @@ class SchemeDescriptor(Record):
                     f"component {comp.name!r} lives on rank {comp.top_form.rank}, "
                     f"scheme has rank {rank}"
                 )
+        if isinstance(euler_char, float):
+            raise TypeError("exact Euler characteristic required, not float")
         super().__init__(rank, components, None if euler_char is None else Fraction(euler_char))
 
     @property
@@ -267,7 +267,8 @@ def intersect(component: ComponentDescriptor, classes: Sequence[DivisorClass]) -
         raise RankMismatch(
             f"component {component.name!r} needs {component.dim} classes, got {len(classes)}"
         )
-    return component.top_form.evaluate([cls.coords for cls in classes])
+    value = component.top_form.evaluate([cls.numerators for cls in classes])
+    return value / prod(cls.denominator for cls in classes)
 
 
 def apply(action: AutomorphismAction, divisor: DivisorClass) -> DivisorClass:
@@ -299,7 +300,7 @@ def scheme_consistency_report(scheme: SchemeDescriptor) -> ValidationReport:
     checks: list[CheckResult] = []
     if scheme.euler_char is not None and scheme.has_todd:
         total = sum(
-            (comp.todd[0].value_at(()) for comp in scheme.components), Fraction(0)
+            (comp.todd[0].evaluate([]) for comp in scheme.components), Fraction(0)
         )
         checks.append(
             CheckResult(
@@ -344,12 +345,13 @@ def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> Validation
         for label, form in forms:
             got = form.step_table(columns)
             name = f"{label}_invariance:{comp.name}"
-            expected = form._table
+            expected, den = form._table, form.denominator
             checks += [
                 CheckResult(
                     name,
                     False,
-                    f"basis tuple {index}: {got.get(index, 0)} != {expected.get(index, 0)}",
+                    f"basis tuple {index}: {Fraction(got.get(index, 0), den)} "
+                    f"!= {Fraction(expected.get(index, 0), den)}",
                 )
                 for index in sorted(got.keys() | expected.keys())
                 if got.get(index, 0) != expected.get(index, 0)

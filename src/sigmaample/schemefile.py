@@ -153,11 +153,12 @@ def _parse_form(obj: Any, rank: int, arity: int, path: str) -> SymmetricForm:
             tuple(parse_integer(i, f"{epath}.index") for i in index),
             parse_rational(entry["value"], f"{epath}.value"),
         ))
-    return _checked(path, SymmetricForm, rank, arity, tuple(values))
+    return _checked(path, SymmetricForm.of, rank, arity, values)
 
 
 def _form_to_json(form: SymmetricForm) -> list:
-    return [{"index": list(index), "value": format_rational(v)} for index, v in form.values]
+    den = form.denominator
+    return [{"index": list(i), "value": format_rational(Fraction(n, den))} for i, n in form.numerators]
 
 
 def _parse_component(obj: dict, rank: int, path: str) -> ComponentDescriptor:

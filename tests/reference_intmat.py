@@ -163,4 +163,4 @@ def delta_symbolic(unipotent: IntegerMatrix, divisor: DivisorClass) -> tuple[rn.
 
 
 def is_ample(oracle, divisor: DivisorClass) -> bool:
-    return all(v > 0 for v in oracle.conditions(divisor.coords))
+    return all(v > 0 for v in oracle.conditions(divisor))

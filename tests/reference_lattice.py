@@ -33,6 +33,11 @@ from sigmaample.lattice import CheckResult, DivisorClass, ValidationReport
 import reference_numpoly as rn
 
 
+def rational_values(form) -> dict:
+    """The form's nonzero values as ``Fraction``s, keyed by multi-index."""
+    return {index: Fraction(n, form.denominator) for index, n in form.numerators}
+
+
 def _lift(x) -> rn.Coeffs:
     """A polynomial coordinate as it is, a rational as a constant."""
     return x if isinstance(x, tuple) else rn.strip((x,))
@@ -47,7 +52,7 @@ def evaluate(form, vectors):
     else:
         lift, times, plus = Fraction, mul, add
     total = lift(0)
-    for index, value in form.values:
+    for index, value in rational_values(form).items():
         for order in set(permutations(index)):
             term = lift(value)
             for v, i in zip(vectors, order):
@@ -63,7 +68,7 @@ def evaluate_on_polynomials(form, vectors) -> rn.Coeffs:
     """The form on polynomial coordinates by ``arity`` contractions, each
     stored index giving up one copy of each distinct position it holds;
     entries that cancel are dropped."""
-    table = {index: _lift(value) for index, value in form.values}
+    table = {index: _lift(value) for index, value in rational_values(form).items()}
     for v in vectors:
         v = [_lift(x) for x in v]
         out: dict = {}
@@ -154,7 +159,7 @@ def validate(scheme, action) -> ValidationReport:
         for label, form in forms:
             bad = []
             for index in combinations_with_replacement(range(scheme.rank), form.arity):
-                expected = form.value_at(index)
+                expected = rational_values(form).get(index, 0)
                 got = evaluate(form, [images[i] for i in index])
                 if got != expected:
                     bad.append((index, expected, got))

@@ -221,7 +221,7 @@ def test_criterion_7_verdict_symmetries():
             oracle = sf.oracle()
             divisors = random_divisors(sf.scheme.rank, 100, seed=103)
             nef_pool = [
-                d for d in divisors if all(v >= 0 for v in oracle.conditions(d.coords))
+                d for d in divisors if all(v >= 0 for v in oracle.conditions(d))
             ][:5]
             nef_pool.append(DivisorClass((0,) * sf.scheme.rank))
             for action in sf.automorphisms.values():

@@ -34,9 +34,8 @@ def test_every_entry_round_trips(entry):
 
 def test_wehler_data(wehler):
     comp = wehler.scheme.components[0]
-    assert comp.top_form.value_at((0, 0)) == 2
-    assert comp.top_form.value_at((1, 1)) == 2
-    assert comp.top_form.value_at((0, 1)) == 4
+    assert comp.top_form.numerators == (((0, 0), 2), ((0, 1), 4), ((1, 1), 2))
+    assert comp.top_form.denominator == 1
     assert wehler.action("s1").matrix == IntegerMatrix.from_rows([[1, 4], [0, -1]])
     assert wehler.action("s2").matrix == IntegerMatrix.from_rows([[-1, 0], [4, 1]])
     assert (

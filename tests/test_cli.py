@@ -194,7 +194,7 @@ def test_structured_reduction_trace_is_the_partial_sums_at_multiples_of_q(case):
     # a zero surface form keeps every matrix valid; the trace does not read it
     matrix, coords, facet = case
     n, divisor = matrix.size, DivisorClass.of(*coords)
-    top = ComponentDescriptor("X", 2, SymmetricForm.from_dict(n, 2, {}))
+    top = ComponentDescriptor("X", 2, SymmetricForm.of(n, 2, {}.items()))
     sf = SchemeFile(
         SchemeDescriptor(n, (top,)),
         {"cone": PolyhedralCone(n, (tuple(facet),))},

@@ -216,7 +216,7 @@ def test_sigma_ample_sums_binomials_once_per_condition(monkeypatch):
             quasi = quasi_unipotence(action.matrix) is not None
             for oracle in sf.oracles.values():
                 for divisor in sf.divisors.values():
-                    conditions = len(oracle.conditions(divisor.coords))
+                    conditions = len(oracle.conditions(divisor))
                     calls.clear()
                     engine.is_sigma_ample(sf.scheme, action, oracle, divisor)
                     assert len(calls) == (conditions if quasi else 0), (name, action.name)
@@ -377,7 +377,7 @@ def test_chi_series_zero_class_gives_constant(entry):
     zero = DivisorClass((0,) * entry.scheme.rank)
     series = engine.euler_char_series(entry.scheme, entry.action("id"), zero, 3)
     constant = sum(
-        (c.todd[0].value_at(()) for c in entry.scheme.components), Fraction(0)
+        (c.todd[0].evaluate([]) for c in entry.scheme.components), Fraction(0)
     )
     assert series == [constant] * 3
     if entry.scheme.euler_char is not None:
@@ -566,18 +566,18 @@ def _mixed_dimension_scheme():
     from sigmaample.ampleness import PolyhedralCone
     from sigmaample.lattice import SymmetricForm
 
-    curve_form = SymmetricForm.from_dict(2, 1, {(0,): 1})
-    surface_form = SymmetricForm.from_dict(2, 2, {(1, 1): 2})
+    curve_form = SymmetricForm.of(2, 1, {(0,): 1}.items())
+    surface_form = SymmetricForm.of(2, 2, {(1, 1): 2}.items())
     curve = ComponentDescriptor(
-        "C", 1, curve_form, (SymmetricForm.from_dict(2, 0, {(): 1}), curve_form)
+        "C", 1, curve_form, (SymmetricForm.of(2, 0, {(): 1}.items()), curve_form)
     )
     surface = ComponentDescriptor(
         "S",
         2,
         surface_form,
         (
-            SymmetricForm.from_dict(2, 0, {(): 1}),
-            SymmetricForm.from_dict(2, 1, {(1,): 1}),
+            SymmetricForm.of(2, 0, {(): 1}.items()),
+            SymmetricForm.of(2, 1, {(1,): 1}.items()),
             surface_form,
         ),
     )

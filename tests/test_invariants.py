@@ -208,7 +208,7 @@ def test_nef_sum_preserves_sigma_ampleness():
         nef = [
             d
             for d in random_divisors(sf.scheme.rank, 60, seed=67)
-            if all(v >= 0 for v in oracle.conditions(d.coords))
+            if all(v >= 0 for v in oracle.conditions(d))
         ]
         nef.append(DivisorClass((0,) * sf.scheme.rank))
         for action, _ in _qu_actions(sf):
@@ -289,7 +289,8 @@ def _change_basis(sf, u):
     columns = tuple(zip(*u.rows))
 
     def pull(form):
-        return SymmetricForm.from_dict(form.rank, form.arity, form.step_table(columns))
+        table = form.step_table(columns)
+        return SymmetricForm(form.rank, form.arity, tuple(table.items()), form.denominator)
 
     def move(d):
         return DivisorClass(inverse.column_action(d.numerators), d.denominator)

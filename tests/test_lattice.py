@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmaample import cli, engine, intmat, lattice
+from sigmaample.ampleness import PolyhedralCone
 from sigmaample.errors import RankMismatch
 from sigmaample.intmat import IntegerMatrix
 from sigmaample.lattice import (
@@ -101,7 +103,7 @@ def test_validate_checks_todd_when_asserted(wehler):
 
 def test_symmetric_form_requires_sorted_indices():
     with pytest.raises(ValueError):
-        SymmetricForm(2, 2, (((1, 0), Fraction(1)),))
+        SymmetricForm(2, 2, (((1, 0), 1),))
 
 
 def test_symmetric_form_evaluation_is_symmetric(abelian):
@@ -114,9 +116,10 @@ def test_symmetric_form_evaluation_is_symmetric(abelian):
 def _reference_evaluate(form, vectors):
     """The product loop ``evaluate`` used to run: every index tuple, each
     looked up sorted in the value table."""
+    values = ref.rational_values(form)
     total = Fraction(0)
     for combo in product(range(form.rank), repeat=form.arity):
-        term = form.value_at(combo)
+        term = values.get(tuple(sorted(combo)), 0)
         for v, i in zip(vectors, combo):
             term = term * v[i]
         total = total + term
@@ -137,7 +140,7 @@ def forms_and_vectors(draw, coordinate):
         if draw(st.booleans())
     }
     vectors = [draw(st.lists(coordinate, min_size=rank, max_size=rank)) for _ in range(arity)]
-    return SymmetricForm.from_dict(rank, arity, table), vectors
+    return SymmetricForm.of(rank, arity, table.items()), vectors
 
 
 @settings(max_examples=80, deadline=None)
@@ -160,7 +163,7 @@ def test_evaluate_on_polynomials_samples_rational_evaluation(case):
 def test_evaluate_refuses_polynomial_coordinates():
     # forms see only rationals; on the reference's polynomial route an entry
     # that cancels is dropped whatever the order of the vectors
-    form = SymmetricForm.from_dict(2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
+    form = SymmetricForm.of(2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1}.items())
     p = NumericalPolynomial([1, 1])
     with pytest.raises(TypeError):
         form.evaluate([(p, p), (1, 0)])
@@ -189,15 +192,15 @@ def test_apply_is_linear(entry):
 
 
 def test_component_requires_matching_todd():
-    top = SymmetricForm.from_dict(1, 1, {(0,): 1})
-    wrong_top = SymmetricForm.from_dict(1, 1, {(0,): 2})
-    todd = (SymmetricForm.from_dict(1, 0, {(): 1}), wrong_top)
+    top = SymmetricForm.of(1, 1, {(0,): 1}.items())
+    wrong_top = SymmetricForm.of(1, 1, {(0,): 2}.items())
+    todd = (SymmetricForm.of(1, 0, {(): 1}.items()), wrong_top)
     with pytest.raises(ValueError):
         ComponentDescriptor("C", 1, top, todd)
 
 
 def test_scheme_rejects_rank_mismatch():
-    top = SymmetricForm.from_dict(2, 1, {(0,): 1})
+    top = SymmetricForm.of(2, 1, {(0,): 1}.items())
     comp = ComponentDescriptor("C", 1, top)
     with pytest.raises(ValueError):
         SchemeDescriptor(3, (comp,))
@@ -223,13 +226,59 @@ def test_divisor_class_stored_form():
             DivisorClass((1, 0), denominator)
 
 
+def test_symmetric_form_stored_form():
+    # integer numerators over one positive denominator, zeros dropped, in
+    # lowest terms
+    form = SymmetricForm.of(2, 1, (((0,), Fraction(2, 4)), ((1,), Fraction(1, 3))))
+    assert (form.numerators, form.denominator) == ((((0,), 3), ((1,), 2)), 6)
+    assert form == SymmetricForm(2, 1, (((0,), 3), ((1,), 2)), 6)
+    assert form == SymmetricForm(2, 1, (((1,), 14), ((0,), 21)), 42)
+    assert SymmetricForm.of(2, 1, (((0,), 0), ((1,), 5))).numerators == (((1,), 5),)
+    zero = SymmetricForm(2, 2, (((0, 1), 0),), 7)
+    assert (zero.numerators, zero.denominator) == ((), 1)
+    assert zero == SymmetricForm.of(2, 2, ())
+    assert repr(form) == (
+        "SymmetricForm(rank=2, arity=1, numerators=(((0,), 3), ((1,), 2)), denominator=6)"
+    )
+    assert form.__reduce__() == (SymmetricForm, (2, 1, (((0,), 3), ((1,), 2)), 6))
+    assert pickle.loads(pickle.dumps(form)) == form
+    for value in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            SymmetricForm(2, 1, (((0,), value),))
+    for denominator in (0, -1):
+        with pytest.raises(ValueError):
+            SymmetricForm(2, 1, (((0,), 1),), denominator)
+
+
+def test_filled_form_is_over_both_denominators(abelian):
+    comp = abelian.scheme.components[0]
+    a = DivisorClass.of(Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))
+    half = SymmetricForm.of(3, 2, (((0, 1), Fraction(1, 2)), ((2, 2), 1)))
+    assert half.filled(a) == SymmetricForm(3, 1, (((0,), 2), ((1,), 3), ((2,), 6)), 12)
+    for form in (comp.top_form, half):
+        filled = form.filled(a)
+        assert filled.arity == 1
+        for d in random_divisors(3, 4, seed=5):
+            assert filled.evaluate([d.coords]) == form.evaluate([a.coords, d.coords])
+    with pytest.raises(RankMismatch):
+        half.filled(DivisorClass.of(1, 0))
+
+
 def test_floats_are_rejected_everywhere(wehler):
     with pytest.raises(TypeError):
         DivisorClass.of(1.5, 0)
     with pytest.raises(TypeError):
         DivisorClass((0.5, 0))
     with pytest.raises(TypeError):
-        SymmetricForm.from_dict(1, 1, {(0,): 1.0})
+        SymmetricForm.of(1, 1, {(0,): 1.0}.items())
+    # a float or str entry of a multi-index or a facet is not truncated or parsed
+    with pytest.raises(TypeError):
+        SymmetricForm.of(2, 1, {(1.9,): 1}.items())
+    for facet in ((1, 0.5), (True, "3")):
+        with pytest.raises(TypeError):
+            PolyhedralCone(2, (facet,))
+    with pytest.raises(TypeError):
+        SchemeDescriptor(wehler.scheme.rank, wehler.scheme.components, euler_char=0.1)
     with pytest.raises(TypeError):
         IntegerMatrix.from_rows([[1.0]])
     with pytest.raises(TypeError):
@@ -286,10 +335,10 @@ def test_validate_does_not_recurse_once_per_slot():
 GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 
-def test_forms_see_only_rationals_on_the_unipotent_deck(tmp_path, monkeypatch, capsys):
+def test_forms_see_only_integers_on_the_unipotent_deck(tmp_path, monkeypatch, capsys):
     """Every slot of the benchmark's unipotent deck (seed 7), run in process:
-    the kernel is handed only rational tables and vectors, also while the
-    constraints and self-intersection polynomials are built."""
+    the kernel is handed only integer tables and vectors, also while the
+    conditions, constraints and self-intersection polynomials are built."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
@@ -310,4 +359,4 @@ def test_forms_see_only_rationals_on_the_unipotent_deck(tmp_path, monkeypatch, c
         commands.add(query["argv"][0])
     capsys.readouterr()
     assert commands == {"sigma-ample", "gkdim", "chi", "growth"}
-    assert int in seen and seen <= {int, Fraction}
+    assert seen == {int}

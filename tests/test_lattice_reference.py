@@ -1,7 +1,7 @@
 """The integer multilinear kernel against the Fraction references.
 
-``SymmetricForm.evaluate`` fills one slot at a time of a table with integral
-values held as ``int``; ``validate`` fills the slots with the integer columns
+``SymmetricForm.evaluate`` fills one slot at a time of a table of integer
+numerators over one denominator; ``validate`` fills the slots with the integer columns
 of the matrix, sharing filled prefixes; ``nilpotent_steps`` (the conftest
 helper; the engine's family builder steps the same way and is checked
 against ``reference_intmat.delta_symbolic`` in ``test_intmat_reference``) and
@@ -58,25 +58,25 @@ def forms(draw, rank, arity, values=rational_values):
         for index in combinations_with_replacement(range(rank), arity)
         if draw(st.booleans())
     }
-    return SymmetricForm.from_dict(rank, arity, table)
+    return SymmetricForm.of(rank, arity, table.items())
 
 
 def _pullback(form, matrix):
     """The form F(M -, ..., M -), by the reference kernel on basis images."""
     columns = [tuple(Fraction(c) for c in col) for col in zip(*matrix.rows)]
-    return SymmetricForm.from_dict(form.rank, form.arity, {
-        index: ref.evaluate(form, [columns[i] for i in index])
+    return SymmetricForm.of(form.rank, form.arity, (
+        (index, ref.evaluate(form, [columns[i] for i in index]))
         for index in combinations_with_replacement(range(form.rank), form.arity)
-    })
+    ))
 
 
 def _symmetrized(form, involution):
     """F + F o M, which an involution M preserves."""
     pulled = _pullback(form, involution)
-    table = dict(form.values)
-    for index, value in pulled.values:
+    table = ref.rational_values(form)
+    for index, value in ref.rational_values(pulled).items():
         table[index] = table.get(index, 0) + value
-    return SymmetricForm.from_dict(form.rank, form.arity, table)
+    return SymmetricForm.of(form.rank, form.arity, table.items())
 
 
 @st.composite

@@ -39,10 +39,10 @@ def test_fields_are_the_positional_parameters():
 
 
 def test_equality_and_hash_follow_the_fields():
-    a = SymmetricForm.from_dict(2, 2, {(0, 1): 1, (0, 0): 0})
-    b = SymmetricForm(2, 2, (((0, 1), Fraction(1)),))
+    a = SymmetricForm.of(2, 2, (((0, 1), Fraction(1, 2)), ((0, 0), 0)))
+    b = SymmetricForm(2, 2, (((0, 1), 3),), 6)
     assert a == b and hash(a) == hash(b)
-    assert a != SymmetricForm.from_dict(2, 2, {(0, 1): 2})
+    assert a != SymmetricForm(2, 2, (((0, 1), 1),))
     # the same field values in another class are not equal
     assert DivisorClass.of(1) != NumericalPolynomial([1])
     assert SigmaAmpleVerdict(None, None, None) == SigmaAmpleVerdict(None, None, None)
@@ -50,8 +50,8 @@ def test_equality_and_hash_follow_the_fields():
 
 
 def test_repr_lists_the_fields_but_not_the_cache():
-    form = SymmetricForm.from_dict(1, 1, {(0,): 3})
-    assert repr(form) == "SymmetricForm(rank=1, arity=1, values=(((0,), Fraction(3, 1)),))"
+    form = SymmetricForm(1, 1, (((0,), 3),))
+    assert repr(form) == "SymmetricForm(rank=1, arity=1, numerators=(((0,), 3),), denominator=1)"
     assert repr(RationalInterval(1, 2)) == "RationalInterval(lo=Fraction(1, 1), hi=Fraction(2, 1))"
 
 
@@ -69,11 +69,11 @@ def test_values_are_immutable_and_carry_no_dict():
 
 def test_copy_and_pickle_round_trip():
     action = AutomorphismAction("shear", IntegerMatrix.from_rows([[1, 1], [0, 1]]), True)
-    form = SymmetricForm.from_dict(2, 2, {(0, 1): Fraction(1, 2)})
+    form = SymmetricForm(2, 2, (((0, 1), 1),), 2)
     for value in (action, form, DivisorClass((1, -2), 3)):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value and hash(twin) == hash(value)
-    assert pickle.loads(pickle.dumps(form)).value_at((1, 0)) == Fraction(1, 2)
+    assert pickle.loads(pickle.dumps(form)).evaluate([(1, 0), (0, 1)]) == Fraction(1, 2)
 
 
 def test_equal_matrices_share_a_cache_entry():

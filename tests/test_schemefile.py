@@ -390,7 +390,7 @@ def test_todd_parsing_and_round_trip():
     sf = parse_scheme_file(json.dumps(doc))
     comp = sf.scheme.components[0]
     assert comp.todd is not None
-    assert comp.todd[0].value_at(()) == 2
+    assert comp.todd[0].evaluate([]) == 2
     assert parse_scheme_file(serialize_scheme_file(sf)) == sf
 
 
