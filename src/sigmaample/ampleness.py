@@ -59,6 +59,7 @@ class PolyhedralCone(_FormConditions, Record):
     kind = "polyhedral"
 
     def __init__(self, rank: int, facets: tuple[tuple[int, ...], ...]) -> None:
+        rank = operator.index(rank)
         facets = tuple(tuple(map(operator.index, f)) for f in facets)
         if not facets:
             raise ValueError("a polyhedral cone needs at least one facet")

@@ -163,6 +163,12 @@ def cmd_classify(args, sf, oracle, aname, dname) -> dict:
     return result
 
 
+def _approx(x: Fraction) -> str:
+    """x to 5 places, rounded half to even from the exact value, so no size overflows."""
+    whole, frac = divmod(round(abs(x) * 10**5), 10**5)
+    return f"{'-' if x < 0 else ''}{whole}.{frac:05d}"
+
+
 def _text_classify(r) -> str:
     head = f"action {r['action']}: char poly {r['char_poly']['text']}"
     if r["quasi_unipotent"]:
@@ -172,11 +178,8 @@ def _text_classify(r) -> str:
             f"jordan index {r['jordan_index']} ({parity})"
         )
     iv = r["spectral_radius"]
-    mid = float(Fraction(iv["lo"]) + (Fraction(iv["hi"]) - Fraction(iv["lo"])) / 2)
-    return (
-        f"{head}\n  not quasi-unipotent: spectral radius in [{iv['lo']}, {iv['hi']}] "
-        f"(~{mid:.5f})"
-    )
+    mid = _approx((Fraction(iv["lo"]) + Fraction(iv["hi"])) / 2)
+    return f"{head}\n  not quasi-unipotent: spectral radius in [{iv['lo']}, {iv['hi']}] (~{mid})"
 
 
 def cmd_sigma_ample(args, sf, oracle, aname, dname) -> dict:
@@ -268,7 +271,7 @@ def _text_growth(r) -> str:
             f"{head} polynomial growth, GK dimension {r['gk_dimension']} "
             f"(Hilbert degree {r['hilbert_degree']})"
         )
-    approx = f", last ratio ~{float(Fraction(r['ratios'][-1])):.5f}" if r["ratios"] else ""
+    approx = f", last ratio ~{_approx(Fraction(r['ratios'][-1]))}" if r["ratios"] else ""
     return (
         f"{head} exponential growth, radius {r['spectral_radius']['lo']} .. "
         f"{r['spectral_radius']['hi']}{approx}, "

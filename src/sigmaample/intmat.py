@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .errors import NotInvertibleOverIntegers, NotUnipotent
@@ -30,6 +30,7 @@ from .intpoly import (
     RationalInterval,
     _bisect,
     _divide_exact,
+    _rational,
     cauchy_root_bound,
     sign_variations,
     sturm_chain,
@@ -40,16 +41,12 @@ from .record import Record
 
 
 class IntegerMatrix(Record):
-    """Square matrix of arbitrary-precision integers, immutable."""
+    """Immutable square matrix of arbitrary-precision ints; entries pass ``operator.index``."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
-        for row in rows:
-            for c in row:
-                if not isinstance(c, int):
-                    raise TypeError(f"integer entry expected, got {type(c).__name__}")
-        rows = tuple(tuple(int(c) for c in row) for row in rows)
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+        rows = tuple(tuple(map(index, row)) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -66,7 +63,7 @@ class IntegerMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -256,11 +253,9 @@ def unipotent_reduction(matrix: IntegerMatrix) -> UnipotentReduction | None:
 
 
 def exact_eps(eps) -> Fraction:
-    """A tolerance as a positive ``Fraction``; a float is refused, since its
-    binary value would enter the decision."""
-    if isinstance(eps, float):
-        raise TypeError("exact eps required, not float")
-    eps = Fraction(eps)
+    """A tolerance as a positive ``Fraction`` from an int or a ``Fraction``;
+    a float, str or ``Decimal`` is a ``TypeError``."""
+    eps = Fraction(_rational(eps))
     if eps <= 0:
         raise ValueError("eps must be positive")
     return eps

@@ -13,10 +13,11 @@ dyadic bisection loop, ``_bisect``, halves a rational interval on integer
 ends over a power-of-two denominator, asking one question per midpoint; the
 spectral radius in ``intmat`` and ``largest_real_root_interval`` both run
 on it. The polynomial type itself is ``numpoly.NumericalPolynomial``, which
-builds on the list helpers below.
+builds on the list helpers below; a caller's rational passes ``_rational``.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Sequence
@@ -27,13 +28,22 @@ if TYPE_CHECKING:
     from .numpoly import NumericalPolynomial
 
 
+def _rational(value) -> int | Fraction:
+    """A ``Fraction`` as it is, else ``operator.index(value)``: never a float, str or Decimal."""
+    if isinstance(value, Fraction):
+        return value
+    if not hasattr(type(value), "__index__"):
+        raise TypeError(f"an int or a Fraction is required, not {type(value).__name__}")
+    return operator.index(value)
+
+
 class RationalInterval(Record):
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with ``Fraction`` ends, given as int or ``Fraction``."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction) -> None:
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = Fraction(_rational(lo)), Fraction(_rational(hi))
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
         super().__init__(lo, hi)
@@ -126,12 +136,12 @@ def square_free_part(p: NumericalPolynomial) -> list[int]:
 
 def cauchy_root_bound(coeffs: Sequence) -> Fraction:
     """1 + max|a_i| / |a_lead|; every root modulus is at most this."""
-    cs = _strip(list(coeffs))
+    cs = _strip([_rational(c) for c in coeffs])
     if not cs:
         raise ValueError("zero polynomial has unbounded roots")
     if len(cs) == 1:
         return Fraction(0)
-    return 1 + Fraction(max(abs(c) for c in cs[:-1])) / Fraction(abs(cs[-1]))
+    return 1 + Fraction(max(abs(c) for c in cs[:-1])) / abs(cs[-1])
 
 
 def _remainder_sequence(f0: list[int], f1: list[int]) -> list[list[int]]:
@@ -164,7 +174,7 @@ def sturm_chain(p: NumericalPolynomial) -> list[list[int]]:
 def sign_variations(chain: Sequence[Sequence[int]], x) -> int:
     """Sign changes along the integer chain at the rational x = a/b (b > 0),
     each member of degree d evaluated as b^d p(a/b) in integers."""
-    x = Fraction(x)
+    x = _rational(x)
     a, b = x.numerator, x.denominator
     powers = [1]
     for _ in range(max(len(cs) for cs in chain)):
@@ -244,10 +254,9 @@ def largest_real_root_interval(
     public form of that loop for the benchmark's per-layer tracer
     (``perfbench/tracer.py``) and the tests that call it.
     """
-    width = Fraction(width)
+    width, start = _rational(width), _rational(start)
     if width <= 0:
         raise ValueError("width must be positive")
-    start = Fraction(start)
     chain = sturm_chain(p)
     at_start = sign_variations(chain, start)
     if sign_variations(chain, -start) == at_start:

@@ -25,14 +25,13 @@ from typing import Sequence
 
 from .errors import RankMismatch
 from .intmat import IntegerMatrix
+from .intpoly import _rational
 from .record import Record
 
 
 def _common_denominator(values: Sequence) -> tuple[tuple[int, ...], int]:
-    """Int or ``Fraction`` values as integer numerators over one denominator."""
-    if any(isinstance(v, float) for v in values):
-        raise TypeError("exact values required, not float")
-    values = [Fraction(v) for v in values]
+    """Int or ``Fraction`` values (``_rational``) as numerators over one denominator."""
+    values = [_rational(v) for v in values]
     denom = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (denom // v.denominator) for v in values), denom
 
@@ -42,8 +41,8 @@ class DivisorClass(Record):
     per basis class, over one positive ``denominator``.
 
     The constructor reduces to lowest terms, so equal classes have equal
-    fields. A float or ``Fraction`` numerator is a ``TypeError``; ``of``
-    builds a class from rational coordinates, and ``coords`` gives them back.
+    fields. A float or ``Fraction`` numerator is a ``TypeError``. ``of`` takes
+    int or ``Fraction`` coordinates only, and ``coords`` gives them back.
     """
 
     __slots__ = ("numerators", "denominator")
@@ -95,12 +94,13 @@ class SymmetricForm(Record):
     ``numerators`` pairs non-decreasing multi-indices of length ``arity`` with
     integers over one positive ``denominator``; omitted indices are zero, and
     arity 0 is a constant keyed by ``()``. As for ``DivisorClass``, zeros are
-    dropped and the form is in lowest terms, and ``of`` takes rational values.
+    dropped and the form is in lowest terms, and ``of`` takes int or ``Fraction`` values.
     """
 
     __slots__ = ("rank", "arity", "numerators", "denominator", "_table")
 
     def __init__(self, rank: int, arity: int, numerators: Sequence, denominator: int = 1) -> None:
+        rank, arity = operator.index(rank), operator.index(arity)
         table = {}
         for index, value in numerators:
             index = tuple(map(operator.index, index))
@@ -192,7 +192,7 @@ class ComponentDescriptor(Record):
         top_form: SymmetricForm,
         todd: tuple[SymmetricForm, ...] | None = None,
     ) -> None:
-        if dim < 1:
+        if (dim := operator.index(dim)) < 1:
             raise ValueError("component dimension must be >= 1")
         if top_form.arity != dim:
             raise ValueError("top form arity must equal the component dimension")
@@ -223,7 +223,7 @@ class SchemeDescriptor(Record):
         components: tuple[ComponentDescriptor, ...],
         euler_char: Fraction | None = None,
     ) -> None:
-        if rank < 1:
+        if (rank := operator.index(rank)) < 1:
             raise ValueError("rank must be >= 1")
         components = tuple(components)
         if not components:
@@ -234,9 +234,8 @@ class SchemeDescriptor(Record):
                     f"component {comp.name!r} lives on rank {comp.top_form.rank}, "
                     f"scheme has rank {rank}"
                 )
-        if isinstance(euler_char, float):
-            raise TypeError("exact Euler characteristic required, not float")
-        super().__init__(rank, components, None if euler_char is None else Fraction(euler_char))
+        euler = None if euler_char is None else Fraction(_rational(euler_char))
+        super().__init__(rank, components, euler)
 
     @property
     def dim(self) -> int:

@@ -261,6 +261,44 @@ def test_growth_polynomial(capsys):
     }
 
 
+def test_text_classify_approximates_a_radius_beyond_the_float_range(tmp_path, capsys):
+    # x^2 - 10^400 x + 1: the radius is just below 10^400, past the largest float
+    big = "1" + "0" * 400
+    doc = {
+        "rank": 2,
+        "components": [{"name": "X", "dim": 1, "top_form": []}],
+        "oracles": [{"name": "ample", "kind": "polyhedral", "data": {"facets": [["1", "0"]]}}],
+        "automorphisms": [{"name": "big", "matrix": [[big, "1"], ["-1", "0"]]}],
+        "divisors": [],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(path), "--auto", "big")
+    assert (code, err) == (0, "")
+    approx = re.fullmatch(r".*\(~(\d+\.\d{5})\)", out.splitlines()[-1]).group(1)
+    assert abs(Fraction(approx) - 10**400) < Fraction(1, 1000)
+
+
+@pytest.mark.parametrize(
+    "ratio, text",
+    [(str(10**400), f"{10**400}.00000"), ("1/200000", "0.00000"), ("3/200000", "0.00002"),
+     ("-1/3", "-0.33333"), ("139282/10000", "13.92820")],
+    ids=["1e400", "tie_to_even_down", "tie_to_even_up", "negative", "trailing_zero"],
+)
+def test_text_growth_approximates_the_last_ratio_exactly(ratio, text):
+    # rounded half to even from the exact value: 1/200000 is a tie that the
+    # float 5e-06, a little above it, would round up
+    r = {
+        "action": "a",
+        "divisor": "D",
+        "kind": "exponential",
+        "spectral_radius": {"lo": "1", "hi": "2"},
+        "ratios": ["1", ratio],
+        "threshold_exceeded": True,
+    }
+    assert f", last ratio ~{text}, " in cli._text_growth(r)
+
+
 def test_chi_series(capsys):
     code, doc, _ = run_json(
         capsys, "chi", "wehler_k3", "--auto", "id", "--divisor", "H1", "--mmax", "3"

@@ -33,6 +33,17 @@ S1S2 = S1 * S2
 SHEAR = IntegerMatrix.from_rows([[2, 0, 1], [2, 1, 0], [-1, 0, 0]])
 
 
+def test_entries_pass_operator_index():
+    # numpy integers and bools are stored as int; a Fraction, float or str is refused
+    m = IntegerMatrix.from_rows(np.array([[2, 1], [1, 1]], dtype=np.int64))
+    assert m == IntegerMatrix.from_rows([[2, 1], [1, 1]])
+    assert {type(c) for row in m.rows for c in row} == {int}
+    assert IntegerMatrix.from_rows([[True, False], [False, True]]) == IntegerMatrix.identity(2)
+    for entry in (Fraction(1), 1.0, "1"):
+        with pytest.raises(TypeError):
+            IntegerMatrix.from_rows([[entry]])
+
+
 # --- characteristic polynomial -------------------------------------------
 
 

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmaample import cli, engine, intmat, lattice
+from sigmaample import cli, engine, intmat, intpoly, lattice
 from sigmaample.ampleness import PolyhedralCone
 from sigmaample.errors import RankMismatch
 from sigmaample.intmat import IntegerMatrix
@@ -295,6 +296,43 @@ def test_floats_are_rejected_everywhere(wehler):
             engine.growth_report(
                 wehler.scheme, action, wehler.oracle(), wehler.divisor("H1plusH2"), 4, 0.001
             )
+    # a str or Decimal rational is not parsed: exponent notation would build a
+    # 664386-bit denominator from '1e-200000'
+    scheme, top = wehler.scheme, wehler.scheme.components[0].top_form
+    p = NumericalPolynomial([-2, 0, 1])
+    chain = intpoly.sturm_chain(p)
+    for leak in (
+        lambda: DivisorClass.of("1/2", " 3 "),
+        lambda: DivisorClass.of(Decimal("0.5"), 1),
+        lambda: SymmetricForm.of(1, 1, [((0,), "2/4")]),
+        lambda: SchemeDescriptor(scheme.rank, scheme.components, euler_char="1e3"),
+        lambda: intmat.exact_eps("1e-200000"),
+        lambda: engine.classify(s1s2.matrix, "1/1000"),
+        lambda: intpoly.RationalInterval(0.5, 1.25),
+        lambda: intpoly.largest_real_root_interval(p, 0.1, 2.5),
+        lambda: intpoly.sign_variations(chain, 0.5),
+    ):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            leak()
+    # a count is an integer, never a float that would be stored as 2.0
+    for leak in (
+        lambda: SchemeDescriptor(2.0, scheme.components),
+        lambda: ComponentDescriptor("X", 2.0, top),
+        lambda: SymmetricForm(2.0, 1, ()),
+        lambda: SymmetricForm(2, 1.0, ()),
+        lambda: PolyhedralCone(2.0, ((1, 0),)),
+    ):
+        with pytest.raises(TypeError):
+            leak()
+    # bool and Fraction still pass, with the values they had
+    assert DivisorClass.of(True, 0) == DivisorClass((1, 0))
+    assert DivisorClass.of(Fraction(1, 2), 3) == DivisorClass((1, 6), 2)
+    assert SymmetricForm.of(1, 1, [((0,), Fraction(2, 4))]) == SymmetricForm(1, 1, (((0,), 1),), 2)
+    one = SchemeDescriptor(True, (ComponentDescriptor("X", True, SymmetricForm(True, 1, ())),), 3)
+    assert (one.rank, one.components[0].dim, one.euler_char) == (1, 1, Fraction(3))
+    assert type(one.rank) is type(one.components[0].dim) is int
+    assert intmat.exact_eps(True) == 1 and intmat.exact_eps(Fraction(1, 3)) == Fraction(1, 3)
+    assert intpoly.RationalInterval(False, Fraction(5, 4)).hi == Fraction(5, 4)
 
 
 _IMPORTS = (
