@@ -71,11 +71,11 @@ _EXIT_STATUS = {
 
 
 def load_input(name_or_path: str) -> SchemeFile:
-    """Resolve and read INPUT: an existing file path first, then a catalog
-    name. A file that cannot be read or decoded is a SchemeParseError. The
-    actions are not validated here."""
+    """Resolve and read INPUT: an existing path first (a pipe or a directory
+    too), then a catalog name. A path that cannot be read or decoded is a
+    SchemeParseError. The actions are not validated here."""
     path = Path(name_or_path)
-    if not path.is_file():
+    if not path.exists():
         return catalog_entry(name_or_path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -114,7 +114,7 @@ def cmd_validate(args) -> tuple[dict, int]:
                 sreport = action_stability_report(oracle, action)
                 stability.append({"oracle": name, "action": aname, **_report_json(sreport)})
     scheme = _report_json(scheme_consistency_report(sf.scheme))
-    valid = all(entry["valid"] for entry in [*actions, *oracles, scheme])
+    valid = all(entry["valid"] for entry in [*actions, *oracles, *stability, scheme])
     doc = {
         "command": "validate",
         "input": args.input,

@@ -195,23 +195,6 @@ def _nilpotent_steps(
     return reduced_divisor, tuple(vectors)
 
 
-def _witness(
-    oracle: AmplenessOracle,
-    reduction: UnipotentReduction,
-    reduced_divisor: DivisorClass,
-    vectors: tuple[tuple[int, ...], ...],
-) -> int | None:
-    """The least m with an ample member of the reduced family at step 1, or
-    None; a witness is checked once more on the partial sum of D' under P^q
-    computed from the matrix alone."""
-    witness = is_ample_symbolic(oracle, reduced_divisor.denominator, vectors)
-    if witness is not None:
-        concrete = partial_sum(reduction.matrix, reduced_divisor, witness)
-        if not is_ample(oracle, concrete):
-            raise AssertionError("symbolic witness failed the concrete ampleness check")
-    return witness
-
-
 def is_sigma_ample(
     scheme: SchemeDescriptor,
     action: AutomorphismAction,
@@ -221,11 +204,14 @@ def is_sigma_ample(
     """Exact decision whether the divisor class admits ample partial sums.
 
     Non-quasi-unipotent actions never do. Otherwise, reduce to the unipotent
-    power q (summing the first q images into one class), express the reduced
-    partial sums by integer vectors, and search for an ample member; the
-    reduced family samples the original partial sums at multiples of q, so
-    the existence verdict transfers exactly. A witness is checked once more
-    on the partial sum computed from the matrix alone.
+    power q (summing the first q images into one class D'), express the
+    reduced partial sums by integer vectors, and search for an ample member;
+    the reduced family samples the original partial sums at multiples of q,
+    so the existence verdict transfers exactly. The member at m = 1 is D'
+    itself, so the oracle is asked of D' first and the witness is 1 when it
+    is ample; otherwise the constraint polynomials are built and a witness
+    they give is checked once more on the partial sum of D' under P^q
+    computed from the matrix alone.
     """
     require_valid(scheme, action)
     if divisor.rank != action.matrix.size:
@@ -234,8 +220,15 @@ def is_sigma_ample(
     if reduction is None:
         return SigmaAmpleVerdict(None, None, None)
     reduced_divisor, vectors = _nilpotent_steps(action.matrix, reduction, divisor)
-    witness = _witness(oracle, reduction, reduced_divisor, vectors)
-    return SigmaAmpleVerdict(reduction.power, witness, (reduced_divisor.denominator, vectors))
+    family = (reduced_divisor.denominator, vectors)
+    if is_ample(oracle, reduced_divisor):
+        return SigmaAmpleVerdict(reduction.power, 1, family)
+    witness = is_ample_symbolic(oracle, *family)
+    if witness is not None:
+        concrete = partial_sum(reduction.matrix, reduced_divisor, witness)
+        if not is_ample(oracle, concrete):
+            raise AssertionError("symbolic witness failed the concrete ampleness check")
+    return SigmaAmpleVerdict(reduction.power, witness, family)
 
 
 def gk_profile(
@@ -244,30 +237,26 @@ def gk_profile(
     oracle: AmplenessOracle,
     divisor: DivisorClass,
 ) -> GKProfile:
-    """Gelfand-Kirillov data for the twisted ring of an ample (or at least
-    sigma-ample) class under a quasi-unipotent action.
+    """Gelfand-Kirillov data for the twisted ring of a sigma-ample class
+    under a quasi-unipotent action.
 
-    A non-ample input is first replaced by an ample partial sum when one
-    exists (taking a Veronese step changes neither the growth degree nor the
-    dimension); otherwise NotAmple. The family is the reduced family at the
-    step w, so its partial sums are taken at multiples of q*w, where w is 1
-    for an ample class (which needs no witness search) and the sigma-ample
-    witness otherwise. Per component, the top form's table on the family's
-    vectors, summed at step w, is the self-intersection polynomial, and the
-    dimension is one more than the largest degree over components.
+    The class is replaced by its ample partial sum at the least witness w of
+    ``is_sigma_ample`` (taking a Veronese step changes neither the growth
+    degree nor the dimension); a class with no ample partial sum is NotAmple.
+    The family is the verdict's reduced family at the step w, so its partial
+    sums are taken at multiples of q*w. Per component, the top form's table
+    on the family's vectors, summed at step w, is the self-intersection
+    polynomial, and the dimension is one more than the largest degree over
+    components.
     """
     require_valid(scheme, action)
-    reduction = unipotent_reduction(action.matrix)
-    if reduction is None:
+    if unipotent_reduction(action.matrix) is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
-    ample = is_ample(oracle, divisor)
-    reduced_divisor, vectors = _nilpotent_steps(action.matrix, reduction, divisor)
-    denom = reduced_divisor.denominator
-    w = 1
-    if not ample:
-        w = _witness(oracle, reduction, reduced_divisor, vectors)
-        if w is None:
-            raise NotAmple("divisor is neither ample nor sigma-ample; no growth data exists")
+    verdict = is_sigma_ample(scheme, action, oracle, divisor)
+    w = verdict.witness
+    if w is None:
+        raise NotAmple("divisor is neither ample nor sigma-ample; no growth data exists")
+    denom, vectors = verdict.family
     expansions = tuple(
         ComponentExpansion(
             comp.name,
@@ -278,7 +267,7 @@ def gk_profile(
     degrees = [e.polynomial.degree for e in expansions if not e.polynomial.is_zero]
     if not degrees:
         raise NotAmple("partial-sum self-intersections all vanish; class cannot be ample")
-    return GKProfile(max(degrees) + 1, reduction.power * w, expansions)
+    return GKProfile(max(degrees) + 1, verdict.unipotent_power * w, expansions)
 
 
 def euler_char_series(

@@ -438,7 +438,8 @@ def test_validate_empty_forms_of_large_dimension(todd, tmp_path):
         "components": [
             {"name": "X", "dim": dim, "top_form": [], "todd": [[]] * (dim + 1) if todd else None}
         ],
-        "oracles": [{"name": "ample", "kind": "polyhedral", "data": {"facets": [["1", "0", "0"]]}}],
+        # the shear's transpose fixes e_1, so this facet is stable
+        "oracles": [{"name": "ample", "kind": "polyhedral", "data": {"facets": [["0", "1", "0"]]}}],
         "automorphisms": [
             {"name": "id", "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
             {
@@ -476,6 +477,64 @@ def test_unreadable_file_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(Path, "read_text", refuse)
     for argv in (["validate", str(path)], ["classify", str(path), "--auto", "s1"]):
         assert run(capsys, *argv) == (2, "", f"error: cannot read {path}: Permission denied\n")
+
+
+def test_directory_input_is_read_as_a_path(tmp_path, monkeypatch, capsys):
+    # an existing path is read, so a directory named like a catalog entry
+    # shadows the entry, as a regular file does
+    (tmp_path / "p1").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "validate", "p1") == (2, "", f"error: cannot read p1: {os.strerror(errno.EISDIR)}\n")
+
+
+def test_piped_input_is_read():
+    shown = run_bounded("-m", "sigmaample.cli", "catalog", "show", "p1").stdout
+    done = subprocess.run(
+        [sys.executable, "-m", "sigmaample.cli", "validate", "/dev/stdin"],
+        input=shown, capture_output=True, text=True, timeout=10, env=child_env(),
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("input /dev/stdin: valid\n")
+
+
+def _swapcone(tmp_path) -> str:
+    """A rank-2 file whose one facet the swap does not keep: D = (1, 0) is
+    ample, but D + swap(D) = (1, 1) is not, nor is any multiple of it."""
+    doc = {
+        "rank": 2,
+        "components": [{"name": "C", "dim": 1, "top_form": [
+            {"index": [0], "value": "1"}, {"index": [1], "value": "1"},
+        ]}],
+        "oracles": [{"name": "ample", "kind": "polyhedral", "data": {"facets": [["1", "-2"]]}}],
+        "automorphisms": [{"name": "swap", "matrix": [["0", "1"], ["1", "0"]]}],
+        "divisors": [{"name": "D", "coords": ["1", "0"]}],
+    }
+    path = tmp_path / "swapcone.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_validate_counts_cone_stability(tmp_path, capsys):
+    path = _swapcone(tmp_path)
+    code, out, err = run(capsys, "validate", path)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        f"input {path}: INVALID",
+        "  action swap: ok",
+        "  oracle ample: ok",
+        "  cone stability ample/swap: FAILED",
+    ]
+
+
+def test_gkdim_agrees_with_sigma_ample_on_an_unstable_cone(tmp_path, capsys):
+    path = _swapcone(tmp_path)
+    query = ["--auto", "swap", "--divisor", "D"]
+    code, doc, err = run_json(capsys, "sigma-ample", path, *query)
+    assert (code, err) == (0, "")
+    assert doc["results"][0]["reason"] == "no-ample-partial-sum"
+    refused = "error: divisor is neither ample nor sigma-ample; no growth data exists\n"
+    for command in ("gkdim", "growth"):
+        assert run(capsys, command, path, *query) == (4, "", refused)
 
 
 def test_closed_stdout_exits_1_without_traceback():
@@ -740,7 +799,6 @@ def test_classify_a_complex_dominant_pair(tmp_path, capsys, monkeypatch):
     doc = {
         "rank": 4,
         "components": [{"name": "X", "dim": 2, "top_form": []}],
-        "oracles": [{"name": "ample", "kind": "polyhedral", "data": {"facets": [["1", "0", "0", "0"]]}}],
         "automorphisms": [{"name": "c", "matrix": [
             ["0", "0", "0", "-1"], ["1", "0", "0", "2"], ["0", "1", "0", "2"], ["0", "0", "1", "-1"],
         ]}],

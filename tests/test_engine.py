@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmaample import ampleness, engine, intmat, numpoly
-from sigmaample.ampleness import is_ample
+from sigmaample.ampleness import PolyhedralCone, action_stability_report, is_ample
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import (
     MissingToddData,
@@ -19,16 +19,21 @@ from sigmaample.lattice import (
     ComponentDescriptor,
     DivisorClass,
     SchemeDescriptor,
+    SymmetricForm,
+    validate,
 )
+from sigmaample.schemefile import SchemeFile
 
 import reference_lattice as ref
 import reference_numpoly as rn
 from conftest import (
     delta_symbolic,
     family_at,
+    nilpotent_steps,
     power_symbolic,
     random_divisors,
     unimodular_matrices,
+    unipotent_matrices,
 )
 
 
@@ -199,7 +204,8 @@ def test_verdict_family_is_the_reduced_partial_sums(data):
 
 def test_sigma_ample_sums_binomials_once_per_condition(monkeypatch):
     """A verdict builds one polynomial per oracle condition and none per
-    coordinate of the family; off the quasi-unipotent branch it builds none."""
+    coordinate of the family; off the quasi-unipotent branch, and when the
+    summed divisor D' (the family at m = 1) is ample, it builds none."""
     calls = []
     original = numpoly.symmetric_binomial_sum
 
@@ -218,10 +224,11 @@ def test_sigma_ample_sums_binomials_once_per_condition(monkeypatch):
                 for divisor in sf.divisors.values():
                     conditions = len(oracle.conditions(divisor))
                     calls.clear()
-                    engine.is_sigma_ample(sf.scheme, action, oracle, divisor)
-                    assert len(calls) == (conditions if quasi else 0), (name, action.name)
-                    branches.add(quasi)
-    assert branches == {True, False}
+                    verdict = engine.is_sigma_ample(sf.scheme, action, oracle, divisor)
+                    built = quasi and verdict.witness != 1
+                    assert len(calls) == (conditions if built else 0), (name, action.name)
+                    branches.add((quasi, built))
+    assert branches == {(True, True), (True, False), (False, False)}
 
 
 # --- GK dimension --------------------------------------------------------------
@@ -300,6 +307,69 @@ def test_gk_profile_of_ample_class_runs_no_witness_search(abelian, monkeypatch):
     # a class that is only sigma-ample needs its witness
     assert engine.gk_profile(*args, abelian.divisor("fiber1")).gk_dimension == 5
     assert len(searches) == 1
+
+
+def _assert_profile_reads_the_verdict(sf, action, oracle, divisor):
+    """gk_profile takes its step from the verdict: q times the least witness,
+    and NotAmple exactly when there is no witness."""
+    verdict = engine.is_sigma_ample(sf.scheme, action, oracle, divisor)
+    if verdict.witness is None:
+        with pytest.raises(NotAmple):
+            engine.gk_profile(sf.scheme, action, oracle, divisor)
+        return None
+    profile = engine.gk_profile(sf.scheme, action, oracle, divisor)
+    assert profile.reduced_power == verdict.unipotent_power * verdict.witness
+    return verdict.unipotent_power, verdict.witness
+
+
+def test_gk_profile_step_is_the_verdicts_on_the_catalog():
+    steps = set()
+    for name in catalog_names():
+        sf = catalog_entry(name)
+        divisors = list(sf.divisors.values()) + random_divisors(sf.scheme.rank, 10)
+        for action in sf.automorphisms.values():
+            if quasi_unipotence(action.matrix) is None:
+                continue
+            for oracle in sf.oracles.values():
+                for divisor in divisors:
+                    steps.add(_assert_profile_reads_the_verdict(sf, action, oracle, divisor))
+    steps.discard(None)
+    # q > 1 and a witness above 1 both occur
+    assert any(q > 1 for q, _ in steps) and any(w > 1 for _, w in steps)
+
+
+@st.composite
+def _stable_cone_cases(draw):
+    """A unipotent P at rank 2-6 with a cone of 1-3 facets fixed by P^T,
+    each the last nonzero N^k v of a chain from a random v (N = P^T - I), a
+    curve whose top form is the first facet, and a few classes."""
+    n = draw(st.integers(2, 6))
+    matrix = draw(unipotent_matrices(n))
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    facets = []
+    for v in draw(st.lists(vectors, min_size=1, max_size=3)):
+        chain = nilpotent_steps(matrix.transpose(), DivisorClass.of(*v))
+        facets.append([step.numerators for step in chain if any(step.numerators)][-1])
+    top = SymmetricForm.of(n, 1, {(i,): c for i, c in enumerate(facets[0])}.items())
+    sf = SchemeFile(
+        SchemeDescriptor(n, (ComponentDescriptor("C", 1, top),)),
+        {"cone": PolyhedralCone(n, tuple(facets))},
+        {"P": AutomorphismAction("P", matrix)},
+        {},
+    )
+    classes = st.lists(st.fractions(-9, 9, max_denominator=4), min_size=n, max_size=n)
+    return sf, [DivisorClass.of(*c) for c in draw(st.lists(classes, min_size=1, max_size=4))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stable_cone_cases())
+def test_gk_profile_step_is_the_verdicts_on_stable_unipotent_cones(case):
+    sf, divisors = case
+    action, oracle = sf.action("P"), sf.oracle()
+    assert validate(sf.scheme, action).valid
+    assert action_stability_report(oracle, action).valid
+    for divisor in divisors:
+        _assert_profile_reads_the_verdict(sf, action, oracle, divisor)
 
 
 def test_gk_profile_error_order(wehler):
