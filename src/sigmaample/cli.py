@@ -17,6 +17,8 @@ batch loop. It loads INPUT, validates its actions and resolves --oracle
 (for the commands that take it) before any query runs, then answers each
 (--auto, --divisor) pair in input order (--auto alone for classify) and
 wraps the results in one {command, input, [oracle], results} document.
+The commands with an oracle refuse an action that does not keep the
+oracle's cone (exit 2), just before that action's first query.
 Each query command has a ``cmd_<name>(args, sf, oracle, aname, dname)``
 that answers one query (None for an option the command lacks) and a
 ``_text_<name>`` that renders one result; text output is the rendered
@@ -128,17 +130,16 @@ def cmd_validate(args) -> tuple[dict, int]:
 
 
 def _text_validate(doc) -> str:
+    """One status line per section entry, the scheme's only when it fails,
+    each followed by a ``name: detail`` line per failed check."""
     lines = [f"input {doc['input']}: {'valid' if doc['valid'] else 'INVALID'}"]
-    for section in ("actions", "oracles"):
-        for entry in doc[section]:
-            status = "ok" if entry["valid"] else "FAILED"
-            lines.append(f"  {section[:-1]} {entry['name']}: {status}")
-            for check in entry["checks"]:
-                if not check["passed"]:
-                    lines.append(f"    {check['name']}: {check['detail']}")
-    for entry in doc["cone_stability"]:
-        status = "ok" if entry["valid"] else "FAILED"
-        lines.append(f"  cone stability {entry['oracle']}/{entry['action']}: {status}")
+    entries = [] if doc["scheme"]["valid"] else [("scheme", doc["scheme"])]
+    entries += [(f"action {e['name']}", e) for e in doc["actions"]]
+    entries += [(f"oracle {e['name']}", e) for e in doc["oracles"]]
+    entries += [(f"cone stability {e['oracle']}/{e['action']}", e) for e in doc["cone_stability"]]
+    for label, entry in entries:
+        lines.append(f"  {label}: {'ok' if entry['valid'] else 'FAILED'}")
+        lines += [f"    {c['name']}: {c['detail']}" for c in entry["checks"] if not c["passed"]]
     return "\n".join(lines)
 
 
@@ -314,7 +315,9 @@ def _text_catalog(doc) -> str:
 
 def _answer_batch(args) -> dict:
     """Load INPUT, validate its actions and resolve the oracle, then answer
-    the queries in input order."""
+    the queries in input order. Just before an action's first query, a
+    command with an oracle refuses the action if it does not keep the
+    oracle's cone."""
     sf = load_input(args.input)
     for action in sf.automorphisms.values():
         engine.require_valid(sf.scheme, action)
@@ -324,7 +327,15 @@ def _answer_batch(args) -> dict:
         oracle = sf.oracle(args.oracle)
         doc["oracle"] = args.oracle or next(iter(sf.oracles))
     divisors = args.divisor if "divisor" in args else [None]
-    doc["results"] = [args.func(args, sf, oracle, a, d) for a in args.auto for d in divisors]
+    doc["results"] = []
+    for aname in args.auto:
+        failed = oracle is not None and action_stability_report(oracle, sf.action(aname)).failures
+        if failed:
+            raise InvalidSchemeData(
+                f"action {aname!r} does not keep oracle {doc['oracle']!r}: "
+                f"{failed[0].name} ({failed[0].detail})"
+            )
+        doc["results"] += [args.func(args, sf, oracle, aname, d) for d in divisors]
     return doc
 
 

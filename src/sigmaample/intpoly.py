@@ -1,19 +1,20 @@
 """Exact real-root isolation for univariate polynomials.
 
-Coefficient lists are dense and stored lowest degree first. Everything in
-here is exact integer arithmetic: the square-free part comes from a
-primitive polynomial remainder sequence and an exact integer quotient, a
-Sturm chain is a list of primitive integer polynomials, each a positive
-multiple of the classical rational member, and a chain is evaluated at a
-rational a/b homogenised, b^d p(a/b), so neither floating point nor a
-``Fraction`` enters any sign count. The zeros outside the unit circle are
-counted in the same way, by a Routh-Hurwitz count on the Cayley transform
-whose Cauchy index comes from the remainder sequence Sturm chains use. One
-dyadic bisection loop, ``_bisect``, halves a rational interval on integer
-ends over a power-of-two denominator, asking one question per midpoint; the
-spectral radius in ``intmat`` and ``largest_real_root_interval`` both run
-on it. The polynomial type itself is ``numpoly.NumericalPolynomial``, which
-builds on the list helpers below; a caller's rational passes ``_rational``.
+Coefficient lists are dense and stored lowest degree first, and all
+arithmetic here is exact and in integers. The primitive remainder sequence
+of p and p' ends in gcd(p, p'): it is p's Sturm chain when p is square-free,
+and otherwise p over its last member, an exact quotient, is the square-free
+part, whose own sequence is the chain. Each member is a positive multiple of
+the classical rational one, and a chain is evaluated at a rational a/b
+homogenised, b^d p(a/b), so neither floating point nor a ``Fraction`` enters
+any sign count. The zeros outside the unit circle are counted by a
+Routh-Hurwitz count on the Cayley transform, whose Cauchy index comes from
+the same remainder sequence. One dyadic bisection loop, ``_bisect``, halves
+a rational interval on integer ends over a power-of-two denominator, asking
+one question per midpoint; the spectral radius in ``intmat`` and
+``largest_real_root_interval`` both run on it. The polynomial type itself is
+``numpoly.NumericalPolynomial``, which builds on the list helpers below; a
+caller's rational passes ``_rational``.
 """
 from __future__ import annotations
 
@@ -113,27 +114,6 @@ def _divide_exact(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
     return quotient if not any(rem[:top]) else None
 
 
-def _greatest_common_divisor(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """A primitive gcd of two integer lists, by the primitive remainder sequence."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return a
-
-
-def square_free_part(p: NumericalPolynomial) -> list[int]:
-    """p divided by gcd(p, p'), as a primitive integer list with a positive
-    leading coefficient."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no square-free part")
-    cs = _primitive(p.numerators)
-    # cs and the gcd are primitive, so the quotient is too (Gauss's lemma)
-    q = _divide_exact(cs, _greatest_common_divisor(cs, [i * cs[i] for i in range(1, len(cs))]))
-    if q[-1] < 0:
-        q = [-c for c in q]
-    return q
-
-
 def cauchy_root_bound(coeffs: Sequence) -> Fraction:
     """1 + max|a_i| / |a_lead|; every root modulus is at most this."""
     cs = _strip([_rational(c) for c in coeffs])
@@ -164,11 +144,31 @@ def _remainder_sequence(f0: list[int], f1: list[int]) -> list[list[int]]:
     return chain
 
 
+def _derivative_sequence(cs: list[int]) -> list[list[int]]:
+    """The remainder sequence of the nonzero primitive list cs, led
+    positive, and its primitive derivative. Its last member is a primitive
+    gcd(cs, cs'), so a constant exactly when cs is square-free."""
+    if not cs:
+        raise ValueError("zero polynomial has no square-free part")
+    if cs[-1] < 0:
+        cs = [-c for c in cs]
+    return _remainder_sequence(cs, _primitive([i * cs[i] for i in range(1, len(cs))]))
+
+
+def square_free_part(p: NumericalPolynomial) -> list[int]:
+    """p / gcd(p, p'), primitive and led positive: the first member of the
+    (p, p') sequence over its last, both primitive, so exactly (Gauss's lemma)."""
+    seq = _derivative_sequence(_primitive(p.numerators))
+    q = _divide_exact(seq[0], seq[-1])
+    return q if q[-1] > 0 else [-c for c in q]
+
+
 def sturm_chain(p: NumericalPolynomial) -> list[list[int]]:
     """Sturm chain of the square-free part of p, as primitive integer lists:
-    the remainder sequence of that part and its derivative."""
-    first = square_free_part(p)
-    return _remainder_sequence(first, _primitive([i * first[i] for i in range(1, len(first))]))
+    the (p, p') remainder sequence when its last member, gcd(p, p'), is a
+    constant, else the sequence of p / gcd(p, p') and its derivative."""
+    seq = _derivative_sequence(_primitive(p.numerators))
+    return seq if len(seq[-1]) == 1 else _derivative_sequence(_divide_exact(seq[0], seq[-1]))
 
 
 def sign_variations(chain: Sequence[Sequence[int]], x) -> int:

@@ -523,18 +523,41 @@ def test_validate_counts_cone_stability(tmp_path, capsys):
         "  action swap: ok",
         "  oracle ample: ok",
         "  cone stability ample/swap: FAILED",
+        "    facet_set_stable: facets map to [(-2, 1)]",
+    ]
+
+
+def test_text_validate_names_a_failed_scheme_check(tmp_path, capsys):
+    doc = json.loads(serialize_scheme_file(catalog_entry("p1")))
+    doc["euler_char"] = "5"
+    path = tmp_path / "bad_euler.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (2, "")
+    assert out.splitlines()[:3] == [
+        f"input {path}: INVALID",
+        "  scheme: FAILED",
+        "    euler_char_consistent: todd constants sum to 1, declared 5",
     ]
 
 
 def test_gkdim_agrees_with_sigma_ample_on_an_unstable_cone(tmp_path, capsys):
     path = _swapcone(tmp_path)
     query = ["--auto", "swap", "--divisor", "D"]
-    code, doc, err = run_json(capsys, "sigma-ample", path, *query)
-    assert (code, err) == (0, "")
-    assert doc["results"][0]["reason"] == "no-ample-partial-sum"
-    refused = "error: divisor is neither ample nor sigma-ample; no growth data exists\n"
-    for command in ("gkdim", "growth"):
-        assert run(capsys, command, path, *query) == (4, "", refused)
+    refused = (
+        "error: action 'swap' does not keep oracle 'ample': "
+        "facet_set_stable (facets map to [(-2, 1)])\n"
+    )
+    for command in ("sigma-ample", "gkdim", "growth"):
+        assert run(capsys, command, path, *query) == (2, "", refused)
+    # classify takes no oracle, so it still answers
+    assert run(capsys, "classify", path, "--auto", "swap")[0] == 0
+
+
+def test_query_errors_come_in_input_order(capsys):
+    # the first query's unknown divisor is met before the second --auto
+    argv = ["sigma-ample", "wehler_k3", "--auto", "s1", "--auto", "nope", "--divisor", "nope2"]
+    assert run(capsys, *argv) == (3, "", "error: no divisor named 'nope2'\n")
 
 
 def test_closed_stdout_exits_1_without_traceback():

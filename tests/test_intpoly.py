@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from sigmaample import intpoly
 from sigmaample.intpoly import (
     RationalInterval,
     cauchy_root_bound,
@@ -62,6 +64,19 @@ def test_square_free_part():
     # (x - 1)^2 (x + 2) -> (x - 1)(x + 2) up to sign normalization
     p = NumericalPolynomial([2, -3, 0, 1])
     assert square_free_part(p) == [-2, 1, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@example([0, 1, 0, 0, 3])
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=9).filter(lambda cs: cs[-1]))
+def test_square_free_chain_runs_one_remainder_sequence(coeffs):
+    # the (p, p') sequence ends in gcd(p, p'), so a square-free p's chain is
+    # that one sequence: one pseudo-remainder per member after the first
+    p = NumericalPolynomial(tuple(coeffs))
+    assume(len(square_free_part(p)) == len(coeffs))
+    with mock.patch.object(intpoly, "_prem", wraps=intpoly._prem) as prem:
+        chain = sturm_chain(p)
+    assert prem.call_count == len(chain) - 1
 
 
 def test_sturm_counts_roots_of_quadratic():

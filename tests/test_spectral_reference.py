@@ -182,6 +182,14 @@ def test_square_free_part_matches_reference(p):
 
 
 @settings(max_examples=150, deadline=None)
+@given(repeated_factor_polynomials())
+def test_chain_leads_with_the_square_free_part(p):
+    if p.is_zero:
+        return
+    assert sturm_chain(p)[0] == square_free_part(p)
+
+
+@settings(max_examples=150, deadline=None)
 @example(NumericalPolynomial([0, 1, 0, 0, 3]), [])  # degree gap 2 under lc < 0
 @given(repeated_factor_polynomials(), st.lists(st.fractions(-20, 20, max_denominator=50), max_size=6))
 def test_integer_chain_is_positive_multiple_of_fraction_chain(p, points):
