@@ -26,7 +26,6 @@ from .lattice import (
     ComponentDescriptor,
     DivisorClass,
     SymmetricForm,
-    ValidationReport,
     apply,
 )
 from .numpoly import NumericalPolynomial, exists_common_positive, symmetric_binomial_sum
@@ -171,25 +170,3 @@ def is_ample_symbolic(
 ) -> int | None:
     """Minimal positive integer m making sum_j C(m, j) v_j / denom ample, or None."""
     return exists_common_positive(symbolic_constraints(oracle, denom, vectors))
-
-
-def oracle_report(oracle: AmplenessOracle, rank: int) -> ValidationReport:
-    """Sanity report: rank agreement plus the oracle's own invariants.
-
-    Construction already enforces the invariants, so the checks here mostly
-    re-state them for file-level validation output.
-    """
-    checks = [CheckResult("rank", oracle.rank == rank, f"oracle rank {oracle.rank}")]
-    return ValidationReport(tuple(checks + oracle.invariant_checks()))
-
-
-def action_stability_report(
-    oracle: AmplenessOracle, action: AutomorphismAction
-) -> ValidationReport:
-    """Does the action preserve the oracle's ample cone?
-
-    For a polyhedral cone the facet set must be stable under composition with
-    the action (up to positive scaling). For a surface positive cone the
-    reference class must stay ample and the obstruction set must be permuted.
-    """
-    return ValidationReport(tuple(oracle.stability_checks(action)))

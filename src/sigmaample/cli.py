@@ -17,8 +17,9 @@ batch loop. It loads INPUT, validates its actions and resolves --oracle
 (for the commands that take it) before any query runs, then answers each
 (--auto, --divisor) pair in input order (--auto alone for classify) and
 wraps the results in one {command, input, [oracle], results} document.
-The commands with an oracle refuse an action that does not keep the
-oracle's cone (exit 2), just before that action's first query.
+Just before an action's first query, ``engine.require_valid`` is given the
+command's oracle, so sigma-ample, gkdim and growth refuse an action that
+does not keep the oracle's cone (exit 2), as the engine's queries do.
 Each query command has a ``cmd_<name>(args, sf, oracle, aname, dname)``
 that answers one query (None for an option the command lacks) and a
 ``_text_<name>`` that renders one result; text output is the rendered
@@ -41,11 +42,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import engine
-from .ampleness import action_stability_report, oracle_report
 from .catalog import catalog_entry, catalog_names
 from .errors import InvalidSchemeData, SchemeParseError, SigmaAmpleError, UnknownName
 from .intmat import char_poly
-from .lattice import scheme_consistency_report
+from .lattice import CheckResult, scheme_consistency_report
 from .lattice import validate as validate_action
 from .numpoly import binomial_coefficients
 from .schemefile import (
@@ -92,12 +92,10 @@ def _interval_json(iv) -> dict:
     return {"lo": format_rational(iv.lo), "hi": format_rational(iv.hi)}
 
 
-def _report_json(report) -> dict:
+def _report_json(checks) -> dict:
     return {
-        "valid": report.valid,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-        ],
+        "valid": all(c.passed for c in checks),
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
     }
 
 
@@ -106,16 +104,17 @@ def cmd_validate(args) -> tuple[dict, int]:
     reports = {
         name: validate_action(sf.scheme, action) for name, action in sf.automorphisms.items()
     }
-    actions = [{"name": name, **_report_json(report)} for name, report in reports.items()]
+    actions = [{"name": name, **_report_json(report.checks)} for name, report in reports.items()]
     oracles = []
     stability = []
     for name, oracle in sf.oracles.items():
-        oracles.append({"name": name, **_report_json(oracle_report(oracle, sf.scheme.rank))})
+        rank = CheckResult("rank", oracle.rank == sf.scheme.rank, f"oracle rank {oracle.rank}")
+        oracles.append({"name": name, **_report_json([rank, *oracle.invariant_checks()])})
         for aname, action in sf.automorphisms.items():
             if reports[aname].valid:
-                sreport = action_stability_report(oracle, action)
-                stability.append({"oracle": name, "action": aname, **_report_json(sreport)})
-    scheme = _report_json(scheme_consistency_report(sf.scheme))
+                checks = oracle.stability_checks(action)
+                stability.append({"oracle": name, "action": aname, **_report_json(checks)})
+    scheme = _report_json(scheme_consistency_report(sf.scheme).checks)
     valid = all(entry["valid"] for entry in [*actions, *oracles, *stability, scheme])
     doc = {
         "command": "validate",
@@ -315,9 +314,9 @@ def _text_catalog(doc) -> str:
 
 def _answer_batch(args) -> dict:
     """Load INPUT, validate its actions and resolve the oracle, then answer
-    the queries in input order. Just before an action's first query, a
-    command with an oracle refuses the action if it does not keep the
-    oracle's cone."""
+    the queries in input order. Just before an action's first query, the
+    engine's gate refuses the action, for a command with an oracle, if it
+    does not keep the oracle's cone."""
     sf = load_input(args.input)
     for action in sf.automorphisms.values():
         engine.require_valid(sf.scheme, action)
@@ -329,12 +328,7 @@ def _answer_batch(args) -> dict:
     divisors = args.divisor if "divisor" in args else [None]
     doc["results"] = []
     for aname in args.auto:
-        failed = oracle is not None and action_stability_report(oracle, sf.action(aname)).failures
-        if failed:
-            raise InvalidSchemeData(
-                f"action {aname!r} does not keep oracle {doc['oracle']!r}: "
-                f"{failed[0].name} ({failed[0].detail})"
-            )
+        engine.require_valid(sf.scheme, sf.action(aname), oracle)
         doc["results"] += [args.func(args, sf, oracle, aname, d) for d in divisors]
     return doc
 

@@ -119,21 +119,38 @@ class GrowthReport(Record):
 
 
 @lru_cache(maxsize=4096)
-def _first_validation_failure(scheme: SchemeDescriptor, action: AutomorphismAction):
-    report = validate(scheme, action)
-    return None if report.valid else report.failures[0]
+def _first_validation_failure(
+    scheme: SchemeDescriptor, action: AutomorphismAction, oracle: AmplenessOracle | None
+) -> str | None:
+    """Why the action is refused, or None: its first failed lattice check,
+    then, given an oracle, the first failed check that the action keeps the
+    oracle's cone. The lattice checks are shared by every oracle."""
+    if oracle is None:
+        checks, refusal = validate(scheme, action).checks, "fails validation"
+    else:
+        failure = _first_validation_failure(scheme, action, None)
+        if failure is not None:
+            return failure
+        checks, refusal = oracle.stability_checks(action), "does not keep the oracle's cone"
+    for check in checks:
+        if not check.passed:
+            return f"action {action.name!r} {refusal}: {check.name} ({check.detail})"
+    return None
 
 
-def require_valid(scheme: SchemeDescriptor, action: AutomorphismAction) -> None:
-    """Raise InvalidSchemeData naming the action's first failed check.
+def require_valid(
+    scheme: SchemeDescriptor, action: AutomorphismAction, oracle: AmplenessOracle | None = None
+) -> None:
+    """Raise InvalidSchemeData naming the first failed check of the action,
+    and, given an oracle, of the action keeping the oracle's cone: the
+    criterion reads an ample cone that the automorphism keeps, and a matrix
+    that moves the cone comes from no automorphism.
 
-    Validation runs once per (scheme, action) pair in a process.
+    Each check runs once per (scheme, action, oracle) in a process.
     """
-    first = _first_validation_failure(scheme, action)
-    if first is not None:
-        raise InvalidSchemeData(
-            f"action {action.name!r} fails validation: {first.name} ({first.detail})"
-        )
+    failure = _first_validation_failure(scheme, action, oracle)
+    if failure is not None:
+        raise InvalidSchemeData(failure)
 
 
 def classify(matrix: IntegerMatrix, eps: Fraction = DEFAULT_EPS) -> Classification:
@@ -213,7 +230,7 @@ def is_sigma_ample(
     they give is checked once more on the partial sum of D' under P^q
     computed from the matrix alone.
     """
-    require_valid(scheme, action)
+    require_valid(scheme, action, oracle)
     if divisor.rank != action.matrix.size:
         raise RankMismatch(f"rank {divisor.rank} vs matrix size {action.matrix.size}")
     reduction = unipotent_reduction(action.matrix)
@@ -249,7 +266,7 @@ def gk_profile(
     polynomial, and the dimension is one more than the largest degree over
     components.
     """
-    require_valid(scheme, action)
+    require_valid(scheme, action, oracle)
     if unipotent_reduction(action.matrix) is None:
         raise NotQuasiUnipotent(f"action {action.name!r} is not quasi-unipotent")
     verdict = is_sigma_ample(scheme, action, oracle, divisor)
@@ -334,7 +351,7 @@ def growth_report(
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     eps = exact_eps(eps)
-    require_valid(scheme, action)
+    require_valid(scheme, action, oracle)
     if not is_ample(oracle, divisor):
         raise NotAmple("growth reports are defined for ample divisor classes")
     if unipotent_reduction(action.matrix) is not None:

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import random
 import resource
@@ -211,6 +213,36 @@ def _limit_memory() -> None:
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+def perfbench_deck(kind: str, seed: int, workdir) -> list[dict]:
+    """The queries of the benchmark's ``kind`` deck (``salem`` or
+    ``unipotent``) for ``seed``, from ``perfbench/gen.py``, with every
+    scheme document the queries read written into ``workdir``."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    docs, queries = getattr(gen, f"{kind}_inputs")(random.Random(seed), str(workdir))
+    for path, doc in docs.items():
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    return queries
+
+
+def swapcone_document() -> dict:
+    """A rank-2 document whose one facet the swap does not keep: D = (1, 0)
+    is ample, but D + swap(D) = (1, 1) is not, nor is any multiple of it."""
+    return {
+        "rank": 2,
+        "components": [{"name": "C", "dim": 1, "top_form": [
+            {"index": [0], "value": "1"}, {"index": [1], "value": "1"},
+        ]}],
+        "oracles": [{"name": "ample", "kind": "polyhedral", "data": {"facets": [["1", "-2"]]}}],
+        "automorphisms": [{"name": "swap", "matrix": [["0", "1"], ["1", "0"]]}],
+        "divisors": [{"name": "D", "coords": ["1", "0"]}],
+    }
 
 
 def run_bounded(*args: str, timeout: float = 10) -> subprocess.CompletedProcess:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import sigmaample
 from sigmaample import cli, engine, intmat
-from sigmaample.ampleness import PolyhedralCone
+from sigmaample.ampleness import PolyhedralCone, SurfacePositiveCone
 from sigmaample.cli import main
 from sigmaample.schemefile import SchemeFile, format_rational, serialize_scheme_file
 from sigmaample.catalog import catalog_entry, catalog_names
@@ -25,7 +25,13 @@ from sigmaample.lattice import (
     SchemeDescriptor,
     SymmetricForm,
 )
-from conftest import child_env, permutation_transvections, run_bounded, unipotent_matrices
+from conftest import (
+    child_env,
+    permutation_transvections,
+    run_bounded,
+    swapcone_document,
+    unipotent_matrices,
+)
 
 
 def run(capsys, *argv):
@@ -191,13 +197,24 @@ def test_sigma_ample_no_partial_sum(capsys):
     st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any),
 )))
 def test_structured_reduction_trace_is_the_partial_sums_at_multiples_of_q(case):
-    # a zero surface form keeps every matrix valid; the trace does not read it
+    # a zero surface form keeps every matrix valid, and the facets are the
+    # orbit under P^T of a functional w that (P^T)^q fixes, so P keeps the
+    # cone: w is the last nonzero (U^T - I)^k v, with U = P^q unipotent and
+    # v the drawn functional; the trace reads neither
     matrix, coords, facet = case
     n, divisor = matrix.size, DivisorClass.of(*coords)
+    reduction = intmat.unipotent_reduction(matrix)
+    unipotent_t, transposed = reduction.matrix.transpose(), matrix.transpose()
+    w, step = None, tuple(facet)
+    while any(step):
+        w, step = step, tuple(a - b for a, b in zip(unipotent_t.column_action(step), step))
+    facets = [w]
+    for _ in range(reduction.power - 1):
+        facets.append(transposed.column_action(facets[-1]))
     top = ComponentDescriptor("X", 2, SymmetricForm.of(n, 2, {}.items()))
     sf = SchemeFile(
         SchemeDescriptor(n, (top,)),
-        {"cone": PolyhedralCone(n, (tuple(facet),))},
+        {"cone": PolyhedralCone(n, tuple(facets))},
         {"P": AutomorphismAction("P", matrix)},
         {"D": divisor},
     )
@@ -498,19 +515,9 @@ def test_piped_input_is_read():
 
 
 def _swapcone(tmp_path) -> str:
-    """A rank-2 file whose one facet the swap does not keep: D = (1, 0) is
-    ample, but D + swap(D) = (1, 1) is not, nor is any multiple of it."""
-    doc = {
-        "rank": 2,
-        "components": [{"name": "C", "dim": 1, "top_form": [
-            {"index": [0], "value": "1"}, {"index": [1], "value": "1"},
-        ]}],
-        "oracles": [{"name": "ample", "kind": "polyhedral", "data": {"facets": [["1", "-2"]]}}],
-        "automorphisms": [{"name": "swap", "matrix": [["0", "1"], ["1", "0"]]}],
-        "divisors": [{"name": "D", "coords": ["1", "0"]}],
-    }
+    """``swapcone_document`` written to a file."""
     path = tmp_path / "swapcone.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(swapcone_document()), encoding="utf-8")
     return str(path)
 
 
@@ -545,7 +552,7 @@ def test_gkdim_agrees_with_sigma_ample_on_an_unstable_cone(tmp_path, capsys):
     path = _swapcone(tmp_path)
     query = ["--auto", "swap", "--divisor", "D"]
     refused = (
-        "error: action 'swap' does not keep oracle 'ample': "
+        "error: action 'swap' does not keep the oracle's cone: "
         "facet_set_stable (facets map to [(-2, 1)])\n"
     )
     for command in ("sigma-ample", "gkdim", "growth"):
@@ -896,6 +903,24 @@ def test_classify_computes_each_characteristic_polynomial_once(capsys):
     # one Berkowitz run per action of the file (validation), then the
     # printed polynomial, quasi-unipotence and the spectral radius read it
     assert (info.misses, info.hits) == (4, 3)
+
+
+def test_each_action_is_checked_against_the_oracle_cone_once(monkeypatch, capsys):
+    engine._first_validation_failure.cache_clear()
+    seen = []
+    checks = SurfacePositiveCone.stability_checks
+
+    def spy(oracle, action):
+        seen.append(action.name)
+        return checks(oracle, action)
+
+    monkeypatch.setattr(SurfacePositiveCone, "stability_checks", spy)
+    query = ["wehler_k3", "--auto", "id", "--auto", "s1", "--divisor", "H1", "--divisor", "H2"]
+    for command in ("sigma-ample", "gkdim"):
+        assert main([command, *query]) == 0
+    capsys.readouterr()
+    # gkdim and its own sigma-ample verdict read the cache the first batch filled
+    assert seen == ["id", "s1"]
 
 
 # The usage block of every parser at 80 columns: the command table must

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmaample import ampleness, engine, intmat, numpoly
-from sigmaample.ampleness import PolyhedralCone, action_stability_report, is_ample
+from sigmaample.ampleness import PolyhedralCone, is_ample
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import (
     MissingToddData,
@@ -22,7 +23,7 @@ from sigmaample.lattice import (
     SymmetricForm,
     validate,
 )
-from sigmaample.schemefile import SchemeFile
+from sigmaample.schemefile import SchemeFile, parse_scheme_file
 
 import reference_lattice as ref
 import reference_numpoly as rn
@@ -32,6 +33,7 @@ from conftest import (
     nilpotent_steps,
     power_symbolic,
     random_divisors,
+    swapcone_document,
     unimodular_matrices,
     unipotent_matrices,
 )
@@ -367,7 +369,7 @@ def test_gk_profile_step_is_the_verdicts_on_stable_unipotent_cones(case):
     sf, divisors = case
     action, oracle = sf.action("P"), sf.oracle()
     assert validate(sf.scheme, action).valid
-    assert action_stability_report(oracle, action).valid
+    assert all(c.passed for c in oracle.stability_checks(action))
     for divisor in divisors:
         _assert_profile_reads_the_verdict(sf, action, oracle, divisor)
 
@@ -629,6 +631,25 @@ def test_invalid_action_rejected(wehler):
     bogus = AutomorphismAction("bogus", IntegerMatrix.from_rows([[1, 1], [0, 1]]))
     with pytest.raises(InvalidSchemeData):
         engine.is_sigma_ample(wehler.scheme, bogus, wehler.oracle(), wehler.divisor("H1"))
+
+
+def test_queries_with_an_oracle_refuse_an_action_that_moves_its_cone():
+    from sigmaample.errors import InvalidSchemeData
+
+    doc = swapcone_document()
+    # Todd data of a rational curve, so that the Euler characteristics answer
+    top = doc["components"][0]["top_form"]
+    doc["components"][0]["todd"] = [[{"index": [], "value": "1"}], top]
+    sf = parse_scheme_file(json.dumps(doc))
+    scheme, swap, oracle, divisor = sf.scheme, sf.action("swap"), sf.oracle(), sf.divisor("D")
+    for query in (engine.is_sigma_ample, engine.gk_profile, engine.growth_report):
+        with pytest.raises(InvalidSchemeData, match=r"^action 'swap' does not keep the oracle's "
+                           r"cone: facet_set_stable \(facets map to \[\(-2, 1\)\]\)$"):
+            query(scheme, swap, oracle, divisor)
+    # classify and the Euler characteristics take no oracle, so they answer
+    assert engine.classify(swap.matrix).unipotent_power == 2
+    # chi(O(a, b)) = a + b + 1 at the partial sums (1, 0), (1, 1), (2, 1)
+    assert engine.euler_char_series(scheme, swap, divisor, 3) == [2, 3, 4]
 
 
 def _mixed_dimension_scheme():

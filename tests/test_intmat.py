@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from sigmaample import intmat
+from sigmaample import cli, engine, intmat
 from sigmaample.engine import classify
 from sigmaample.errors import NotInvertibleOverIntegers, NotUnipotent
 from sigmaample.intmat import (
@@ -22,7 +22,7 @@ from sigmaample.intmat import (
 from sigmaample.intpoly import cauchy_root_bound
 from sigmaample.numpoly import NumericalPolynomial
 
-from conftest import unimodular_matrices
+from conftest import perfbench_deck, unimodular_matrices
 import reference_numpoly as rn
 from reference_intmat import inverse_unimodular
 from reference_spectral import _divmod, kronecker_spectral_radius
@@ -563,3 +563,40 @@ def test_classify_wehler_plus_identity_at_ranks_12_and_16(identity_size):
     }[identity_size]
     lo, hi = cls.radius.lo, cls.radius.hi
     assert 7 < lo and (lo - 7) ** 2 < 48 < (hi - 7) ** 2
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_salem_actions_keep_their_cone_and_one_count_certifies_rho(
+    seed, tmp_path, monkeypatch, capsys
+):
+    """A map that keeps a closed, pointed, full-dimensional cone has its
+    spectral radius as an eigenvalue (Birkhoff). Every salem deck action keeps
+    its surface cone, so the real route's cell holds rho: each
+    ``spectral_radius`` asks ``_roots_beyond`` at most once, is told 0, and
+    never starts the fallback's second bisection."""
+    calls = _root_counts(monkeypatch)
+    bisections, counts = [], []
+    bisect, radius = intmat._bisect, engine.spectral_radius
+
+    def counted_bisect(*args):
+        bisections.append(args)
+        return bisect(*args)
+
+    def checked_radius(matrix, eps):
+        del calls[:], bisections[:]
+        iv = radius(matrix, eps)
+        assert len(bisections) == 1 and [n for _, n in calls] in ([], [0]), calls
+        counts.append(len(calls))
+        return iv
+
+    monkeypatch.setattr(intmat, "_bisect", counted_bisect)
+    monkeypatch.setattr(engine, "spectral_radius", checked_radius)
+    queries = perfbench_deck("salem", seed, tmp_path)
+    for query in queries:
+        sf = cli.load_input(query["input"])
+        oracle, action = sf.oracle(), sf.action("salem")
+        assert all(c.passed for c in oracle.stability_checks(action)), query["input"]
+        assert cli.main(["--format", "structured", *query["argv"]]) == 0
+    capsys.readouterr()
+    # the spies saw every query, and counts were asked
+    assert len(counts) >= len(queries) == 60 and any(counts)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sigmaample import engine
 from sigmaample.ampleness import PolyhedralCone, SurfacePositiveCone, is_ample
 from sigmaample.catalog import catalog_entry, catalog_names
+from sigmaample.errors import InvalidSchemeData
 from sigmaample.intmat import IntegerMatrix, mat_pow
 from sigmaample.lattice import (
     AutomorphismAction,
@@ -330,15 +331,22 @@ def _change_basis(sf, u):
 
 
 def _basis_free_answers(sf, action, divisors):
-    """Everything a change of lattice basis must keep, for one action."""
+    """Everything a change of lattice basis must keep, for one action.
+    Whether the action keeps the oracle's cone does not depend on the basis,
+    so a refusal, by its error type and failed check, is an answer too."""
     oracle = sf.oracle()
     out = [validate(sf.scheme, action).valid, engine.classify(action.matrix)]
     for d in divisors:
-        verdict = engine.is_sigma_ample(sf.scheme, action, oracle, d)
-        out.append((verdict.unipotent_power, verdict.witness))
-        if verdict.sigma_ample:
-            profile = engine.gk_profile(sf.scheme, action, oracle, d)
-            out.append((profile.gk_dimension, profile.reduced_power, profile.components))
+        try:
+            verdict = engine.is_sigma_ample(sf.scheme, action, oracle, d)
+        except InvalidSchemeData as exc:
+            # "action 'a' does not keep the oracle's cone: CHECK (detail)"
+            out.append((type(exc), str(exc).partition("cone: ")[2].split(" (")[0]))
+        else:
+            out.append((verdict.unipotent_power, verdict.witness))
+            if verdict.sigma_ample:
+                profile = engine.gk_profile(sf.scheme, action, oracle, d)
+                out.append((profile.gk_dimension, profile.reduced_power, profile.components))
         out.append(engine.euler_char_series(sf.scheme, action, d, 12))
     return out
 

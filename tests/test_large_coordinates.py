@@ -26,6 +26,7 @@ def work(abelian, monkeypatch):
     """Counters of the candidates tested, matrix products and column actions."""
     counts = {"candidates": 0, "products": 0, "column_actions": 0}
     unipotent_reduction(abelian.action("shear").matrix)  # not counted
+    engine.require_valid(abelian.scheme, abelian.action("shear"), abelian.oracle())  # nor this
     all_positive = numpoly._all_positive
     multiply, column_action = IntegerMatrix.__mul__, IntegerMatrix.column_action
 

@@ -1,17 +1,14 @@
-import importlib.util
-import json
 import pickle
-import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmaample import cli, engine, intmat, intpoly, lattice
 from sigmaample.ampleness import PolyhedralCone
+from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import RankMismatch
 from sigmaample.intmat import IntegerMatrix
 from sigmaample.lattice import (
@@ -28,7 +25,7 @@ from sigmaample.numpoly import NumericalPolynomial
 
 import reference_lattice as ref
 import reference_numpoly as rn
-from conftest import linear_combination, random_divisors, run_bounded
+from conftest import linear_combination, perfbench_deck, random_divisors, run_bounded
 
 
 def test_intersection_numbers_wehler(wehler):
@@ -370,19 +367,11 @@ def test_validate_does_not_recurse_once_per_slot():
     assert (done.returncode, done.stderr) == (0, "")
 
 
-GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-
-
 def test_forms_see_only_integers_on_the_unipotent_deck(tmp_path, monkeypatch, capsys):
     """Every slot of the benchmark's unipotent deck (seed 7), run in process:
     the kernel is handed only integer tables and vectors, also while the
     conditions, constraints and self-intersection polynomials are built."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    docs, queries = gen.unipotent_inputs(random.Random(7), str(tmp_path))
-    for path, doc in docs.items():
-        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    queries = perfbench_deck("unipotent", 7, tmp_path)
     seen = set()
     original = lattice._contract
 
@@ -398,3 +387,40 @@ def test_forms_see_only_integers_on_the_unipotent_deck(tmp_path, monkeypatch, ca
     capsys.readouterr()
     assert commands == {"sigma-ample", "gkdim", "chi", "growth"}
     assert seen == {int}
+
+
+def _signature(form: SymmetricForm) -> tuple[int, int]:
+    """The numbers of positive and of negative eigenvalues of a bilinear
+    form's Gram matrix G, counted exactly: G is symmetric, so det(xI - G) and
+    det(xI + G) are real-rooted, and by Descartes' rule the sign variations
+    of their coefficients count their positive roots."""
+    gram = [[0] * form.rank for _ in range(form.rank)]
+    for (i, j), value in form.numerators:
+        gram[i][j] = gram[j][i] = value
+
+    def positive_roots(rows) -> int:
+        signs = [c > 0 for c in intmat.char_poly(IntegerMatrix.from_rows(rows)).numerators if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return positive_roots(gram), positive_roots([[-x for x in row] for row in gram])
+
+
+def test_hodge_index_on_every_surface_form(tmp_path):
+    """Every surface's intersection form has exactly one positive eigenvalue,
+    on the catalog and on the benchmark's seed-7 salem and unipotent decks."""
+    signatures = {
+        name: [_signature(c.top_form) for c in catalog_entry(name).scheme.components if c.dim == 2]
+        for name in catalog_names()
+    }
+    assert signatures == {
+        "abelian_square": [(1, 2)], "p1": [], "p2": [(1, 0)], "pn": [], "wehler_k3": [(1, 1)],
+    }
+    surfaces = 0
+    for kind in ("salem", "unipotent"):
+        for path in {q["input"] for q in perfbench_deck(kind, 7, tmp_path)}:
+            scheme = cli.load_input(path).scheme
+            for comp in scheme.components:
+                if comp.dim == 2:
+                    assert _signature(comp.top_form) == (1, scheme.rank - 1), path
+                    surfaces += 1
+    assert surfaces == 63
