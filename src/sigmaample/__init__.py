@@ -51,7 +51,6 @@ from .lattice import (
     DivisorClass,
     SchemeDescriptor,
     SymmetricForm,
-    ValidationReport,
     apply,
     intersect,
     validate,

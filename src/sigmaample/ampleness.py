@@ -72,11 +72,11 @@ class PolyhedralCone(_FormConditions, Record):
             SymmetricForm(rank, 1, tuple(((i,), c) for i, c in enumerate(f))) for f in facets
         ))
 
-    def invariant_checks(self) -> list[CheckResult]:
+    def invariant_checks(self) -> tuple[CheckResult, ...]:
         """The cone has at least one facet."""
-        return [CheckResult("facets", len(self.facets) >= 1, f"{len(self.facets)} facets")]
+        return (CheckResult("facets", len(self.facets) >= 1, f"{len(self.facets)} facets"),)
 
-    def stability_checks(self, action: AutomorphismAction) -> list[CheckResult]:
+    def stability_checks(self, action: AutomorphismAction) -> tuple[CheckResult, ...]:
         """The facet set is stable under composition with the action, up to
         positive scaling."""
         transposed = action.matrix.transpose()
@@ -84,7 +84,7 @@ class PolyhedralCone(_FormConditions, Record):
         transformed = {_normalize_functional(transposed.column_action(f)) for f in self.facets}
         ok = transformed == original
         detail = "facet set preserved" if ok else f"facets map to {sorted(transformed)}"
-        return [CheckResult("facet_set_stable", ok, detail)]
+        return (CheckResult("facet_set_stable", ok, detail),)
 
 
 class SurfacePositiveCone(_FormConditions, Record):
@@ -122,28 +122,28 @@ class SurfacePositiveCone(_FormConditions, Record):
     def rank(self) -> int:
         return self.component.top_form.rank
 
-    def invariant_checks(self) -> list[CheckResult]:
+    def invariant_checks(self) -> tuple[CheckResult, ...]:
         """(A.A) > 0 and (A.C) > 0 for each obstruction C."""
         self_int, _, *pairings = self.conditions(self.reference_ample)
-        return [CheckResult("reference_positive", self_int > 0, f"(A.A)={self_int}")] + [
+        return (CheckResult("reference_positive", self_int > 0, f"(A.A)={self_int}"),) + tuple(
             CheckResult(f"obstruction[{k}]", v > 0, f"(A.C)={v}") for k, v in enumerate(pairings)
-        ]
+        )
 
-    def stability_checks(self, action: AutomorphismAction) -> list[CheckResult]:
+    def stability_checks(self, action: AutomorphismAction) -> tuple[CheckResult, ...]:
         """The reference class stays ample and the obstruction set is permuted."""
         image = apply(action, self.reference_ample)
         ok = is_ample(self, image)
         original = set(self.obstructions)
         transformed = {apply(action, c) for c in self.obstructions}
         permuted = transformed == original
-        return [
+        return (
             CheckResult("reference_stays_ample", ok, f"image {tuple(map(str, image.coords))}"),
             CheckResult(
                 "obstructions_permuted",
                 permuted,
                 "obstruction set preserved" if permuted else "set changed",
             ),
-        ]
+        )
 
 
 AmplenessOracle = Union[PolyhedralCone, SurfacePositiveCone]

@@ -40,8 +40,8 @@ def wehler_k3() -> SchemeFile:
     todd = (_form(rank, 0, {(): 2}), _form(rank, 1, {}), top)
     comp = ComponentDescriptor("X", 2, top, todd)
     scheme = SchemeDescriptor(rank, (comp,), euler_char=Fraction(2))
-    s1 = IntegerMatrix.from_rows([[1, 4], [0, -1]])
-    s2 = IntegerMatrix.from_rows([[-1, 0], [4, 1]])
+    s1 = IntegerMatrix([[1, 4], [0, -1]])
+    s2 = IntegerMatrix([[-1, 0], [4, 1]])
     automorphisms = {
         "id": AutomorphismAction("id", IntegerMatrix.identity(rank), todd_invariant=True),
         "s1": AutomorphismAction("s1", s1, todd_invariant=True),
@@ -89,8 +89,8 @@ def abelian_square() -> SchemeFile:
     todd = (_form(rank, 0, {(): 0}), _form(rank, 1, {}), top)
     comp = ComponentDescriptor("X", 2, top, todd)
     scheme = SchemeDescriptor(rank, (comp,), euler_char=Fraction(0))
-    shear = IntegerMatrix.from_rows([[2, 0, 1], [2, 1, 0], [-1, 0, 0]])
-    swap = IntegerMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    shear = IntegerMatrix([[2, 0, 1], [2, 1, 0], [-1, 0, 0]])
+    swap = IntegerMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     divisors = {
         "D111": DivisorClass.of(1, 1, 1),
         "fiber1": DivisorClass.of(1, 0, 0),

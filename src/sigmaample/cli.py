@@ -45,8 +45,7 @@ from . import engine
 from .catalog import catalog_entry, catalog_names
 from .errors import InvalidSchemeData, SchemeParseError, SigmaAmpleError, UnknownName
 from .intmat import char_poly
-from .lattice import CheckResult, scheme_consistency_report
-from .lattice import validate as validate_action
+from .lattice import CheckResult, scheme_checks, validate as validate_action
 from .numpoly import binomial_coefficients
 from .schemefile import (
     SchemeFile,
@@ -101,20 +100,20 @@ def _report_json(checks) -> dict:
 
 def cmd_validate(args) -> tuple[dict, int]:
     sf = load_input(args.input)
-    reports = {
-        name: validate_action(sf.scheme, action) for name, action in sf.automorphisms.items()
-    }
-    actions = [{"name": name, **_report_json(report.checks)} for name, report in reports.items()]
+    actions = [
+        {"name": name, **_report_json(validate_action(sf.scheme, action))}
+        for name, action in sf.automorphisms.items()
+    ]
     oracles = []
     stability = []
     for name, oracle in sf.oracles.items():
         rank = CheckResult("rank", oracle.rank == sf.scheme.rank, f"oracle rank {oracle.rank}")
-        oracles.append({"name": name, **_report_json([rank, *oracle.invariant_checks()])})
-        for aname, action in sf.automorphisms.items():
-            if reports[aname].valid:
-                checks = oracle.stability_checks(action)
-                stability.append({"oracle": name, "action": aname, **_report_json(checks)})
-    scheme = _report_json(scheme_consistency_report(sf.scheme).checks)
+        oracles.append({"name": name, **_report_json((rank, *oracle.invariant_checks()))})
+        for entry in actions:
+            if entry["valid"]:
+                checks = oracle.stability_checks(sf.action(entry["name"]))
+                stability.append({"oracle": name, "action": entry["name"], **_report_json(checks)})
+    scheme = _report_json(scheme_checks(sf.scheme))
     valid = all(entry["valid"] for entry in [*actions, *oracles, *stability, scheme])
     doc = {
         "command": "validate",

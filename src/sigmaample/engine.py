@@ -126,7 +126,7 @@ def _first_validation_failure(
     then, given an oracle, the first failed check that the action keeps the
     oracle's cone. The lattice checks are shared by every oracle."""
     if oracle is None:
-        checks, refusal = validate(scheme, action).checks, "fails validation"
+        checks, refusal = validate(scheme, action), "fails validation"
     else:
         failure = _first_validation_failure(scheme, action, None)
         if failure is not None:
@@ -352,6 +352,8 @@ def growth_report(
         raise ValueError("m_max must be >= 1")
     eps = exact_eps(eps)
     require_valid(scheme, action, oracle)
+    if divisor.rank != action.matrix.size:
+        raise RankMismatch(f"rank {divisor.rank} vs matrix size {action.matrix.size}")
     if not is_ample(oracle, divisor):
         raise NotAmple("growth reports are defined for ample divisor classes")
     if unipotent_reduction(action.matrix) is not None:

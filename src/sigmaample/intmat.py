@@ -62,10 +62,6 @@ class IntegerMatrix(Record):
         return matrix
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        return cls(rows)
-
-    @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 

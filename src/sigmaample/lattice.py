@@ -281,61 +281,41 @@ class CheckResult(Record):
     __slots__ = ("name", "passed", "detail")
 
 
-class ValidationReport(Record):
-    __slots__ = ("checks",)
-
-    @property
-    def valid(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def scheme_consistency_report(scheme: SchemeDescriptor) -> ValidationReport:
+def scheme_checks(scheme: SchemeDescriptor) -> tuple[CheckResult, ...]:
     """Scheme-level sanity: the declared Euler characteristic, when present,
     must equal the sum of the components' constant Todd terms."""
-    checks: list[CheckResult] = []
-    if scheme.euler_char is not None and scheme.has_todd:
-        total = sum(
-            (comp.todd[0].evaluate([]) for comp in scheme.components), Fraction(0)
-        )
-        checks.append(
-            CheckResult(
-                "euler_char_consistent",
-                total == scheme.euler_char,
-                f"todd constants sum to {total}, declared {scheme.euler_char}",
-            )
-        )
-    else:
-        checks.append(CheckResult("euler_char_consistent", True, "nothing to compare"))
-    return ValidationReport(tuple(checks))
+    if scheme.euler_char is None or not scheme.has_todd:
+        return (CheckResult("euler_char_consistent", True, "nothing to compare"),)
+    total = sum((comp.todd[0].evaluate([]) for comp in scheme.components), Fraction(0))
+    return (
+        CheckResult(
+            "euler_char_consistent",
+            total == scheme.euler_char,
+            f"todd constants sum to {total}, declared {scheme.euler_char}",
+        ),
+    )
 
 
-def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> ValidationReport:
+def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> tuple[CheckResult, ...]:
     """Exact validation: unimodularity and invariance of every top form.
 
-    The report carries one failed check per offending basis tuple. When the
-    action asserts ``todd_invariant``, the lower Todd functionals are checked
-    the same way.
+    One failed check per offending basis tuple. When the action asserts
+    ``todd_invariant``, the lower Todd functionals are checked the same way.
     """
-    checks: list[CheckResult] = []
     matrix = action.matrix
     if matrix.size != scheme.rank:
-        checks.append(
+        return (
             CheckResult(
                 "rank",
                 False,
                 f"matrix size {matrix.size} does not match lattice rank {scheme.rank}",
-            )
+            ),
         )
-        return ValidationReport(tuple(checks))
-    checks.append(CheckResult("rank", True, f"matrix size {matrix.size}"))
-
     det = matrix.determinant()
-    checks.append(CheckResult("unimodular", det in (1, -1), f"det={det}"))
-
+    checks = [
+        CheckResult("rank", True, f"matrix size {matrix.size}"),
+        CheckResult("unimodular", det in (1, -1), f"det={det}"),
+    ]
     columns = tuple(zip(*matrix.rows))
     for comp in scheme.components:
         forms = [("top_form", comp.top_form)]
@@ -355,4 +335,4 @@ def validate(scheme: SchemeDescriptor, action: AutomorphismAction) -> Validation
                 for index in sorted(got.keys() | expected.keys())
                 if got.get(index, 0) != expected.get(index, 0)
             ] or [CheckResult(name, True, "all basis tuples preserved")]
-    return ValidationReport(tuple(checks))
+    return tuple(checks)

@@ -188,7 +188,7 @@ def _parse_action(obj: dict, rank: int, path: str) -> AutomorphismAction:
     rows = _expect(obj["matrix"], list, f"{path}.matrix")
     if len(rows) != rank or any(len(_expect(r, list, f"{path}.matrix")) != rank for r in rows):
         raise _fail(f"{path}.matrix", f"expected a {rank}x{rank} matrix")
-    matrix = IntegerMatrix.from_rows(
+    matrix = IntegerMatrix(
         [[parse_integer(c, f"{path}.matrix[{r}][{j}]") for j, c in enumerate(row)]
          for r, row in enumerate(rows)]
     )

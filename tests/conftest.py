@@ -19,6 +19,14 @@ import reference_numpoly as rn
 from reference_intmat import inverse_unimodular
 
 
+@pytest.fixture(autouse=True)
+def _own_working_directory(tmp_path, monkeypatch):
+    """Run each test from its own empty directory: INPUT reads an existing
+    path before a catalog name, so a folder named like an entry where the
+    suite starts would shadow that entry."""
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture
 def wehler():
     return catalog_entry("wehler_k3")
@@ -130,7 +138,7 @@ def unipotent_matrices(draw, n):
         for i in range(n)
     ]
     p = draw(unimodular_matrices(n, ops=n, magnitude=2))
-    return p * IntegerMatrix.from_rows(rows) * inverse_unimodular(p)
+    return p * IntegerMatrix(rows) * inverse_unimodular(p)
 
 
 @st.composite
@@ -149,7 +157,7 @@ def permutation_transvections(draw, n):
         for j in range(i + 1, n):
             rows[i][j] = draw(st.integers(-2, 2))
     p = draw(unimodular_matrices(n, ops=n, magnitude=2))
-    return p * IntegerMatrix.from_rows(rows) * inverse_unimodular(p)
+    return p * IntegerMatrix(rows) * inverse_unimodular(p)
 
 
 def power_symbolic(matrix, divisor):
@@ -174,7 +182,7 @@ def elementary_product(size: int, choices) -> IntegerMatrix:
             rows[i], rows[j] = rows[j], rows[i]
         else:  # negate one row
             rows[i] = [-a for a in rows[i]]
-    return IntegerMatrix.from_rows(rows)
+    return IntegerMatrix(rows)
 
 
 def seeded_unimodular(size: int, seed: int, ops: int = 6, magnitude: int = 3) -> IntegerMatrix:

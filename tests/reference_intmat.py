@@ -89,7 +89,7 @@ def inverse_unimodular(matrix: IntegerMatrix) -> IntegerMatrix:
         rows = [list(row) for row in mul(acc, matrix).rows]
         for i, row in enumerate(rows):
             row[i] += c
-        acc = IntegerMatrix.from_rows(rows)
+        acc = IntegerMatrix(rows)
     return IntegerMatrix(tuple(tuple(-coeffs[0] * a for a in row) for row in acc.rows))
 
 

@@ -16,7 +16,7 @@ that module's arithmetic; form values and rational coordinates enter as
 constant tuples.
 
 They share nothing with the package's own versions but the value types, the
-report records, ``determinant`` and ``nilpotency_index``, so the property
+check records, ``determinant`` and ``nilpotency_index``, so the property
 tests compare two independent routes to each answer.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ from operator import add, mul
 
 from sigmaample.ampleness import PolyhedralCone
 from sigmaample.intmat import IntegerMatrix, nilpotency_index
-from sigmaample.lattice import CheckResult, DivisorClass, ValidationReport
+from sigmaample.lattice import CheckResult, DivisorClass
 
 import reference_numpoly as rn
 
@@ -132,7 +132,7 @@ def _basis_vector(rank: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if j == i else 0) for j in range(rank))
 
 
-def validate(scheme, action) -> ValidationReport:
+def validate(scheme, action) -> tuple[CheckResult, ...]:
     """Unimodularity and invariance of every top form (and of the lower Todd
     functionals when asserted), on the Fraction images of the basis."""
     checks: list[CheckResult] = []
@@ -145,7 +145,7 @@ def validate(scheme, action) -> ValidationReport:
                 f"matrix size {matrix.size} does not match lattice rank {scheme.rank}",
             )
         )
-        return ValidationReport(tuple(checks))
+        return tuple(checks)
     checks.append(CheckResult("rank", True, f"matrix size {matrix.size}"))
 
     det = matrix.determinant()
@@ -171,7 +171,7 @@ def validate(scheme, action) -> ValidationReport:
                     )
             else:
                 checks.append(CheckResult(name, True, "all basis tuples preserved"))
-    return ValidationReport(tuple(checks))
+    return tuple(checks)
 
 
 def nilpotent_steps(matrix: IntegerMatrix, divisor: DivisorClass) -> list[DivisorClass]:

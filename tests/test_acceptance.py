@@ -228,7 +228,7 @@ def test_criterion_7_verdict_symmetries():
                 inverse = AutomorphismAction(
                     "inv", inverse_unimodular(action.matrix)
                 )
-                assert validate(sf.scheme, inverse).valid
+                assert all(c.passed for c in validate(sf.scheme, inverse))
                 taus = list(sf.automorphisms.values())
                 for d in divisors:
                     verdict = engine.is_sigma_ample(sf.scheme, action, oracle, d)

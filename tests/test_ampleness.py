@@ -185,5 +185,5 @@ def test_action_stability_detects_unstable_facets():
     from sigmaample.lattice import AutomorphismAction
 
     cone = PolyhedralCone(2, ((1, 0), (0, 1)))
-    rotate = AutomorphismAction("r", IntegerMatrix.from_rows([[0, -1], [1, 0]]))
+    rotate = AutomorphismAction("r", IntegerMatrix([[0, -1], [1, 0]]))
     assert not all(c.passed for c in cone.stability_checks(rotate))

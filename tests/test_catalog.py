@@ -1,10 +1,14 @@
+import json
+
 import pytest
 
 from sigmaample.catalog import catalog_entry, catalog_names
 from sigmaample.errors import UnknownName
 from sigmaample.intmat import IntegerMatrix, mat_pow, nilpotency_index
-from sigmaample.lattice import validate
+from sigmaample.lattice import CheckResult, scheme_checks, validate
 from sigmaample.schemefile import parse_scheme_file, serialize_scheme_file
+
+from conftest import swapcone_document
 
 
 def test_catalog_has_at_least_five_entries():
@@ -19,10 +23,26 @@ def test_unknown_entry():
 
 def test_every_entry_validates(entry):
     for action in entry.automorphisms.values():
-        assert validate(entry.scheme, action).valid
+        assert all(c.passed for c in validate(entry.scheme, action))
     for oracle in entry.oracles.values():
         assert oracle.rank == entry.scheme.rank
         assert all(c.passed for c in oracle.invariant_checks())
+
+
+def test_every_check_producer_returns_a_tuple_of_checks():
+    # the scheme, each action, each oracle, and each oracle on each action;
+    # the swap-cone document's action fails its oracle's stability check
+    files = [catalog_entry(name) for name in catalog_names()]
+    files.append(parse_scheme_file(json.dumps(swapcone_document())))
+    for sf in files:
+        produced = [scheme_checks(sf.scheme)]
+        produced += [oracle.invariant_checks() for oracle in sf.oracles.values()]
+        for action in sf.automorphisms.values():
+            produced.append(validate(sf.scheme, action))
+            produced += [oracle.stability_checks(action) for oracle in sf.oracles.values()]
+        for checks in produced:
+            assert type(checks) is tuple and checks, checks
+            assert all(type(c) is CheckResult for c in checks), checks
 
 
 def test_every_entry_round_trips(entry):
@@ -36,8 +56,8 @@ def test_wehler_data(wehler):
     comp = wehler.scheme.components[0]
     assert comp.top_form.numerators == (((0, 0), 2), ((0, 1), 4), ((1, 1), 2))
     assert comp.top_form.denominator == 1
-    assert wehler.action("s1").matrix == IntegerMatrix.from_rows([[1, 4], [0, -1]])
-    assert wehler.action("s2").matrix == IntegerMatrix.from_rows([[-1, 0], [4, 1]])
+    assert wehler.action("s1").matrix == IntegerMatrix([[1, 4], [0, -1]])
+    assert wehler.action("s2").matrix == IntegerMatrix([[-1, 0], [4, 1]])
     assert (
         wehler.action("s1s2").matrix
         == wehler.action("s1").matrix * wehler.action("s2").matrix
@@ -56,7 +76,7 @@ def test_abelian_square_shear_re_derivation(abelian):
     # must preserve the product form; both checked exactly here
     shear = abelian.action("shear").matrix
     assert nilpotency_index(shear) == 2
-    assert validate(abelian.scheme, abelian.action("shear")).valid
+    assert all(c.passed for c in validate(abelian.scheme, abelian.action("shear")))
     assert shear.determinant() == 1
 
 

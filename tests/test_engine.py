@@ -96,7 +96,7 @@ def test_delta_symbolic_identity_action():
 
 
 def test_delta_symbolic_single_jordan_block():
-    p = IntegerMatrix.from_rows([[1, 1], [0, 1]])
+    p = IntegerMatrix([[1, 1], [0, 1]])
     family = delta_symbolic(p, DivisorClass.of(0, 1))
     assert family == (rn.binomial(2), rn.binomial(1))
 
@@ -165,16 +165,18 @@ def test_sigma_ample_zero_class(wehler):
 
 def test_sigma_ample_checks_the_divisor_rank(wehler):
     # after validation, on both branches: id and s1 are quasi-unipotent (and
-    # would fail in column_action), s1s2 is not (and would return a verdict)
+    # would fail in column_action), s1s2 is not (and would return a verdict);
+    # growth would fail inside the oracle's forms, with another message
     from sigmaample.errors import InvalidSchemeData, RankMismatch
 
-    bogus = AutomorphismAction("bogus", IntegerMatrix.from_rows([[1, 1], [0, 1]]))
-    for divisor in (DivisorClass.of(1, 0, 0), DivisorClass.of(1)):
-        with pytest.raises(InvalidSchemeData):
-            engine.is_sigma_ample(wehler.scheme, bogus, wehler.oracle(), divisor)
-        for name in ("id", "s1", "s1s2"):
-            with pytest.raises(RankMismatch, match=f"rank {divisor.rank} vs matrix size 2"):
-                engine.is_sigma_ample(wehler.scheme, wehler.action(name), wehler.oracle(), divisor)
+    bogus = AutomorphismAction("bogus", IntegerMatrix([[1, 1], [0, 1]]))
+    for query in (engine.is_sigma_ample, engine.growth_report):
+        for divisor in (DivisorClass.of(1, 0, 0), DivisorClass.of(1)):
+            with pytest.raises(InvalidSchemeData):
+                query(wehler.scheme, bogus, wehler.oracle(), divisor)
+            for name in ("id", "s1", "s1s2"):
+                with pytest.raises(RankMismatch, match=f"rank {divisor.rank} vs matrix size 2"):
+                    query(wehler.scheme, wehler.action(name), wehler.oracle(), divisor)
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,7 +370,7 @@ def _stable_cone_cases(draw):
 def test_gk_profile_step_is_the_verdicts_on_stable_unipotent_cones(case):
     sf, divisors = case
     action, oracle = sf.action("P"), sf.oracle()
-    assert validate(sf.scheme, action).valid
+    assert all(c.passed for c in validate(sf.scheme, action))
     assert all(c.passed for c in oracle.stability_checks(action))
     for divisor in divisors:
         _assert_profile_reads_the_verdict(sf, action, oracle, divisor)
@@ -378,7 +380,7 @@ def test_gk_profile_error_order(wehler):
     from sigmaample.errors import InvalidSchemeData, RankMismatch
 
     wrong_rank = DivisorClass.of(-1, 0, 0)
-    bogus = AutomorphismAction("bogus", IntegerMatrix.from_rows([[1, 1], [0, 1]]))
+    bogus = AutomorphismAction("bogus", IntegerMatrix([[1, 1], [0, 1]]))
     cases = [
         (bogus, InvalidSchemeData),
         (wehler.action("s1s2"), NotQuasiUnipotent),
@@ -628,7 +630,7 @@ def test_partial_sum_matches_fraction_accumulation(matrix_and_coords, m):
 def test_invalid_action_rejected(wehler):
     from sigmaample.errors import InvalidSchemeData
 
-    bogus = AutomorphismAction("bogus", IntegerMatrix.from_rows([[1, 1], [0, 1]]))
+    bogus = AutomorphismAction("bogus", IntegerMatrix([[1, 1], [0, 1]]))
     with pytest.raises(InvalidSchemeData):
         engine.is_sigma_ample(wehler.scheme, bogus, wehler.oracle(), wehler.divisor("H1"))
 

@@ -27,21 +27,21 @@ import reference_numpoly as rn
 from reference_intmat import inverse_unimodular
 from reference_spectral import _divmod, kronecker_spectral_radius
 
-S1 = IntegerMatrix.from_rows([[1, 4], [0, -1]])
-S2 = IntegerMatrix.from_rows([[-1, 0], [4, 1]])
+S1 = IntegerMatrix([[1, 4], [0, -1]])
+S2 = IntegerMatrix([[-1, 0], [4, 1]])
 S1S2 = S1 * S2
-SHEAR = IntegerMatrix.from_rows([[2, 0, 1], [2, 1, 0], [-1, 0, 0]])
+SHEAR = IntegerMatrix([[2, 0, 1], [2, 1, 0], [-1, 0, 0]])
 
 
 def test_entries_pass_operator_index():
     # numpy integers and bools are stored as int; a Fraction, float or str is refused
-    m = IntegerMatrix.from_rows(np.array([[2, 1], [1, 1]], dtype=np.int64))
-    assert m == IntegerMatrix.from_rows([[2, 1], [1, 1]])
+    m = IntegerMatrix(np.array([[2, 1], [1, 1]], dtype=np.int64))
+    assert m == IntegerMatrix([[2, 1], [1, 1]])
     assert {type(c) for row in m.rows for c in row} == {int}
-    assert IntegerMatrix.from_rows([[True, False], [False, True]]) == IntegerMatrix.identity(2)
+    assert IntegerMatrix([[True, False], [False, True]]) == IntegerMatrix.identity(2)
     for entry in (Fraction(1), 1.0, "1"):
         with pytest.raises(TypeError):
-            IntegerMatrix.from_rows([[entry]])
+            IntegerMatrix([[entry]])
 
 
 # --- characteristic polynomial -------------------------------------------
@@ -52,7 +52,7 @@ def test_char_poly_identity():
 
 
 def test_char_poly_rotation():
-    m = IntegerMatrix.from_rows([[0, 1], [-1, 0]])
+    m = IntegerMatrix([[0, 1], [-1, 0]])
     assert char_poly(m) == NumericalPolynomial([1, 0, 1])
 
 
@@ -66,7 +66,7 @@ def test_char_poly_wehler_composite():
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_char_poly_matches_sympy(rows):
-    m = IntegerMatrix.from_rows(rows)
+    m = IntegerMatrix(rows)
     ours = char_poly(m)
     x = sympy.symbols("x")
     theirs = sympy.Matrix(rows).charpoly(x).all_coeffs()  # highest degree first
@@ -77,7 +77,7 @@ def test_char_poly_matches_sympy(rows):
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_determinant_matches_sympy(rows):
-    assert IntegerMatrix.from_rows(rows).determinant() == sympy.Matrix(rows).det()
+    assert IntegerMatrix(rows).determinant() == sympy.Matrix(rows).det()
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,7 +95,7 @@ def test_inverse_unimodular_matches_sympy(m):
 )
 def test_quasi_unipotence_requires_determinant_plus_minus_one(rows):
     with pytest.raises(NotInvertibleOverIntegers):
-        quasi_unipotence(IntegerMatrix.from_rows(rows))
+        quasi_unipotence(IntegerMatrix(rows))
 
 
 # --- quasi-unipotence ------------------------------------------------------
@@ -116,19 +116,19 @@ def test_quasi_unipotence_composite_is_not():
 
 def test_quasi_unipotence_rejects_non_unimodular():
     with pytest.raises(NotInvertibleOverIntegers):
-        quasi_unipotence(IntegerMatrix.from_rows([[2, 0], [0, 2]]))
+        quasi_unipotence(IntegerMatrix([[2, 0], [0, 2]]))
 
 
 def test_quasi_unipotence_minimal_orders():
     # companion matrices of cyclotomic polynomials of orders 3, 4, 6
-    order3 = IntegerMatrix.from_rows([[0, -1], [1, -1]])
-    order4 = IntegerMatrix.from_rows([[0, -1], [1, 0]])
-    order6 = IntegerMatrix.from_rows([[0, -1], [1, 1]])
+    order3 = IntegerMatrix([[0, -1], [1, -1]])
+    order4 = IntegerMatrix([[0, -1], [1, 0]])
+    order6 = IntegerMatrix([[0, -1], [1, 1]])
     assert quasi_unipotence(order3) == 3
     assert quasi_unipotence(order4) == 4
     assert quasi_unipotence(order6) == 6
     # block with orders 2 and 3 mixed needs their lcm
-    mixed = IntegerMatrix.from_rows(
+    mixed = IntegerMatrix(
         [[-1, 0, 0], [0, 0, -1], [0, 1, -1]]
     )
     assert quasi_unipotence(mixed) == 6
@@ -194,7 +194,7 @@ def _permutation(cycles, size):
     for cycle in cycles:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             rows[a][a], rows[b][a] = 0, 1
-    return IntegerMatrix.from_rows(rows)
+    return IntegerMatrix(rows)
 
 
 def test_quasi_unipotence_at_rank_16():
@@ -210,7 +210,7 @@ def test_quasi_unipotence_at_rank_16():
         gram[i][i] = -2
     rows = [[int(i == j) for j in range(16)] for i in range(16)]
     rows[0][1], rows[0][2], rows[2][1] = 1, 2, 1
-    eichler, g = IntegerMatrix.from_rows(rows), IntegerMatrix.from_rows(gram)
+    eichler, g = IntegerMatrix(rows), IntegerMatrix(gram)
     assert eichler.transpose() * g * eichler == g
     assert quasi_unipotence(eichler) == 1
     assert nilpotency_index(eichler) == 2
@@ -231,7 +231,7 @@ def test_nilpotency_index_identity():
 
 
 def test_nilpotency_index_single_block():
-    assert nilpotency_index(IntegerMatrix.from_rows([[1, 1], [0, 1]])) == 1
+    assert nilpotency_index(IntegerMatrix([[1, 1], [0, 1]])) == 1
 
 
 def test_nilpotency_index_shear():
@@ -271,7 +271,7 @@ def test_mat_pow_involution_squares_to_identity():
     assert mat_pow(S1, 2) == IntegerMatrix.identity(2)
 
 
-@pytest.mark.parametrize("m", [S1S2, IntegerMatrix.from_rows([[2]])])
+@pytest.mark.parametrize("m", [S1S2, IntegerMatrix([[2]])])
 def test_mat_pow_refuses_a_negative_exponent(m):
     with pytest.raises(ValueError, match="exponent"):
         mat_pow(m, -1)
@@ -302,28 +302,28 @@ def test_spectral_radius_wehler_composite():
 
 def test_spectral_radius_companion_matrix():
     # companion of x^2 - 3x + 1, largest root (3 + sqrt(5))/2
-    m = IntegerMatrix.from_rows([[0, -1], [1, 3]])
+    m = IntegerMatrix([[0, -1], [1, 3]])
     iv = spectral_radius(m, Fraction(1, 10**6))
     assert (2 * iv.hi - 3) ** 2 >= 5
     assert iv.lo <= Fraction(3, 2) or (2 * iv.lo - 3) ** 2 <= 5
 
 
 def test_spectral_radius_nilpotent_is_zero():
-    m = IntegerMatrix.from_rows([[0, 1], [0, 0]])
+    m = IntegerMatrix([[0, 1], [0, 0]])
     iv = spectral_radius(m, Fraction(1, 1000))
     assert iv.lo <= 0 <= iv.hi
     assert iv.width <= Fraction(1, 1000)
 
 
 def test_spectral_radius_negative_dominant_eigenvalue():
-    m = IntegerMatrix.from_rows([[-2, 0], [0, 1]])
+    m = IntegerMatrix([[-2, 0], [0, 1]])
     iv = spectral_radius(m, Fraction(1, 1000))
     assert iv.lo <= 2 <= iv.hi
 
 
 def test_spectral_radius_complex_dominant_pair():
     # eigenvalues 1 +- i sqrt(2), modulus sqrt(3)
-    m = IntegerMatrix.from_rows([[1, -2], [1, 1]])
+    m = IntegerMatrix([[1, -2], [1, 1]])
     iv = spectral_radius(m, Fraction(1, 10**6))
     assert iv.lo**2 <= 3 <= iv.hi**2
 
@@ -348,7 +348,7 @@ def _assert_grid_cell(iv, matrix, eps):
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_spectral_radius_contains_float_estimate(rows):
-    m = IntegerMatrix.from_rows(rows)
+    m = IntegerMatrix(rows)
     iv = spectral_radius(m, Fraction(1, 1000))
     estimate = max(abs(x) for x in np.linalg.eigvals(np.array(rows, dtype=float)))
     assert float(iv.lo) - 1e-6 <= estimate <= float(iv.hi) + 1e-6
@@ -359,7 +359,7 @@ def test_spectral_radius_contains_float_estimate(rows):
 
 # Product of eight reflections in (-2)-vectors of U + <-2>^6: the first
 # rank-8 matrix of the benchmark's salem_ladder workload at seed 101.
-SALEM8 = IntegerMatrix.from_rows([
+SALEM8 = IntegerMatrix([
     [17, 30, -18, 4, 0, 26, 32, 0],
     [17, 29, -16, 4, 0, 26, 32, 0],
     [3, 5, -3, 0, 0, 4, 6, 0],
@@ -389,7 +389,7 @@ def test_rank_8_enclosure_endpoints_are_pinned():
 @pytest.mark.parametrize("rows, rho", [([[-3]], 3), ([[-2, 0], [0, 1]], 2), ([[2]], 2)])
 @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 1000)])
 def test_enclosure_is_one_cell_of_the_odd_dyadic_grid(rows, rho, eps):
-    m = IntegerMatrix.from_rows(rows)
+    m = IntegerMatrix(rows)
     iv = spectral_radius(m, eps)
     _assert_grid_cell(iv, m, eps)
     # an integer eigenvalue is never a grid point, so it lies strictly inside
@@ -405,7 +405,7 @@ def _companion(coeffs):
     rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
     for i in range(n):
         rows[i][n - 1] = -coeffs[i]
-    return IntegerMatrix.from_rows(rows)
+    return IntegerMatrix(rows)
 
 
 def _root_counts(monkeypatch):
@@ -515,7 +515,7 @@ def _transvections(n, steps):
     for i, j, c in steps:
         for row in rows:
             row[j] += c * row[i]
-    return IntegerMatrix.from_rows(rows)
+    return IntegerMatrix(rows)
 
 
 @pytest.mark.parametrize("n, steps", [
@@ -548,7 +548,7 @@ def _block_sum(m, identity_size):
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for i, row in enumerate(m.rows):
         rows[i][: m.size] = row
-    return IntegerMatrix.from_rows(rows)
+    return IntegerMatrix(rows)
 
 
 @pytest.mark.parametrize("identity_size", [10, 14])

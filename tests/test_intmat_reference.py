@@ -31,9 +31,9 @@ def square_rows(n: int, values=entries):
     return st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
-matrices = sizes.flatmap(square_rows).map(IntegerMatrix.from_rows)
+matrices = sizes.flatmap(square_rows).map(IntegerMatrix)
 pairs = sizes.flatmap(lambda n: st.tuples(square_rows(n), square_rows(n))).map(
-    lambda rows: tuple(map(IntegerMatrix.from_rows, rows))
+    lambda rows: tuple(map(IntegerMatrix, rows))
 )
 fractions = st.fractions(min_value=-BIG, max_value=BIG, max_denominator=BIG)
 
@@ -61,7 +61,7 @@ def test_product_matches_reference(pair):
 def test_difference_equals_checked_matrix(pair):
     a, b = pair
     built = a - b
-    assert built == IntegerMatrix.from_rows(
+    assert built == IntegerMatrix(
         [[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]
     )
     _assert_built(built)
@@ -87,7 +87,7 @@ def test_public_constructor_still_checks_every_entry():
 @given(sizes.flatmap(lambda n: st.tuples(square_rows(n), st.lists(entries, min_size=n, max_size=n))))
 def test_column_action_on_integers_matches_reference(case):
     rows, vector = case
-    m = IntegerMatrix.from_rows(rows)
+    m = IntegerMatrix(rows)
     image = m.column_action(vector)
     assert image == ref.column_action(m, vector)
     assert all(type(c) is int for c in image)
@@ -99,7 +99,7 @@ def test_column_action_on_integers_matches_reference(case):
 )
 def test_column_action_on_fractions_matches_reference(case):
     rows, vector = case
-    m = IntegerMatrix.from_rows(rows)
+    m = IntegerMatrix(rows)
     image = m.column_action(vector)
     expected = ref.column_action(m, vector)
     assert image == expected
@@ -138,7 +138,7 @@ def test_mat_pow_matches_reference(m, exponent):
 )
 def test_partial_sum_matches_reference(case, indices):
     rows, coords = case
-    m, d = IntegerMatrix.from_rows(rows), DivisorClass.of(*coords)
+    m, d = IntegerMatrix(rows), DivisorClass.of(*coords)
     for index in indices:
         assert engine.partial_sum(m, d, index) == ref.partial_sum(m, d, index)
 
@@ -149,7 +149,7 @@ def _unipotent(n: int):
     def build(case):
         upper, conjugator = case
         rows = [[1 if i == j else (upper[i][j] if j > i else 0) for j in range(n)] for i in range(n)]
-        u = IntegerMatrix.from_rows(rows)
+        u = IntegerMatrix(rows)
         return conjugator * u * ref.inverse_unimodular(conjugator)
 
     return st.tuples(square_rows(n, st.integers(-3, 3)), unimodular_matrices(n, ops=4)).map(build)
@@ -165,7 +165,7 @@ def test_jordan_index_and_family_match_reference(u, coords):
     for m in range(nilpotency_index(u) + 3):
         assert family_at(family, m) == DivisorClass.of(*(rn.evaluate(p, m) for p in expected))
     # every eigenvalue of 2u is 2: both refuse it
-    doubled = IntegerMatrix.from_rows([[2 * c for c in row] for row in u.rows])
+    doubled = IntegerMatrix([[2 * c for c in row] for row in u.rows])
     for index in (nilpotency_index, ref.nilpotency_index):
         with pytest.raises(NotUnipotent):
             index(doubled)

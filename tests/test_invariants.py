@@ -132,7 +132,7 @@ def test_direction_symmetry_inverse_action():
             inverse = AutomorphismAction(
                 f"{action.name}^-1", inverse_unimodular(action.matrix)
             )
-            assert validate(sf.scheme, inverse).valid
+            assert all(c.passed for c in validate(sf.scheme, inverse))
             for d in random_divisors(sf.scheme.rank, SAMPLE, seed=59):
                 forward, backward = (
                     engine.is_sigma_ample(sf.scheme, a, oracle, d) for a in (action, inverse)
@@ -196,7 +196,7 @@ def test_conjugation_invariance():
                     f"{tau.name}*{action.name}",
                     tau.matrix * action.matrix * inverse_unimodular(tau.matrix),
                 )
-                assert validate(sf.scheme, conjugated).valid
+                assert all(c.passed for c in validate(sf.scheme, conjugated))
                 for d in random_divisors(sf.scheme.rank, 10, seed=61):
                     assert _verdict_class(sf, action, d) == _verdict_class(
                         sf, conjugated, apply(tau, d)
@@ -335,7 +335,7 @@ def _basis_free_answers(sf, action, divisors):
     Whether the action keeps the oracle's cone does not depend on the basis,
     so a refusal, by its error type and failed check, is an answer too."""
     oracle = sf.oracle()
-    out = [validate(sf.scheme, action).valid, engine.classify(action.matrix)]
+    out = [all(c.passed for c in validate(sf.scheme, action)), engine.classify(action.matrix)]
     for d in divisors:
         try:
             verdict = engine.is_sigma_ample(sf.scheme, action, oracle, d)
@@ -410,7 +410,7 @@ def test_veronese_keeps_verdict_and_gk():
                 power = AutomorphismAction(
                     f"{action.name}^{k}", mat_pow(action.matrix, k), action.todd_invariant
                 )
-                assert validate(sf.scheme, power).valid, (action.name, k)
+                assert all(c.passed for c in validate(sf.scheme, power)), (action.name, k)
                 for d in divisors:
                     summed = engine.partial_sum(action.matrix, d, k)
                     pairs = ((action, d), (power, summed))

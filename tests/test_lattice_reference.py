@@ -7,7 +7,7 @@ helper; the engine's family builder steps the same way and is checked
 against ``reference_intmat.delta_symbolic`` in ``test_intmat_reference``) and
 ``euler_char_series`` iterate on integer numerators. Each is compared with
 the routine it replaced (kept in ``reference_lattice``, which lists every
-index ordering): the values, the whole ``ValidationReport`` (failing-tuple
+index ordering): the values, the whole tuple of checks (failing-tuple
 order and detail strings included), the step lists and the Euler
 characteristics of fractional classes. The family's integer vectors are
 sampled against the reference's polynomial family, and the polynomials in m
@@ -95,7 +95,7 @@ def involutions(draw, n):
             rows[order[i]][order[i]] = sign
             i += 1
     p = draw(unimodular_matrices(n, ops=n, magnitude=2))
-    return p * IntegerMatrix.from_rows(rows) * inverse_unimodular(p)
+    return p * IntegerMatrix(rows) * inverse_unimodular(p)
 
 
 def _matrices(n):
@@ -103,7 +103,7 @@ def _matrices(n):
         unimodular_matrices(n, ops=2 * n, magnitude=2),
         st.lists(
             st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
-        ).map(IntegerMatrix.from_rows),
+        ).map(IntegerMatrix),
     )
 
 

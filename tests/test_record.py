@@ -68,7 +68,7 @@ def test_values_are_immutable_and_carry_no_dict():
 
 
 def test_copy_and_pickle_round_trip():
-    action = AutomorphismAction("shear", IntegerMatrix.from_rows([[1, 1], [0, 1]]), True)
+    action = AutomorphismAction("shear", IntegerMatrix([[1, 1], [0, 1]]), True)
     form = SymmetricForm(2, 2, (((0, 1), 1),), 2)
     for value in (action, form, DivisorClass((1, -2), 3)):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
@@ -77,7 +77,7 @@ def test_copy_and_pickle_round_trip():
 
 
 def test_equal_matrices_share_a_cache_entry():
-    unipotent_reduction(IntegerMatrix.from_rows([[1, 1], [0, 1]]))
+    unipotent_reduction(IntegerMatrix([[1, 1], [0, 1]]))
     hits = unipotent_reduction.cache_info().hits
-    unipotent_reduction(IntegerMatrix.from_rows([[1, 1], [0, 1]]))
+    unipotent_reduction(IntegerMatrix([[1, 1], [0, 1]]))
     assert unipotent_reduction.cache_info().hits == hits + 1

@@ -22,8 +22,8 @@ from sigmaample.intmat import IntegerMatrix, char_poly, quasi_unipotence, spectr
 from sigmaample.intpoly import sign_variations, square_free_part, sturm_chain
 from sigmaample.numpoly import NumericalPolynomial
 
-S1 = IntegerMatrix.from_rows([[1, 4], [0, -1]])
-S2 = IntegerMatrix.from_rows([[-1, 0], [4, 1]])
+S1 = IntegerMatrix([[1, 4], [0, -1]])
+S2 = IntegerMatrix([[-1, 0], [4, 1]])
 
 
 def _gram(n):
@@ -43,7 +43,7 @@ def _reflections(n, support):
     for v in product((-1, 0, 1), repeat=n):
         gv = [sum(g[i][j] * v[j] for j in range(n)) for i in range(n)]
         if sum(a * b for a, b in zip(v, gv)) == -2 and n - v.count(0) <= support:
-            out.append(IntegerMatrix.from_rows(
+            out.append(IntegerMatrix(
                 [[int(i == j) + v[i] * gv[j] for j in range(n)] for i in range(n)]
             ))
     return out
@@ -131,7 +131,7 @@ def test_certified_route_matches_kronecker_route_on_both_branches(monkeypatch):
     # non-real pair, so every run reaches the fallback
     @settings(max_examples=120, deadline=None)
     @given(route_inputs)
-    @example(IntegerMatrix.from_rows([[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, -1]]))
+    @example(IntegerMatrix([[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, -1]]))
     def check(m):
         for eps in (Fraction(1, 1000), Fraction(1, 10**12)):
             radii.clear()
